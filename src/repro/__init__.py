@@ -33,7 +33,6 @@ from repro.core import (
     TrackResult,
     sampling_vector,
     extended_sampling_vector,
-    similarity,
 )
 from repro.geometry import (
     Grid,
@@ -61,7 +60,6 @@ __all__ = [
     "TrackResult",
     "sampling_vector",
     "extended_sampling_vector",
-    "similarity",
     "Grid",
     "FaceMap",
     "build_face_map",

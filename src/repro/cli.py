@@ -48,7 +48,6 @@ EXPERIMENTS = {
     "density": "the §5.2 density trade-off: accuracy vs relay load / lifetime",
     "faultlab": "fault-injection campaign: robustness curves per fault family x intensity",
     "fuzz": "differential fuzzing: optimized kernels vs the oracle tier",
-    "bench": "scale benchmark: tiled build, packed signatures, shared-memory sweeps -> BENCH_scale.json",
 }
 
 
@@ -319,48 +318,6 @@ def cmd_replay_divergence(args: argparse.Namespace) -> int:
     return 1
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.scalebench import run_scale_bench
-
-    sizes = tuple(int(v) for v in args.sizes.split(",") if v.strip())
-    workers = tuple(int(v) for v in args.workers.split(",") if v.strip())
-    if args.quick:
-        sizes = sizes[:1]
-        workers = workers[:2]
-    result = run_scale_bench(
-        sizes,
-        workers,
-        cell=args.cell,
-        seed=args.seed,
-        repeats=args.repeats,
-        out=args.out,
-    )
-    print(f"cpu_count = {result['cpu_count']}")
-    for rec in result["build"]:
-        speedups = "  ".join(
-            f"w={w}: {rec['tiled_s'][w]:.3f}s ({rec['speedup'][w]:.2f}x)"
-            for w in sorted(rec["tiled_s"], key=int)
-        )
-        print(
-            f"build n={rec['n_sensors']:4d} ({rec['n_faces']} faces): "
-            f"serial {rec['serial_s']:.3f}s  {speedups}  "
-            f"memory {rec['memory_ratio']:.2f}x  identical={rec['identical']}"
-        )
-    sw = result["sweep"]
-    print(
-        f"sweep ({sw['workers']} workers, {sw['n_points']} points): "
-        f"pickled {sw['pickled_s']:.2f}s, shared {sw['shared_s']:.2f}s "
-        f"({sw['speedup']:.2f}x)  identical={sw['identical']}  "
-        f"leaked_segments={sw['leaked_segments']}"
-    )
-    if not all(rec["identical"] for rec in result["build"]) or not sw["identical"]:
-        print("BIT-IDENTITY VIOLATION: tiled/packed/shared results differ from serial")
-        return 1
-    if "path" in result:
-        print(f"wrote {result['path']}")
-    return 0
-
-
 def cmd_sampling_times(args: argparse.Namespace) -> int:
     n = args.sensors
     n_pairs = n * (n - 1) // 2
@@ -471,22 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     prd.add_argument("artifact", help="path to a divergence_*.json written by fttt fuzz")
     prd.set_defaults(func=cmd_replay_divergence)
-
-    pbe = sub.add_parser("bench", help=EXPERIMENTS["bench"])
-    pbe.add_argument(
-        "--sizes", type=str, default="20,50,100", help="comma-separated deployment sizes"
-    )
-    pbe.add_argument(
-        "--workers", type=str, default="1,4", help="comma-separated tiled-build worker counts"
-    )
-    pbe.add_argument("--cell", type=float, default=2.5, help="grid cell size (m)")
-    pbe.add_argument("--seed", type=int, default=0)
-    pbe.add_argument("--repeats", type=int, default=1, help="timing repeats (best-of)")
-    pbe.add_argument("--quick", action="store_true", help="first size, first two worker counts")
-    pbe.add_argument(
-        "--out", type=str, default="BENCH_scale.json", help="result JSON path"
-    )
-    pbe.set_defaults(func=cmd_bench)
 
     pst = sub.add_parser("sampling-times", help=EXPERIMENTS["sampling-times"])
     pst.add_argument("--sensors", type=int, default=20)

@@ -10,13 +10,7 @@ quantitative extension (Definition 10).
 from repro.core.vectors import (
     sampling_vector,
     extended_sampling_vector,
-    sampling_vector_reference,
     STAR,
-)
-from repro.core.similarity import (
-    vector_difference,
-    sq_distance,
-    similarity,
 )
 from repro.core.matching import ExhaustiveMatcher, MatchResult
 from repro.core.heuristic import HeuristicMatcher
@@ -39,11 +33,7 @@ from repro.core.diagnostics import (
 __all__ = [
     "sampling_vector",
     "extended_sampling_vector",
-    "sampling_vector_reference",
     "STAR",
-    "vector_difference",
-    "sq_distance",
-    "similarity",
     "ExhaustiveMatcher",
     "HeuristicMatcher",
     "expected_extended_signatures",

@@ -191,7 +191,6 @@ class FTTTracker:
         mode: Mode = "basic",
         matcher: MatcherKind = "heuristic",
         comparator_eps: float = 0.0,
-        heuristic_fallback: bool = True,
         soft_signatures: "bool | None" = None,
         degradation: "DegradationPolicy | None" = None,
     ) -> None:
@@ -220,7 +219,6 @@ class FTTTracker:
             self.matcher: "HeuristicMatcher | ExhaustiveMatcher" = HeuristicMatcher(
                 face_map,
                 soft=self.soft_signatures,
-                fallback=heuristic_fallback,
                 fallback_sq_distance=gate,
             )
         else:
@@ -267,12 +265,10 @@ class FTTTracker:
             vector = self._suppress_flippy_pairs(vector, t)
             weak = self._quorum_is_weak(vector, n_reporting)
             if weak:
-                fallback = self._hold_previous(vector, n_reporting, t)
-                if fallback is not None:
-                    if obs.enabled():
-                        self._record_round(fallback, int(np.isnan(vector).sum()))
-                    self._prev_estimate = fallback
-                    return fallback
+                held = self._hold_previous(vector, n_reporting, t)
+                if held is not None:
+                    self._prev_estimate = self._estimate(held, t, n_reporting, vector)
+                    return self._prev_estimate
         match: MatchResult = self.matcher.match(vector)
         if (
             self.degradation is not None
@@ -283,6 +279,14 @@ class FTTTracker:
             match = self._tie_break(match, rss, t)
         if self.degradation is not None:
             self._update_pair_residuals(raw_vector, match)
+        self._prev_estimate = self._estimate(match, t, n_reporting, vector)
+        return self._prev_estimate
+
+    def _estimate(
+        self, match: MatchResult, t: float, n_reporting: int, vector: np.ndarray
+    ) -> TrackEstimate:
+        """The round's estimate, recorded (when obs is on) as metrics and a
+        trace event with the Eq. 7 ``*`` count of the matched *vector*."""
         est = TrackEstimate(
             t=t,
             position=match.position,
@@ -291,9 +295,22 @@ class FTTTracker:
             n_reporting=n_reporting,
             visited_faces=match.visited,
         )
-        self._prev_estimate = est
         if obs.enabled():
-            self._record_round(est, int(np.isnan(vector).sum()))
+            masked_pairs = int(np.isnan(vector).sum())
+            obs.counter("tracker.rounds").inc()
+            obs.histogram("tracker.masked_pairs").observe(masked_pairs)
+            obs.histogram("tracker.ties").observe(len(est.face_ids))
+            trace_event(
+                "round",
+                t=est.t,
+                mode=self.mode,
+                face=int(est.face_ids[0]),
+                n_ties=len(est.face_ids),
+                sq_distance=est.sq_distance,
+                masked_pairs=masked_pairs,
+                n_reporting=est.n_reporting,
+                visited_faces=est.visited_faces,
+            )
         return est
 
     # -- graceful degradation -------------------------------------------------
@@ -359,7 +376,7 @@ class FTTTracker:
 
     def _hold_previous(
         self, vector: np.ndarray, n_reporting: int, t: float
-    ) -> "TrackEstimate | None":
+    ) -> "MatchResult | None":
         """Hold the previous face through a quorum-weak round (None = no history)."""
         if self._prev_estimate is None:
             return None
@@ -374,13 +391,11 @@ class FTTTracker:
                 masked_fraction=float(np.isnan(vector).mean()),
                 held_face=int(prev.face_ids[0]),
             )
-        return TrackEstimate(
-            t=t,
-            position=prev.position.copy(),
+        return MatchResult(
             face_ids=prev.face_ids.copy(),
             sq_distance=float("inf"),  # similarity 0: the hold has no evidence
-            n_reporting=n_reporting,
-            visited_faces=0,
+            position=prev.position.copy(),
+            visited=0,
         )
 
     def _tie_break(self, match: MatchResult, rss: np.ndarray, t: float) -> MatchResult:
@@ -421,23 +436,6 @@ class FTTTracker:
             visited=match.visited,
         )
 
-    def _record_round(self, est: TrackEstimate, masked_pairs: int) -> None:
-        """Per-round metrics + trace event (Eq. 7 ``*`` counts and match work)."""
-        obs.counter("tracker.rounds").inc()
-        obs.histogram("tracker.masked_pairs").observe(masked_pairs)
-        obs.histogram("tracker.ties").observe(len(est.face_ids))
-        trace_event(
-            "round",
-            t=est.t,
-            mode=self.mode,
-            face=int(est.face_ids[0]),
-            n_ties=len(est.face_ids),
-            sq_distance=est.sq_distance,
-            masked_pairs=masked_pairs,
-            n_reporting=est.n_reporting,
-            visited_faces=est.visited_faces,
-        )
-
     def localize_batch(self, batch: SampleBatch, t: "float | None" = None) -> TrackEstimate:
         """Localize from a :class:`~repro.rf.channel.SampleBatch`."""
         t0 = float(batch.times[0]) if t is None else t
@@ -469,17 +467,9 @@ class FTTTracker:
                 vectors = self.build_vectors(stacked)
                 matches = self.matcher.match_many(vectors)
                 result = TrackResult()
-                for b, (batch, rss, match) in enumerate(zip(batches, stacked, matches)):
-                    est = TrackEstimate(
-                        t=float(batch.times[0]),
-                        position=match.position,
-                        face_ids=match.face_ids,
-                        sq_distance=match.sq_distance,
-                        n_reporting=int((~np.isnan(rss).all(axis=0)).sum()),
-                        visited_faces=match.visited,
-                    )
-                    if record:
-                        self._record_round(est, int(np.isnan(vectors[b]).sum()))
+                for batch, rss, vector, match in zip(batches, stacked, vectors, matches):
+                    n_reporting = int((~np.isnan(rss).all(axis=0)).sum())
+                    est = self._estimate(match, float(batch.times[0]), n_reporting, vector)
                     result.append(est, batch.mean_position)
                 return result
         result = TrackResult()

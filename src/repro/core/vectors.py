@@ -13,9 +13,10 @@ pair ``(i, j), i < j`` in the canonical enumeration, the pair value is
   than a silent one (+1 / -1), and two silent sensors give the ``*`` value,
   represented as NaN and masked out of every vector difference (Eq. 7).
 
-The vectorized implementations here are the production path; the
-loop-based :func:`sampling_vector_reference` transcribes the paper's
-Algorithm 1 literally and exists to pin the vectorized code to it.
+The stacked ``(T, k, n)`` kernels here are the production path, and the
+single-round functions are their ``T = 1`` case.  The loop-based
+transcription of Algorithm 1 that pins them lives in the oracle tier
+(:func:`repro.oracle.oracle_sampling_vector`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "extended_sampling_vector",
     "sampling_vectors",
     "extended_sampling_vectors",
-    "sampling_vector_reference",
     "pair_win_counts",
 ]
 
@@ -38,16 +38,12 @@ STAR = np.nan
 """The ``*`` pair value of Eq. 6 — stored as NaN, masked by Eq. 7."""
 
 
-def _prepare(rss: np.ndarray, pairs: "tuple[np.ndarray, np.ndarray] | None"):
+def _one_round(rss: np.ndarray) -> np.ndarray:
+    """A ``(k, n)`` grouping sampling as a one-round ``(1, k, n)`` stack."""
     rss = np.atleast_2d(np.asarray(rss, dtype=float))
     if rss.ndim != 2:
         raise ValueError(f"rss must be a (k, n) matrix, got shape {rss.shape}")
-    n = rss.shape[1]
-    if n < 2:
-        raise ValueError(f"need at least two sensors, got {n}")
-    if pairs is None:
-        pairs = enumerate_pairs(n)
-    return rss, pairs
+    return rss[None]
 
 
 def pair_win_counts(
@@ -63,42 +59,9 @@ def pair_win_counts(
     and how many instants both sensors reported.  Instants where the two
     RSS are within *comparator_eps* count toward neither side (tie).
     """
-    if comparator_eps < 0:
-        raise ValueError(f"comparator_eps must be non-negative, got {comparator_eps}")
-    rss, (i_idx, j_idx) = _prepare(rss, pairs)
-    diff = rss[:, i_idx] - rss[:, j_idx]  # (k, P); NaN if either missing
-    valid = ~np.isnan(diff)
-    wins_i = np.count_nonzero(valid & (diff > comparator_eps), axis=0)
-    wins_j = np.count_nonzero(valid & (diff < -comparator_eps), axis=0)
-    return wins_i, wins_j, np.count_nonzero(valid, axis=0)
-
-
-def _fault_fill(
-    values: np.ndarray,
-    rss: np.ndarray,
-    i_idx: np.ndarray,
-    j_idx: np.ndarray,
-    n_valid: np.ndarray,
-) -> np.ndarray:
-    """Apply the Eq. 6 fill to pairs with no common valid instants."""
-    reported = ~np.isnan(rss).all(axis=0)  # sensor delivered >= 1 sample
-    no_common = n_valid == 0
-    if not no_common.any():
-        return values
-    ri = reported[i_idx]
-    rj = reported[j_idx]
-    values = values.copy()
-    values[no_common & ri & ~rj] = 1.0
-    values[no_common & ~ri & rj] = -1.0
-    values[no_common & ~ri & ~rj] = STAR
-    # both reported but never simultaneously: fall back to mean comparison
-    both = no_common & ri & rj
-    if both.any():
-        counts = np.maximum((~np.isnan(rss)).sum(axis=0), 1)
-        sums = np.where(np.isnan(rss), 0.0, rss).sum(axis=0)
-        means = sums / counts
-        values[both] = np.sign(means[i_idx[both]] - means[j_idx[both]])
-    return values
+    rss, (i_idx, j_idx) = _as_stack(_one_round(rss), pairs)
+    wins_i, wins_j, valid = _stack_win_counts(rss, i_idx, j_idx, comparator_eps)
+    return wins_i[0], wins_j[0], valid[0]
 
 
 def sampling_vector(
@@ -119,16 +82,9 @@ def sampling_vector(
     Returns
     -------
     (P,) float vector with values in {-1, 0, +1} and NaN for ``*`` pairs.
+    The one-round case of :func:`sampling_vectors`.
     """
-    rss, (i_idx, j_idx) = _prepare(rss, pairs)
-    wins_i, wins_j, n_valid = pair_win_counts(rss, (i_idx, j_idx), comparator_eps=comparator_eps)
-    values = np.zeros(len(i_idx), dtype=float)
-    with np.errstate(invalid="ignore"):
-        ordinal_i = (wins_i == n_valid) & (n_valid > 0)
-        ordinal_j = (wins_j == n_valid) & (n_valid > 0)
-    values[ordinal_i] = 1.0
-    values[ordinal_j] = -1.0
-    return _fault_fill(values, rss, i_idx, j_idx, n_valid)
+    return sampling_vectors(_one_round(rss), pairs, comparator_eps=comparator_eps)[0]
 
 
 def extended_sampling_vector(
@@ -141,16 +97,13 @@ def extended_sampling_vector(
 
     Each component is ``P(i beats j) - P(j beats i)`` estimated over the
     common valid instants — in ``[-1, 1]``, equal to the basic value at the
-    extremes.  Pairs with no common instants get the Eq. 6 fill.
+    extremes.  Pairs with no common instants get the Eq. 6 fill.  The
+    one-round case of :func:`extended_sampling_vectors`.
     """
-    rss, (i_idx, j_idx) = _prepare(rss, pairs)
-    wins_i, wins_j, n_valid = pair_win_counts(rss, (i_idx, j_idx), comparator_eps=comparator_eps)
-    denom = np.where(n_valid > 0, n_valid, 1)
-    values = (wins_i - wins_j) / denom
-    return _fault_fill(values, rss, i_idx, j_idx, n_valid)
+    return extended_sampling_vectors(_one_round(rss), pairs, comparator_eps=comparator_eps)[0]
 
 
-def _prepare_stack(
+def _as_stack(
     rss: np.ndarray, pairs: "tuple[np.ndarray, np.ndarray] | None"
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     rss = np.asarray(rss, dtype=float)
@@ -172,7 +125,7 @@ def _stack_win_counts(
     j_idx: np.ndarray,
     comparator_eps: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(T, P) win counts — :func:`pair_win_counts` over a round stack."""
+    """(T, P) win counts over a round stack (see :func:`pair_win_counts`)."""
     if comparator_eps < 0:
         raise ValueError(f"comparator_eps must be non-negative, got {comparator_eps}")
     diff = rss[:, :, i_idx] - rss[:, :, j_idx]  # (T, k, P); NaN if either missing
@@ -182,14 +135,15 @@ def _stack_win_counts(
     return wins_i, wins_j, np.count_nonzero(valid, axis=1)
 
 
-def _fault_fill_stack(
+def _eq6_fill_stack(
     values: np.ndarray,
     rss: np.ndarray,
     i_idx: np.ndarray,
     j_idx: np.ndarray,
     n_valid: np.ndarray,
 ) -> np.ndarray:
-    """The Eq. 6 fill of :func:`_fault_fill`, per round of a (T, k, n) stack."""
+    """Apply the Eq. 6 fill to pairs with no common valid instants, per
+    round of a (T, k, n) stack."""
     reported = ~np.isnan(rss).all(axis=1)  # (T, n)
     no_common = n_valid == 0
     if not no_common.any():
@@ -200,6 +154,7 @@ def _fault_fill_stack(
     values[no_common & ri & ~rj] = 1.0
     values[no_common & ~ri & rj] = -1.0
     values[no_common & ~ri & ~rj] = STAR
+    # both reported but never simultaneously: fall back to mean comparison
     both = no_common & ri & rj
     if both.any():
         counts = np.maximum((~np.isnan(rss)).sum(axis=1), 1)  # (T, n)
@@ -223,12 +178,12 @@ def sampling_vectors(
     round, so batching cannot change a single value.  This is the
     Algorithm-1 kernel the trace-level matchers feed from.
     """
-    rss, (i_idx, j_idx) = _prepare_stack(rss, pairs)
+    rss, (i_idx, j_idx) = _as_stack(rss, pairs)
     wins_i, wins_j, n_valid = _stack_win_counts(rss, i_idx, j_idx, comparator_eps)
     values = np.zeros(wins_i.shape, dtype=float)
     values[(wins_i == n_valid) & (n_valid > 0)] = 1.0
     values[(wins_j == n_valid) & (n_valid > 0)] = -1.0
-    return _fault_fill_stack(values, rss, i_idx, j_idx, n_valid)
+    return _eq6_fill_stack(values, rss, i_idx, j_idx, n_valid)
 
 
 def extended_sampling_vectors(
@@ -238,41 +193,8 @@ def extended_sampling_vectors(
     comparator_eps: float = 0.0,
 ) -> np.ndarray:
     """Batched :func:`extended_sampling_vector` over a ``(T, k, n)`` stack."""
-    rss, (i_idx, j_idx) = _prepare_stack(rss, pairs)
+    rss, (i_idx, j_idx) = _as_stack(rss, pairs)
     wins_i, wins_j, n_valid = _stack_win_counts(rss, i_idx, j_idx, comparator_eps)
     denom = np.where(n_valid > 0, n_valid, 1)
     values = (wins_i - wins_j) / denom
-    return _fault_fill_stack(values, rss, i_idx, j_idx, n_valid)
-
-
-def sampling_vector_reference(rss: np.ndarray) -> np.ndarray:
-    """Literal transcription of the paper's Algorithm 1 (loops and all).
-
-    Only supports fully-reporting groups (no NaN) — Algorithm 1 predates
-    the fault-tolerance extension.  Used by tests to pin
-    :func:`sampling_vector` and by the complexity benchmark.
-    """
-    rss = np.atleast_2d(np.asarray(rss, dtype=float))
-    if np.isnan(rss).any():
-        raise ValueError("Algorithm 1 reference handles complete groups only (no NaN)")
-    k, n = rss.shape
-    values: list[float] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            v: float | None = None
-            for w in range(k):
-                if rss[w, i] > rss[w, j]:
-                    if v == -1:
-                        v = 0.0
-                        break
-                    v = 1.0
-                elif rss[w, i] < rss[w, j]:
-                    if v == 1:
-                        v = 0.0
-                        break
-                    v = -1.0
-                else:  # exact tie: counts as a flip
-                    v = 0.0
-                    break
-            values.append(0.0 if v is None else v)
-    return np.asarray(values, dtype=float)
+    return _eq6_fill_stack(values, rss, i_idx, j_idx, n_valid)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +25,8 @@ from repro.obs import metrics as obs
 
 __all__ = ["Face", "FaceMap", "build_face_map", "build_certain_face_map"]
 
-#: Bound on the float32 temporaries one `distances_to_many` GEMM block may
-#: allocate; the default ``chunk_rows`` keeps each block under this.
+#: Bound on the float32 temporaries one block of the batched distance
+#: kernel may allocate (see ``FaceMap._block_rows``).
 _GEMM_TEMP_BYTES = 256 * 1024 * 1024
 
 
@@ -66,6 +67,15 @@ class Face:
     def is_certain(self) -> bool:
         """True when every pair ordering is certain inside the face (no zeros)."""
         return self.n_uncertain_pairs == 0
+
+
+class _Query(NamedTuple):
+    """Sampling vectors prepared for ``FaceMap._sq_distances``."""
+
+    v0: np.ndarray  # (B, P) float32, ``*`` components zeroed
+    mask: "np.ndarray | None"  # (B, P) bool ``*`` components; None if there are none
+    soft: bool  # match against the soft signatures
+    v_sq: "np.ndarray | None"  # (B, 1) |v|^2 on the exact GEMM path, else None
 
 
 class FaceMap:
@@ -262,21 +272,51 @@ class FaceMap:
             return self.soft_signatures
         return self._sig_f32()
 
-    def distances_to(self, vector: np.ndarray, *, soft: bool = False) -> np.ndarray:
-        """Squared vector distance from *vector* to every face signature.
+    def _query(self, V: np.ndarray, soft: bool) -> _Query:
+        """Prepare ``(B, P)`` float32 sampling vectors *V* for
+        :meth:`_sq_distances` (Algorithm 2 scores many rings with one)."""
+        mask = np.isnan(V)
+        v0 = np.where(mask, np.float32(0.0), V)
+        exact = not soft and (v0 == np.rint(v0)).all() and (np.abs(v0) <= 8.0).all()
+        v_sq = np.square(v0).sum(axis=1)[:, None] if exact else None
+        return _Query(v0, mask if mask.any() else None, soft, v_sq)
 
-        NaN components of *vector* are the ``*`` fault values of Eq. 7 and
-        contribute zero difference.
+    def _sq_distances(self, q: _Query, face_ids: "np.ndarray | None" = None) -> np.ndarray:
+        """The one squared-distance kernel: the vectors of *q* against every
+        face, or only against *face_ids*; ``(B, F)`` float32 out.
+
+        ``*`` components (NaN) contribute zero difference (Eq. 7).  When
+        the signatures are the qualitative ``{-1, 0, +1}`` set and every
+        vector component is a small integer (the basic Definition-4
+        values), the block is one GEMM via the expansion
+        ``|a - b|^2 = |a|^2 - 2 a.b + |b|^2``, with the signature energy of
+        the masked columns subtracted.  Every product and partial sum is
+        then a small integer, exact in float32, so the result cannot depend
+        on BLAS summation order, block size or the face subset.  Fractional
+        vectors (extended mode) and soft signatures take a per-row float32
+        path instead, whose value for a face is the same whichever rows or
+        faces share the call.
         """
-        v = np.asarray(vector, dtype=np.float32)
-        if v.shape != (self.n_pairs,):
-            raise ValueError(f"vector has shape {v.shape}, expected ({self.n_pairs},)")
-        sigs = self.signature_matrix(soft=soft)
-        diff = sigs - v  # one (F, P) temporary; NaN columns zeroed in place below
-        mask = np.isnan(v)
-        if mask.any():
-            diff[:, mask] = 0.0
-        return np.einsum("fp,fp->f", diff, diff)
+        sigs = self.signature_matrix(soft=q.soft)
+        if face_ids is not None:
+            sigs = sigs[face_ids]
+        if q.v_sq is None:
+            out = np.empty((len(q.v0), len(sigs)), dtype=np.float32)
+            for b, v in enumerate(q.v0):
+                diff = sigs - v  # one (F, P) temporary; * columns zeroed below
+                if q.mask is not None:
+                    diff[:, q.mask[b]] = 0.0
+                out[b] = np.einsum("fp,fp->f", diff, diff)
+            return out
+        sq_rows, sq_t = self._qual_sq()
+        if face_ids is not None:
+            sq_rows = sq_rows[face_ids]
+        d2 = q.v_sq - np.float32(2.0) * (q.v0 @ sigs.T) + sq_rows
+        if q.mask is not None:
+            # masked columns must contribute zero, not s^2: subtract their energy
+            sq_t = sq_t if face_ids is None else sq_t[:, face_ids]
+            d2 -= q.mask.astype(np.float32) @ sq_t
+        return d2
 
     def _qual_sq(self) -> tuple[np.ndarray, np.ndarray]:
         """Cached ``sum_p s^2`` per face and ``(s^2)^T`` for the GEMM expansion."""
@@ -286,70 +326,48 @@ class FaceMap:
             self._qual_sq_t = np.ascontiguousarray(sq.T)
         return self._qual_sq_rows, self._qual_sq_t
 
-    def _resolve_chunk_rows(self, chunk_rows: int | None) -> int:
-        """Trace-axis block size; the default bounds one block's (B, F)
-        float32 temporaries by ``_GEMM_TEMP_BYTES``."""
-        if chunk_rows is None:
-            return max(1, _GEMM_TEMP_BYTES // (4 * max(1, self.n_faces)))
-        chunk_rows = int(chunk_rows)
-        if chunk_rows < 1:
-            raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
-        return chunk_rows
-
-    def distances_to_many(
-        self, vectors: np.ndarray, *, soft: bool = False, chunk_rows: int | None = None
-    ) -> np.ndarray:
-        """Squared vector distance from each of ``(B, P)`` *vectors* to every face.
-
-        Bit-identical to calling :meth:`distances_to` per row.  When the
-        signatures are the qualitative ``{-1, 0, +1}`` set and every vector
-        component is a small integer (the basic Definition-4 values), the
-        batch is computed as one GEMM via the expansion
-        ``|a - b|^2 = |a|^2 - 2 a.b + |b|^2`` — every product and partial
-        sum is then a small exact integer in float32, so the result is
-        exactly the per-row einsum regardless of BLAS summation order.  NaN
-        fault components (Eq. 7) are handled by zeroing them and
-        subtracting the masked signature energy, again exactly.  Rows with
-        fractional components (extended vectors, soft signatures) fall
-        back to the per-row path to preserve bit-identity.
-
-        The batch is processed in blocks of ``chunk_rows`` traces so peak
-        temporary allocation stays bounded however large B grows; because
-        both the GEMM expansion and the per-row path are exact per row,
-        the block size cannot change a single output bit.
-        """
+    def _as_rows(self, vectors: np.ndarray) -> np.ndarray:
         V = np.asarray(vectors, dtype=np.float32)
         if V.ndim != 2 or V.shape[1] != self.n_pairs:
             raise ValueError(f"vectors have shape {V.shape}, expected (B, {self.n_pairs})")
-        step = self._resolve_chunk_rows(chunk_rows)
-        if len(V) > step:
-            out = np.empty((len(V), self.n_faces), dtype=np.float32)
-            for start in range(0, len(V), step):
-                out[start : start + step] = self._distances_block(V[start : start + step], soft)
-            return out
-        return self._distances_block(V, soft)
+        return V
 
-    def _distances_block(self, V: np.ndarray, soft: bool) -> np.ndarray:
-        mask = np.isnan(V)
-        v0 = np.where(mask, np.float32(0.0), V)
-        exact = (
-            not soft
-            and bool(np.all(v0 == np.rint(v0)))
-            and bool(np.all(np.abs(v0) <= 8.0))
-        )
-        if not exact:
-            out = np.empty((len(V), self.n_faces), dtype=np.float32)
-            for b in range(len(V)):
-                out[b] = self.distances_to(V[b], soft=soft)
-            return out
-        sigs = self._sig_f32()
-        sq_rows, sq_t = self._qual_sq()
-        v_sq = np.einsum("bp,bp->b", v0, v0)
-        d2 = v_sq[:, None] - np.float32(2.0) * (v0 @ sigs.T) + sq_rows[None, :]
-        if mask.any():
-            # masked columns must contribute zero, not s^2: subtract their energy
-            d2 -= mask.astype(np.float32) @ sq_t
-        return d2
+    def _as_row(self, vector: np.ndarray) -> np.ndarray:
+        v = np.asarray(vector, dtype=np.float32)
+        if v.shape != (self.n_pairs,):
+            raise ValueError(f"vector has shape {v.shape}, expected ({self.n_pairs},)")
+        return v[None]
+
+    def _block_rows(self) -> int:
+        """Trace-axis block size bounding one block's (B, F) float32
+        temporaries by ``_GEMM_TEMP_BYTES``."""
+        return max(1, _GEMM_TEMP_BYTES // (4 * max(1, self.n_faces)))
+
+    def distances_to(self, vector: np.ndarray, *, soft: bool = False) -> np.ndarray:
+        """Squared vector distance from *vector* to every face signature.
+
+        NaN components of *vector* are the ``*`` fault values of Eq. 7 and
+        contribute zero difference.
+        """
+        return self._sq_distances(self._query(self._as_row(vector), soft))[0]
+
+    def distances_to_many(self, vectors: np.ndarray, *, soft: bool = False) -> np.ndarray:
+        """Squared vector distance from each of ``(B, P)`` *vectors* to every face.
+
+        Row ``b`` is bit-identical to ``distances_to(vectors[b])`` (see
+        :meth:`_sq_distances` for why).  The batch is processed in blocks
+        of :meth:`_block_rows` traces so peak temporary allocation stays
+        bounded however large B grows.
+        """
+        V = self._as_rows(vectors)
+        step = self._block_rows()
+        if len(V) <= step:
+            return self._sq_distances(self._query(V, soft))
+        out = np.empty((len(V), self.n_faces), dtype=np.float32)
+        for start in range(0, len(V), step):
+            block = self._query(V[start : start + step], soft)
+            out[start : start + step] = self._sq_distances(block)
+        return out
 
     def tie_tolerance(self, best: float) -> float:
         """Tie threshold for :meth:`match`, relative to the distance scale.
@@ -371,6 +389,27 @@ class FaceMap:
         eps32 = float(np.finfo(np.float32).eps)
         return max(1e-6, best * eps32 * math.sqrt(self.n_pairs))
 
+    def _match_rows(self, V: np.ndarray, soft: bool) -> tuple[list[np.ndarray], np.ndarray]:
+        """Tied faces and best squared distance per row of *V*, one
+        :meth:`_block_rows` block of distances live at a time."""
+        step = self._block_rows()
+        ties: list[np.ndarray] = []
+        bests = np.empty(len(V), dtype=float)
+        for start in range(0, len(V), step):
+            d2 = self._sq_distances(self._query(V[start : start + step], soft))
+            for b, row in enumerate(d2, start=start):
+                best = float(row.min())
+                ties.append(np.flatnonzero(row <= best + self.tie_tolerance(best)))
+                bests[b] = best
+        return ties, bests
+
+    def _record_matches(self, ties: list[np.ndarray]) -> None:
+        obs.counter("geometry.match.rounds").inc(len(ties))
+        h = obs.histogram("geometry.match.ties")
+        for t in ties:
+            h.observe(len(t))
+        obs.gauge("geometry.match.candidate_faces").set(self.n_faces)
+
     def match(self, vector: np.ndarray, *, soft: bool = False) -> tuple[np.ndarray, float]:
         """Exhaustive maximum-likelihood matching (paper §4.4-1).
 
@@ -378,50 +417,25 @@ class FaceMap:
         squared vector distance.  Similarity of Definition 7 is
         ``1/sqrt(sq_distance)`` (infinite on exact match).
         """
-        d2 = self.distances_to(vector, soft=soft)
-        best = float(d2.min())
-        ties = np.flatnonzero(d2 <= best + self.tie_tolerance(best))
+        ties, bests = self._match_rows(self._as_row(vector), soft)
         if obs.enabled():
-            obs.counter("geometry.match.rounds").inc()
-            obs.histogram("geometry.match.ties").observe(len(ties))
-            obs.gauge("geometry.match.candidate_faces").set(self.n_faces)
-        return ties, best
+            self._record_matches(ties)
+        return ties[0], float(bests[0])
 
     def match_many(
-        self, vectors: np.ndarray, *, soft: bool = False, chunk_rows: int | None = None
+        self, vectors: np.ndarray, *, soft: bool = False
     ) -> tuple[list[np.ndarray], np.ndarray]:
         """Batched :meth:`match` over ``(B, P)`` *vectors*.
 
         Returns ``(ties_per_row, best_sq_distances)`` — identical, row for
-        row, to calling :meth:`match` in a loop (see
-        :meth:`distances_to_many` for why).  Processed in ``chunk_rows``
-        blocks so only one (chunk, F) distance block is live at a time.
+        row, to calling :meth:`match` in a loop (see :meth:`_sq_distances`
+        for why).
         """
-        V = np.asarray(vectors, dtype=np.float32)
-        if V.ndim != 2 or V.shape[1] != self.n_pairs:
-            raise ValueError(f"vectors have shape {V.shape}, expected (B, {self.n_pairs})")
-        step = self._resolve_chunk_rows(chunk_rows)
-        ties: list[np.ndarray] = []
-        bests = np.empty(len(V), dtype=float)
-        for start in range(0, len(V), step):
-            d2 = self.distances_to_many(V[start : start + step], soft=soft, chunk_rows=step)
-            for b, row in enumerate(d2, start=start):
-                best = float(row.min())
-                ties.append(np.flatnonzero(row <= best + self.tie_tolerance(best)))
-                bests[b] = best
+        ties, bests = self._match_rows(self._as_rows(vectors), soft)
         if obs.enabled():
-            obs.counter("geometry.match.rounds").inc(len(ties))
+            self._record_matches(ties)
             obs.counter("geometry.match.batched_rounds").inc(len(ties))
-            h = obs.histogram("geometry.match.ties")
-            for t in ties:
-                h.observe(len(t))
-            obs.gauge("geometry.match.candidate_faces").set(self.n_faces)
         return ties, bests
-
-    def match_positions_many(self, vectors: np.ndarray, *, soft: bool = False) -> np.ndarray:
-        """Batched :meth:`match_position`: ``(B, 2)`` mean tie centroids."""
-        ties, _ = self.match_many(vectors, soft=soft)
-        return np.stack([self.centroids[t].mean(axis=0) for t in ties])
 
     def match_position(self, vector: np.ndarray, *, soft: bool = False) -> np.ndarray:
         """Position estimate: mean centroid of all maximum-similarity faces.

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.baselines.sequences import sign_vector_from_rss, sign_vectors_from_rss
 from repro.config import GridConfig, SimulationConfig
 from repro.core.matching import ExhaustiveMatcher
@@ -128,6 +129,22 @@ class TestBatchedDistances:
             t_loop, best_loop = fm.match(v)
             assert np.array_equal(t, t_loop)
             assert best == best_loop
+        # a single match is row 0 of a one-row batch; each call keeps its own
+        # obs counters (a batch also counts as batched rounds)
+        for v in vectors[:5]:
+            with obs.observe() as reg:
+                t_one, best_one = fm.match(v)
+            single = reg.snapshot()
+            with obs.observe() as reg:
+                t_many, best_many = fm.match_many(v[None])
+            batched = reg.snapshot()
+            assert np.array_equal(t_one, t_many[0])
+            assert best_one == best_many[0]
+            assert single["geometry.match.rounds"]["value"] == 1
+            assert "geometry.match.batched_rounds" not in single
+            assert batched["geometry.match.rounds"]["value"] == 1
+            assert batched["geometry.match.batched_rounds"]["value"] == 1
+            assert single["geometry.match.ties"] == batched["geometry.match.ties"]
 
     def test_shape_validation(self, face_map):
         with pytest.raises(ValueError, match="expected"):

@@ -1,32 +1,47 @@
-"""Tests for repro.core.similarity (Definitions 7 & 8, Eq. 7)."""
+"""Definition 7 similarity and the Eq. 7 masked distance.
+
+The masked squared distance has one reference implementation, the oracle
+tier's :func:`repro.oracle.oracle_masked_sq_distance`; the similarity is
+the ``similarity`` property of :class:`~repro.core.matching.MatchResult`
+and :class:`~repro.core.tracker.TrackEstimate`.  These tests pin both to
+the paper's definitions and to the production kernel.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.similarity import (
-    similarity,
-    similarity_matrix,
-    sq_distance,
-    vector_difference,
-)
+from repro.core.matching import MatchResult
+from repro.core.tracker import TrackEstimate
+from repro.oracle import oracle_masked_sq_distance
+
+
+def similarity(vector: np.ndarray, signature: np.ndarray) -> float:
+    """Definition 7 similarity of a match at the oracle's masked distance."""
+    d2 = oracle_masked_sq_distance(vector, signature)
+    return MatchResult(
+        face_ids=np.array([0]), sq_distance=d2, position=np.zeros(2), visited=1
+    ).similarity
 
 
 class TestVectorDifference:
     def test_plain_difference(self):
-        d = vector_difference(np.array([1.0, 0.0]), np.array([0.0, -1.0]))
-        assert d.tolist() == [1.0, 1.0]
+        # difference [1, 1] -> squared norm 2
+        assert oracle_masked_sq_distance(np.array([1.0, 0.0]), np.array([0.0, -1.0])) == 2.0
 
     def test_star_masks_to_zero(self):
-        d = vector_difference(np.array([np.nan, 1.0]), np.array([1.0, 1.0]))
-        assert d.tolist() == [0.0, 0.0]
+        assert oracle_masked_sq_distance(np.array([np.nan, 1.0]), np.array([1.0, 1.0])) == 0.0
 
-    def test_star_in_either_argument(self):
-        d = vector_difference(np.array([1.0]), np.array([np.nan]))
-        assert d.tolist() == [0.0]
+    def test_star_masks_whatever_the_signature(self, face_map):
+        """A ``*`` pair contributes nothing against -1, 0 or +1 alike, in the
+        oracle and in the production kernel."""
+        for s in (-1.0, 0.0, 1.0):
+            assert oracle_masked_sq_distance(np.array([np.nan]), np.array([s])) == 0.0
+        v = np.full(face_map.n_pairs, np.nan)
+        assert np.array_equal(face_map.distances_to(v), np.zeros(face_map.n_faces, np.float32))
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shapes"):
-            vector_difference(np.zeros(3), np.zeros(4))
+        with pytest.raises(ValueError, match="shape"):
+            oracle_masked_sq_distance(np.zeros(3), np.zeros(4))
 
 
 class TestSimilarity:
@@ -38,6 +53,15 @@ class TestSimilarity:
     def test_exact_match_is_infinite(self):
         v = np.array([1.0, -1.0, 0.0])
         assert similarity(v, v) == float("inf")
+        est = TrackEstimate(
+            t=0.0,
+            position=np.zeros(2),
+            face_ids=np.array([0]),
+            sq_distance=oracle_masked_sq_distance(v, v),
+            n_reporting=3,
+            visited_faces=1,
+        )
+        assert est.similarity == float("inf")
 
     def test_paper_fault_example_value(self):
         """§4.4-3 example: V_d = [1,1,1,-1,*,1] vs V_s(f8) = [1,1,1,0,0,0].
@@ -65,34 +89,10 @@ class TestSimilarity:
 
 class TestSqDistance:
     def test_masked(self):
-        assert sq_distance(np.array([np.nan, 2.0]), np.array([5.0, 0.0])) == pytest.approx(4.0)
+        assert oracle_masked_sq_distance(
+            np.array([np.nan, 2.0]), np.array([5.0, 0.0])
+        ) == pytest.approx(4.0)
 
     def test_zero_for_equal(self):
         v = np.array([1.0, -1.0])
-        assert sq_distance(v, v) == 0.0
-
-
-class TestSimilarityMatrix:
-    def test_matches_scalar_similarity(self, rng):
-        vectors = rng.choice([-1.0, 0.0, 1.0], size=(4, 8))
-        signatures = rng.choice([-1.0, 0.0, 1.0], size=(6, 8))
-        mat = similarity_matrix(vectors, signatures)
-        for q in range(4):
-            for f in range(6):
-                assert mat[q, f] == pytest.approx(similarity(vectors[q], signatures[f]))
-
-    def test_handles_nan_components(self):
-        vectors = np.array([[np.nan, 1.0]])
-        signatures = np.array([[1.0, 1.0], [1.0, -1.0]])
-        mat = similarity_matrix(vectors, signatures)
-        assert mat[0, 0] == float("inf")
-        assert mat[0, 1] == pytest.approx(0.5)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            similarity_matrix(np.zeros((2, 3)), np.zeros((2, 4)))
-
-    def test_no_negative_distances_from_rounding(self, rng):
-        v = rng.uniform(-1, 1, size=(10, 30))
-        mat = similarity_matrix(v, v)
-        assert np.all(np.isinf(np.diag(mat)))
+        assert oracle_masked_sq_distance(v, v) == 0.0

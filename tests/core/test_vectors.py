@@ -7,8 +7,8 @@ from repro.core.vectors import (
     extended_sampling_vector,
     pair_win_counts,
     sampling_vector,
-    sampling_vector_reference,
 )
+from repro.oracle import oracle_sampling_vector
 
 
 def fig5_matrix() -> np.ndarray:
@@ -39,7 +39,7 @@ class TestBasicSamplingVector:
     def test_matches_algorithm1_reference(self, rng):
         for _ in range(25):
             rss = rng.normal(-60, 10, size=(rng.integers(1, 8), rng.integers(2, 7)))
-            assert np.array_equal(sampling_vector(rss), sampling_vector_reference(rss))
+            assert np.array_equal(sampling_vector(rss), oracle_sampling_vector(rss))
 
     def test_single_sample_never_flips(self, rng):
         rss = rng.normal(-60, 10, size=(1, 5))
@@ -171,9 +171,13 @@ class TestPairWinCounts:
 
 
 class TestAlgorithm1Reference:
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError, match="NaN"):
-            sampling_vector_reference(np.array([[1.0, np.nan]]))
+    """The oracle tier's loop transcription of Algorithm 1."""
+
+    def test_nan_groups_match_production(self):
+        rss = np.array([[1.0, np.nan, 3.0], [2.0, np.nan, np.nan]])
+        expected = sampling_vector(rss)
+        assert np.array_equal(oracle_sampling_vector(rss), expected, equal_nan=True)
+        assert expected[0] == 1.0 and expected[1] == -1.0  # Eq. 6 fill for the silent sensor
 
     def test_fig5(self):
-        assert sampling_vector_reference(fig5_matrix()).tolist() == [-1, 1, 1, 1, 1, 0]
+        assert oracle_sampling_vector(fig5_matrix()).tolist() == [-1, 1, 1, 1, 1, 0]

@@ -103,12 +103,12 @@ def test_vector_kernel_bug_is_caught(monkeypatch, tmp_path):
     """A second, independent mutation: break the Eq. 6 fill direction."""
     import repro.core.vectors as vectors
 
-    original = vectors._fault_fill
+    original = vectors._eq6_fill_stack
 
     def flipped(values, rss, i_idx, j_idx, n_valid):
         return -original(values, rss, i_idx, j_idx, n_valid)
 
-    monkeypatch.setattr(vectors, "_fault_fill", flipped)
+    monkeypatch.setattr(vectors, "_eq6_fill_stack", flipped)
     summary = run_fuzz(N_SCENARIOS, artifact_dir=tmp_path, **CAMPAIGN)
     assert summary["n_divergent"] > 0
     assert summary["first_divergence"]["check"] == "sampling_vector"

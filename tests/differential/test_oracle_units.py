@@ -113,6 +113,39 @@ class TestMatchingOracle:
                 assert float(production[f]) == oracle_masked_sq_distance(
                     v, face_map.signatures[f].astype(float)
                 )
+        # Algorithm 2 ring scoring is the same kernel over a face subset:
+        # exact for basic vectors with * components, float32-close for
+        # fractional vectors and soft signatures
+        from repro.core.extended import attach_soft_signatures
+
+        soft_map = face_map.view()
+        attach_soft_signatures(
+            soft_map, path_loss_exponent=3.0, noise_sigma_dbm=4.0, resolution_dbm=1.0
+        )
+        eps32 = float(np.finfo(np.float32).eps)
+        for i in range(25):
+            rss = self._rss(rng)
+            if i % 2:
+                rss[:, :2] = np.nan  # two silent sensors: their pair is *
+            ring = rng.choice(face_map.n_faces, size=min(7, face_map.n_faces), replace=False)
+            basic = oracle_sampling_vector(rss)
+            assert np.isnan(basic[0]) == bool(i % 2)
+            query = face_map._query(basic.astype(np.float32)[None], False)
+            scores = face_map._sq_distances(query, ring)[0]
+            for f, d2 in zip(ring, scores):
+                assert float(d2) == oracle_masked_sq_distance(
+                    basic, face_map.signatures[f].astype(float)
+                )
+            extended = oracle_sampling_vector(rss, mode="extended")
+            for soft, signatures in (
+                (False, face_map.signatures),
+                (True, soft_map.soft_signatures),
+            ):
+                query = soft_map._query(extended.astype(np.float32)[None], soft)
+                scores = soft_map._sq_distances(query, ring)[0]
+                for f, d2 in zip(ring, scores):
+                    expected = oracle_masked_sq_distance(extended, signatures[f].astype(float))
+                    assert abs(float(d2) - expected) <= 64.0 * eps32 * (expected + 1.0)
 
     def test_match_ties_equal_production(self, face_map, rng):
         signatures = face_map.signatures.astype(float)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.geometry import faces
 from repro.geometry.faces import build_certain_face_map, build_face_map
 from repro.geometry.packing import PackedSignatures
 from repro.geometry.tiling import classify_cells_tiled, default_tile_cells
@@ -130,24 +131,34 @@ class TestPackedBackedFaceMap:
 
 
 class TestChunkedMatching:
-    """Satellite: distances_to_many / match_many chunk over the trace axis."""
+    """Satellite: distances_to_many / match_many block over the trace axis.
+
+    The block size is ``_GEMM_TEMP_BYTES // (4 * F)`` rows; the tests set
+    the byte budget so the blocks hold exactly ``chunk_rows`` rows.
+    """
 
     def _vectors(self, face_map, rng, n):
         idx = rng.integers(0, face_map.n_faces, size=n)
         return face_map.signatures[idx].astype(np.float32)
 
+    def _set_block_rows(self, monkeypatch, face_map, chunk_rows):
+        monkeypatch.setattr(faces, "_GEMM_TEMP_BYTES", 4 * face_map.n_faces * chunk_rows)
+        assert face_map._block_rows() == chunk_rows
+
     @pytest.mark.parametrize("chunk_rows", [1, 3, 7, 10_000])
-    def test_distances_to_many_invariant(self, face_map, rng, chunk_rows):
+    def test_distances_to_many_invariant(self, face_map, rng, chunk_rows, monkeypatch):
         V = self._vectors(face_map, rng, 23)
         base = face_map.distances_to_many(V)
-        chunked = face_map.distances_to_many(V, chunk_rows=chunk_rows)
+        self._set_block_rows(monkeypatch, face_map, chunk_rows)
+        chunked = face_map.distances_to_many(V)
         assert np.array_equal(base, chunked, equal_nan=True)
 
     @pytest.mark.parametrize("chunk_rows", [1, 5, 10_000])
-    def test_match_many_invariant(self, face_map, rng, chunk_rows):
+    def test_match_many_invariant(self, face_map, rng, chunk_rows, monkeypatch):
         V = self._vectors(face_map, rng, 23)
         base_ties, base_best = face_map.match_many(V)
-        ties, best = face_map.match_many(V, chunk_rows=chunk_rows)
+        self._set_block_rows(monkeypatch, face_map, chunk_rows)
+        ties, best = face_map.match_many(V)
         assert np.array_equal(base_best, best)
         assert len(base_ties) == len(ties)
         for a, b in zip(base_ties, ties):
@@ -155,6 +166,6 @@ class TestChunkedMatching:
 
     def test_default_chunk_is_bounded(self, face_map):
         # the default must keep the GEMM temp under the documented cap
-        chunk = face_map._resolve_chunk_rows(None)
+        chunk = face_map._block_rows()
         assert chunk * face_map.n_faces * 4 <= 256 * 1024 * 1024
         assert chunk >= 1

@@ -8,8 +8,8 @@ from hypothesis.extra import numpy as hnp
 from repro.core.vectors import (
     extended_sampling_vector,
     sampling_vector,
-    sampling_vector_reference,
 )
+from repro.oracle import oracle_sampling_vector
 
 rss_matrices = hnp.arrays(
     dtype=np.float64,
@@ -21,7 +21,7 @@ rss_matrices = hnp.arrays(
 @given(rss_matrices)
 @settings(max_examples=100, deadline=None)
 def test_vectorized_matches_algorithm1_reference(rss):
-    assert np.array_equal(sampling_vector(rss), sampling_vector_reference(rss))
+    assert np.array_equal(sampling_vector(rss), oracle_sampling_vector(rss))
 
 
 @given(rss_matrices)
