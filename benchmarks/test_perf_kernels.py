@@ -204,17 +204,15 @@ def test_obs_disabled_and_enabled_overhead(results_dir):
 
 @pytest.mark.skipif(not _MULTICORE, reason="a parallel speed-up needs two cores")
 def test_tiled_build_keeps_pace_with_serial(results_dir):
-    """A packed tiled build on 2 workers is at least half as fast as serial.
+    """A tiled build on 2 workers is at least half as fast as serial.
 
     The bound is loose because this n=20 instance is small; bit-identity
-    of tiled and packed builds is pinned in tests/geometry/test_tiled_build.py.
+    of tiled builds is pinned in tests/geometry/test_tiled_build.py.
     """
     nodes = random_deployment(20, 100.0, np.random.default_rng(0), min_separation=5.0)
     grid = Grid.square(100.0, 2.5)
     t_serial = _best_of(lambda: build_face_map(nodes, grid, 1.25), repeats=1)
-    t_tiled = _best_of(
-        lambda: build_face_map(nodes, grid, 1.25, workers=2, packed=True), repeats=1
-    )
+    t_tiled = _best_of(lambda: build_face_map(nodes, grid, 1.25, workers=2), repeats=1)
     speedup = t_serial / t_tiled
     emit(
         "PERF — face-map build (n=20), serial vs tiled on 2 workers",

@@ -10,16 +10,21 @@ only on ``(nodes, grid, c, sensing_range, split_components)``, none of
 which involve randomness once the deployment is drawn, so a cached copy
 is *bit-identical* to a rebuild and reuse cannot perturb any result.
 
-Two tiers:
+Three tiers, looked up in this order:
 
 * an in-process LRU keyed by a SHA-256 over the exact node bytes and the
   build parameters (content-addressed: two deployments match only if
   every coordinate matches bit for bit).  Under ``fork`` start methods
   the parent's warm entries are inherited copy-on-write by pool workers.
+* maps a sweep parent published into shared memory
+  (:mod:`repro.geometry.shm`); pool workers attach to them instead of
+  rebuilding.
 * an optional on-disk ``.npz`` store (``REPRO_FACE_CACHE_DIR`` or
   :func:`configure_face_map_cache`) so repeated processes — sweep
   workers, CI shards, notebook restarts — share the build.  Writes are
   atomic (temp file + rename), so concurrent workers race benignly.
+  A file in any other layout than the current one is a miss: the map is
+  rebuilt and the file overwritten.
 
 Every lookup returns a fresh :class:`~repro.geometry.faces.FaceMap`
 wrapper sharing the (never-mutated) geometry arrays but with its own
@@ -40,7 +45,6 @@ import numpy as np
 
 from repro.geometry.faces import FaceMap, build_certain_face_map, build_face_map
 from repro.geometry.grid import Grid
-from repro.geometry.packing import PackedSignatures
 from repro.obs import metrics as obs
 
 __all__ = [
@@ -101,14 +105,10 @@ _ARRAY_FIELDS = (
     "adj_indices",
 )
 
-#: Arrays common to every on-disk format (signatures are format-specific).
-_COMMON_FIELDS = tuple(name for name in _ARRAY_FIELDS if name != "signatures")
-
-#: On-disk ``.npz`` layout version.  v1 (PR 1, no ``format`` key) stored the
-#: dense int8 signature matrix; v2 stores the 2-bit packed form (~4x
-#: smaller files).  v1 entries still load and are transparently rewritten
-#: as v2 on first touch.
-_DISK_FORMAT = 2
+#: On-disk ``.npz`` layout marker: the :data:`_ARRAY_FIELDS` arrays as
+#: built, signatures as the dense int8 matrix.  Earlier layouts (no
+#: marker, or the 2-bit layout marked 2) do not load.
+_DISK_FORMAT = 3
 
 
 class FaceMapCache:
@@ -133,7 +133,6 @@ class FaceMapCache:
         self.disk_hits = 0
         self.shm_hits = 0
         self.evictions = 0
-        self.migrations = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -146,7 +145,6 @@ class FaceMapCache:
             "disk_hits": self.disk_hits,
             "shm_hits": self.shm_hits,
             "evictions": self.evictions,
-            "migrations": self.migrations,
         }
 
     def clear(self) -> None:
@@ -172,10 +170,7 @@ class FaceMapCache:
         if path is None:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
-        packed = fm.packed_store()
-        arrays = {name: getattr(fm, name) for name in _COMMON_FIELDS}
-        arrays["signatures_packed"] = packed.data
-        arrays["n_pairs"] = np.array([packed.n_pairs], dtype=np.int64)
+        arrays = {name: getattr(fm, name) for name in _ARRAY_FIELDS}
         arrays["format"] = np.array([_DISK_FORMAT], dtype=np.int64)
         arrays["grid_spec"] = np.array([fm.grid.width, fm.grid.height, fm.grid.cell_size])
         arrays["c"] = np.array([fm.c])
@@ -195,38 +190,16 @@ class FaceMapCache:
             return None
         try:
             with np.load(path) as data:
+                if "format" not in data.files or int(data["format"][0]) != _DISK_FORMAT:
+                    return None  # another layout: a miss, rebuilt and overwritten
                 grid_spec = data["grid_spec"]
-                grid = Grid(float(grid_spec[0]), float(grid_spec[1]), float(grid_spec[2]))
-                common = {name: data[name] for name in _COMMON_FIELDS}
-                if "format" in data.files:
-                    version = int(data["format"][0])
-                    if version != _DISK_FORMAT:
-                        return None  # future format: treat as a miss
-                    fm = FaceMap(
-                        grid=grid,
-                        c=float(data["c"][0]),
-                        signatures=None,
-                        packed=PackedSignatures(data["signatures_packed"], int(data["n_pairs"][0])),
-                        **common,
-                    )
-                    return fm
-                # v1 (PR 1): dense signatures, no format marker
-                fm = FaceMap(
-                    grid=grid,
+                return FaceMap(
+                    grid=Grid(float(grid_spec[0]), float(grid_spec[1]), float(grid_spec[2])),
                     c=float(data["c"][0]),
-                    signatures=data["signatures"],
-                    **common,
+                    **{name: data[name] for name in _ARRAY_FIELDS},
                 )
         except (OSError, KeyError, ValueError):
             return None  # truncated/foreign file: treat as a miss and rebuild
-        # transparent migration: rewrite the legacy entry packed (atomic, so
-        # a concurrent reader sees either the old or the new valid file)
-        try:
-            self._disk_store(key, fm)
-            self.migrations += 1
-        except OSError:  # pragma: no cover - read-only cache dir
-            pass
-        return fm
 
     # -- main entry --------------------------------------------------------
 
@@ -239,18 +212,12 @@ class FaceMapCache:
         sensing_range: "float | None" = None,
         split_components: bool = False,
         kind: str = "uncertain",
-        chunk_pairs: int = 256,
-        workers: "int | None" = None,
-        tile_cells: "int | None" = None,
-        packed: bool = False,
     ) -> FaceMap:
         """Return the face map for these inputs, building at most once.
 
         ``kind="uncertain"`` routes to :func:`build_face_map`,
         ``kind="certain"`` to :func:`build_certain_face_map` (which takes
         no ``c`` / ``sensing_range``; pass ``c=1.0`` for a stable key).
-        ``workers``/``tile_cells``/``packed`` only shape *how* a miss is
-        built (bit-identically), so they are not part of the key.
         """
         key = face_map_cache_key(
             nodes, grid, c, sensing_range=sensing_range, split_components=split_components, kind=kind
@@ -289,21 +256,9 @@ class FaceMapCache:
                     c,
                     sensing_range=sensing_range,
                     split_components=split_components,
-                    chunk_pairs=chunk_pairs,
-                    workers=workers,
-                    tile_cells=tile_cells,
-                    packed=packed,
                 )
             else:
-                fm = build_certain_face_map(
-                    nodes,
-                    grid,
-                    split_components=split_components,
-                    chunk_pairs=chunk_pairs,
-                    workers=workers,
-                    tile_cells=tile_cells,
-                    packed=packed,
-                )
+                fm = build_certain_face_map(nodes, grid, split_components=split_components)
             self._disk_store(key, fm)
         if self.maxsize > 0:
             self._entries[key] = fm
@@ -381,16 +336,12 @@ def get_face_map(
     sensing_range: "float | None" = None,
     split_components: bool = False,
     kind: str = "uncertain",
-    workers: "int | None" = None,
-    tile_cells: "int | None" = None,
-    packed: bool = False,
 ) -> FaceMap:
     """Cache-aware face-map constructor (the :class:`Scenario` entry point).
 
     Bit-identical to calling :func:`build_face_map` /
     :func:`build_certain_face_map` directly; with the cache disabled it
-    *is* that call.  ``workers``/``tile_cells``/``packed`` route a cache
-    miss through the tiled builder (see :func:`build_face_map`).
+    *is* that call.
     """
     if not face_map_cache_enabled():
         if kind == "uncertain":
@@ -400,19 +351,9 @@ def get_face_map(
                 c,
                 sensing_range=sensing_range,
                 split_components=split_components,
-                workers=workers,
-                tile_cells=tile_cells,
-                packed=packed,
             )
         if kind == "certain":
-            return build_certain_face_map(
-                nodes,
-                grid,
-                split_components=split_components,
-                workers=workers,
-                tile_cells=tile_cells,
-                packed=packed,
-            )
+            return build_certain_face_map(nodes, grid, split_components=split_components)
         raise ValueError(f"unknown face-map kind {kind!r}")
     return default_face_map_cache().get_or_build(
         nodes,
@@ -421,7 +362,4 @@ def get_face_map(
         sensing_range=sensing_range,
         split_components=split_components,
         kind=kind,
-        workers=workers,
-        tile_cells=tile_cells,
-        packed=packed,
     )

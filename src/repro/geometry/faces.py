@@ -19,7 +19,6 @@ from repro.geometry.apollonius import classify_points_pairwise
 from repro.geometry.bisector import certain_signatures
 from repro.geometry.components import label_equal_regions
 from repro.geometry.grid import Grid
-from repro.geometry.packing import PackedSignatures
 from repro.geometry.primitives import enumerate_pairs
 from repro.obs import metrics as obs
 
@@ -86,14 +85,11 @@ class FaceMap:
     nodes : (n, 2) sensor positions.
     grid : the raster used for the approximate division.
     c : uncertainty constant used for the boundaries (1.0 = certain/bisector map).
-    signatures : (F, P) int8 — one signature vector per face.  May be backed
-        lazily by ``packed`` (2 bits per pair) and unpacked on first access.
+    signatures : (F, P) int8 — one signature vector per face.
     centroids : (F, 2) face centroids.
     cell_face : (M,) face id of every grid cell.
     cell_counts : (F,) number of cells per face.
     adjacency : CSR-style neighbor-face links (``adj_indptr``/``adj_indices``).
-    packed : optional :class:`~repro.geometry.packing.PackedSignatures`
-        holding the same signatures at 2 bits per pair.
     """
 
     _FIELDS = (
@@ -107,7 +103,6 @@ class FaceMap:
         "adj_indptr",
         "adj_indices",
         "soft_signatures",
-        "packed",
     )
 
     def __init__(
@@ -115,31 +110,18 @@ class FaceMap:
         nodes: np.ndarray,
         grid: Grid,
         c: float,
-        signatures: np.ndarray | None,
+        signatures: np.ndarray,
         centroids: np.ndarray,
         cell_face: np.ndarray,
         cell_counts: np.ndarray,
         adj_indptr: np.ndarray,
         adj_indices: np.ndarray,
         soft_signatures: np.ndarray | None = None,
-        packed: PackedSignatures | None = None,
     ) -> None:
-        if signatures is None and packed is None:
-            raise ValueError("FaceMap needs dense signatures, packed signatures, or both")
-        if (
-            signatures is not None
-            and packed is not None
-            and (packed.n_pairs != signatures.shape[1] or packed.n_rows != signatures.shape[0])
-        ):
-            raise ValueError(
-                f"dense {signatures.shape} and packed ({packed.n_rows}, {packed.n_pairs}) "
-                "signature shapes disagree"
-            )
         self.nodes = nodes
         self.grid = grid
         self.c = c
-        self._signatures = signatures
-        self.packed = packed
+        self.signatures = signatures
         self.centroids = centroids
         self.cell_face = cell_face
         self.cell_counts = cell_counts
@@ -149,40 +131,12 @@ class FaceMap:
         self._signatures_f32: np.ndarray | None = None
         self._qual_sq_rows: np.ndarray | None = None
         self._qual_sq_t: np.ndarray | None = None
-        if signatures is not None:
-            self._n_faces, self._n_pairs = signatures.shape
-        else:
-            self._n_faces, self._n_pairs = packed.n_rows, packed.n_pairs
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        backing = "packed" if (self._signatures is None and self.packed is not None) else "dense"
         return (
             f"FaceMap(n_nodes={self.n_nodes}, n_faces={self.n_faces}, "
-            f"n_pairs={self.n_pairs}, c={self.c}, storage={backing})"
+            f"n_pairs={self.n_pairs}, c={self.c})"
         )
-
-    @property
-    def signatures(self) -> np.ndarray:
-        """(F, P) int8 face signatures, unpacked (and cached) on demand."""
-        if self._signatures is None:
-            self._signatures = self.packed.dense()
-        return self._signatures
-
-    def packed_store(self) -> PackedSignatures:
-        """The 2-bit packed signature store, packing (and caching) on demand."""
-        if self.packed is None:
-            self.packed = PackedSignatures.from_dense(self._signatures)
-        return self.packed
-
-    @property
-    def signature_storage_nbytes(self) -> int:
-        """Resident bytes currently held by the signature store (dense + packed)."""
-        total = 0
-        if self._signatures is not None:
-            total += int(self._signatures.nbytes)
-        if self.packed is not None:
-            total += self.packed.nbytes
-        return total
 
     def view(self) -> "FaceMap":
         """A shallow copy sharing every (never-mutated) array but owning its
@@ -195,10 +149,7 @@ class FaceMap:
 
     def replace(self, **changes: object) -> "FaceMap":
         """A new ``FaceMap`` with *changes* applied (dataclasses.replace spirit)."""
-        kwargs = {name: getattr(self, name) for name in self._FIELDS if name != "signatures"}
-        kwargs["signatures"] = self._signatures
-        if "signatures" in changes and "packed" not in changes:
-            kwargs["packed"] = None
+        kwargs = {name: getattr(self, name) for name in self._FIELDS}
         kwargs.update(changes)
         return FaceMap(**kwargs)
 
@@ -210,11 +161,11 @@ class FaceMap:
 
     @property
     def n_pairs(self) -> int:
-        return self._n_pairs
+        return self.signatures.shape[1]
 
     @property
     def n_faces(self) -> int:
-        return self._n_faces
+        return self.signatures.shape[0]
 
     def face(self, face_id: int) -> Face:
         if not (0 <= face_id < self.n_faces):
@@ -253,11 +204,7 @@ class FaceMap:
 
     def _sig_f32(self) -> np.ndarray:
         if self._signatures_f32 is None:
-            if self._signatures is not None:
-                self._signatures_f32 = self._signatures.astype(np.float32)
-            else:
-                # decode straight to float32 — skip the dense int8 intermediate
-                self._signatures_f32 = self.packed.dense(dtype=np.float32)
+            self._signatures_f32 = self.signatures.astype(np.float32)
         return self._signatures_f32
 
     def signature_matrix(self, *, soft: bool = False) -> np.ndarray:
@@ -484,20 +431,10 @@ def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _faces_from_signatures(
-    cell_sigs: np.ndarray | PackedSignatures, grid: Grid, split_components: bool
-) -> tuple[np.ndarray | PackedSignatures, np.ndarray, np.ndarray, np.ndarray]:
-    """Group cells into faces; returns (signatures, centroids, cell_face, counts).
-
-    *cell_sigs* may be a dense ``(M, P)`` int8 matrix or a
-    :class:`PackedSignatures` over the cells.  The packed encoding is
-    order-preserving under the void-view memcmp (see
-    ``repro.geometry.packing``), so grouping by unique packed rows yields
-    the same face ids, in the same order, as grouping by dense rows —
-    and the matching per-face store is returned in the same form.
-    """
-    is_packed = isinstance(cell_sigs, PackedSignatures)
-    rows = cell_sigs.data if is_packed else cell_sigs
-    unique_rows, sig_ids = _unique_rows(rows)
+    cell_sigs: np.ndarray, grid: Grid, split_components: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Group cells into faces; returns (signatures, centroids, cell_face, counts)."""
+    unique_rows, sig_ids = _unique_rows(cell_sigs)
     if split_components:
         a, b = grid.neighbor_pairs()
         face_ids = label_equal_regions(sig_ids, a, b)
@@ -512,7 +449,7 @@ def _faces_from_signatures(
         seen[uniq] = True
         if not seen.all():
             raise AssertionError("face labelling produced unused labels")
-        face_rows = rows[first_cell]
+        face_rows = cell_sigs[first_cell]
     else:
         face_ids = sig_ids
         n_faces = len(unique_rows)
@@ -522,39 +459,28 @@ def _faces_from_signatures(
     cx = np.bincount(face_ids, weights=centers[:, 0], minlength=n_faces)
     cy = np.bincount(face_ids, weights=centers[:, 1], minlength=n_faces)
     centroids = np.column_stack([cx, cy]) / counts[:, None]
-    if is_packed:
-        signatures: np.ndarray | PackedSignatures = PackedSignatures(
-            np.ascontiguousarray(face_rows), cell_sigs.n_pairs
-        )
-    else:
-        signatures = face_rows.astype(np.int8)
-    return signatures, centroids, face_ids.astype(np.int64), counts
+    return face_rows.astype(np.int8), centroids, face_ids.astype(np.int64), counts
 
 
 def _assemble_face_map(
     nodes: np.ndarray,
     grid: Grid,
     c: float,
-    cell_sigs: np.ndarray | PackedSignatures,
+    cell_sigs: np.ndarray,
     split_components: bool,
 ) -> FaceMap:
     signatures, centroids, cell_face, counts = _faces_from_signatures(cell_sigs, grid, split_components)
-    if isinstance(signatures, PackedSignatures):
-        n_faces, dense, packed = signatures.n_rows, None, signatures
-    else:
-        n_faces, dense, packed = len(signatures), signatures, None
-    indptr, indices = _build_adjacency(cell_face, grid, n_faces)
+    indptr, indices = _build_adjacency(cell_face, grid, len(signatures))
     return FaceMap(
         nodes=nodes,
         grid=grid,
         c=c,
-        signatures=dense,
+        signatures=signatures,
         centroids=centroids,
         cell_face=cell_face,
         cell_counts=counts,
         adj_indptr=indptr,
         adj_indices=indices,
-        packed=packed,
     )
 
 
@@ -568,7 +494,6 @@ def build_face_map(
     chunk_pairs: int = 256,
     workers: int | None = None,
     tile_cells: int | None = None,
-    packed: bool = False,
 ) -> FaceMap:
     """Divide the field by all pairwise uncertain boundaries (Definition 2).
 
@@ -592,18 +517,15 @@ def build_face_map(
     tile_cells : cells per tile for the tiled classification path
         (default: chosen automatically).  Forces the tiled path even at
         ``workers=1``.
-    packed : store cell/face signatures 2-bit packed (4 pair values per
-        byte, ~4x smaller).  The resulting map unpacks lazily on dense
-        access and matches the dense build bit for bit.
     """
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
     if len(nodes) < 2:
         raise ValueError(f"need at least two nodes, got {len(nodes)}")
     workers = _resolve_build_workers(workers)
-    if workers > 1 or tile_cells is not None or packed:
+    if workers > 1 or tile_cells is not None:
         from repro.geometry.tiling import classify_cells_tiled
 
-        cell_sigs: np.ndarray | PackedSignatures = classify_cells_tiled(
+        cell_sigs = classify_cells_tiled(
             grid,
             nodes,
             c=c,
@@ -612,7 +534,6 @@ def build_face_map(
             chunk_pairs=chunk_pairs,
             workers=workers,
             tile_cells=tile_cells,
-            packed=packed,
         )
     else:
         pairs = enumerate_pairs(len(nodes))
@@ -630,23 +551,21 @@ def build_certain_face_map(
     chunk_pairs: int = 256,
     workers: int | None = None,
     tile_cells: int | None = None,
-    packed: bool = False,
 ) -> FaceMap:
     """Face map of the certain-sequence baselines: bisector division only.
 
     This is the classic division of [22]/[24] — Fig. 3(a) of the paper —
     obtained in the ``C -> 1`` limit.  ``c`` is recorded as 1.0.
-    ``workers``/``tile_cells``/``packed`` behave as in
-    :func:`build_face_map`.
+    ``workers``/``tile_cells`` behave as in :func:`build_face_map`.
     """
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
     if len(nodes) < 2:
         raise ValueError(f"need at least two nodes, got {len(nodes)}")
     workers = _resolve_build_workers(workers)
-    if workers > 1 or tile_cells is not None or packed:
+    if workers > 1 or tile_cells is not None:
         from repro.geometry.tiling import classify_cells_tiled
 
-        cell_sigs: np.ndarray | PackedSignatures = classify_cells_tiled(
+        cell_sigs = classify_cells_tiled(
             grid,
             nodes,
             c=1.0,
@@ -655,7 +574,6 @@ def build_certain_face_map(
             chunk_pairs=chunk_pairs,
             workers=workers,
             tile_cells=tile_cells,
-            packed=packed,
         )
     else:
         pairs = enumerate_pairs(len(nodes))

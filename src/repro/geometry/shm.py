@@ -17,9 +17,8 @@ Lifecycle guarantees
 * workers attach *untracked* so Python's ``resource_tracker`` neither
   double-unlinks nor warns when a worker exits (the creator owns cleanup).
 
-The published signature matrix is the 2-bit packed store
-(:mod:`repro.geometry.packing`), so a segment is ~4x smaller than the
-dense map it replaces.
+Every array travels in its in-memory form, the signatures as the dense
+``(F, P)`` int8 matrix; workers decode nothing on attach.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ import numpy as np
 
 from repro.geometry.faces import FaceMap
 from repro.geometry.grid import Grid
-from repro.geometry.packing import PackedSignatures, packed_row_bytes
 
 __all__ = [
     "SharedFaceMap",
@@ -121,8 +119,16 @@ def _align(offset: int) -> int:
     return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
 
 
-#: Arrays shipped verbatim; signatures travel packed and are listed apart.
-_FM_ARRAYS = ("nodes", "centroids", "cell_face", "cell_counts", "adj_indptr", "adj_indices")
+#: Arrays shipped verbatim into the segment.
+_FM_ARRAYS = (
+    "nodes",
+    "signatures",
+    "centroids",
+    "cell_face",
+    "cell_counts",
+    "adj_indptr",
+    "adj_indices",
+)
 
 
 class SharedFaceMap:
@@ -142,11 +148,9 @@ class SharedFaceMap:
 
     @classmethod
     def create(cls, face_map: FaceMap, key: str) -> "SharedFaceMap":
-        packed = face_map.packed_store()
         arrays: dict[str, np.ndarray] = {
             name: np.ascontiguousarray(getattr(face_map, name)) for name in _FM_ARRAYS
         }
-        arrays["packed_signatures"] = packed.data
         layout: dict[str, dict] = {}
         offset = 0
         for name, arr in arrays.items():
@@ -169,7 +173,7 @@ class SharedFaceMap:
             "key": key,
             "grid": [face_map.grid.width, face_map.grid.height, face_map.grid.cell_size],
             "c": float(face_map.c),
-            "n_pairs": int(packed.n_pairs),
+            "n_pairs": int(face_map.n_pairs),
             "layout": layout,
         }
         return cls(segment, manifest, owner=True)
@@ -192,23 +196,12 @@ class SharedFaceMap:
     def face_map(self) -> FaceMap:
         """A :class:`FaceMap` whose arrays are read-only views into the segment."""
         manifest = self.manifest
-        n_pairs = int(manifest["n_pairs"])
-        packed_data = self._array("packed_signatures")
-        if packed_data.shape[1] != packed_row_bytes(n_pairs):
+        arrays = {name: self._array(name) for name in _FM_ARRAYS}
+        sig_shape = arrays["signatures"].shape
+        if len(sig_shape) != 2 or sig_shape[1] != int(manifest["n_pairs"]):
             raise ValueError("shared segment layout inconsistent with n_pairs")
         width, height, cell_size = manifest["grid"]
-        return FaceMap(
-            nodes=self._array("nodes"),
-            grid=Grid(width, height, cell_size),
-            c=float(manifest["c"]),
-            signatures=None,
-            centroids=self._array("centroids"),
-            cell_face=self._array("cell_face"),
-            cell_counts=self._array("cell_counts"),
-            adj_indptr=self._array("adj_indptr"),
-            adj_indices=self._array("adj_indices"),
-            packed=PackedSignatures(packed_data, n_pairs),
-        )
+        return FaceMap(grid=Grid(width, height, cell_size), c=float(manifest["c"]), **arrays)
 
     def close(self) -> None:
         """Detach; the creator also unlinks (removing the ``/dev/shm`` entry)."""

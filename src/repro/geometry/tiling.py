@@ -11,10 +11,8 @@ no per-tile result pickling and no merge copy.
 Bit-identity: classification is elementwise per cell
 (:func:`~repro.geometry.primitives.pairwise_distances` is pure
 broadcasting, no reductions across cells), so any tiling of the cell axis
-produces byte-for-byte the same signature volume as the serial pass.  With
-``packed=True`` each tile is packed with the order-preserving 2-bit
-encoding of :mod:`repro.geometry.packing`, which keeps the downstream
-unique-row face grouping bit-identical too.
+produces byte-for-byte the same int8 signature volume as the serial
+pass.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ import numpy as np
 from repro.geometry.apollonius import classify_points_pairwise
 from repro.geometry.bisector import certain_signatures
 from repro.geometry.grid import Grid
-from repro.geometry.packing import PackedSignatures, pack_signatures, packed_row_bytes
 from repro.geometry.shm import attach_segment, create_segment, release_segment
 
 __all__ = ["classify_cells_tiled", "default_tile_cells"]
@@ -74,26 +71,24 @@ def _init_worker(
     kind: str,
     sensing_range: float | None,
     chunk_pairs: int,
-    packed: bool,
 ) -> None:
     segment = attach_segment(shm_name)
     _WORKER.update(
         segment=segment,
-        buf=np.ndarray(buf_shape, dtype=np.uint8 if packed else np.int8, buffer=segment.buf),
+        buf=np.ndarray(buf_shape, dtype=np.int8, buffer=segment.buf),
         grid=grid,
         nodes=nodes,
         c=c,
         kind=kind,
         sensing_range=sensing_range,
         chunk_pairs=chunk_pairs,
-        packed=packed,
     )
 
 
 def _run_tile(span: tuple[int, int]) -> int:
     start, stop = span
     st = _WORKER
-    sigs = _classify_tile(
+    st["buf"][start:stop] = _classify_tile(
         st["grid"].cell_centers[start:stop],
         st["nodes"],
         st["c"],
@@ -101,7 +96,6 @@ def _run_tile(span: tuple[int, int]) -> int:
         st["sensing_range"],
         st["chunk_pairs"],
     )
-    st["buf"][start:stop] = pack_signatures(sigs) if st["packed"] else sigs
     return stop - start
 
 
@@ -122,13 +116,11 @@ def classify_cells_tiled(
     chunk_pairs: int | None,
     workers: int,
     tile_cells: int | None,
-    packed: bool,
-) -> np.ndarray | PackedSignatures:
+) -> np.ndarray:
     """Classify every grid cell, tile by tile.
 
-    Returns the dense ``(M, P)`` int8 signature volume, or its
-    :class:`PackedSignatures` form when ``packed=True`` — in either case
-    bit-identical to the one-pass serial classification.
+    Returns the ``(M, P)`` int8 signature volume, bit-identical to the
+    one-pass serial classification.
     """
     if chunk_pairs is None:
         chunk_pairs = 256  # the build_face_map default
@@ -141,18 +133,15 @@ def classify_cells_tiled(
     if tile_cells < 1:
         raise ValueError(f"tile_cells must be >= 1, got {tile_cells}")
     spans = [(start, min(start + tile_cells, n_cells)) for start in range(0, n_cells, tile_cells)]
-    row_bytes = packed_row_bytes(n_pairs) if packed else n_pairs
-    out_shape = (n_cells, row_bytes)
-    out_dtype = np.uint8 if packed else np.int8
+    out_shape = (n_cells, n_pairs)
 
     if workers <= 1 or len(spans) < 2:
-        out = np.empty(out_shape, dtype=out_dtype)
+        out = np.empty(out_shape, dtype=np.int8)
         for start, stop in spans:
-            sigs = _classify_tile(
+            out[start:stop] = _classify_tile(
                 grid.cell_centers[start:stop], nodes, c, kind, sensing_range, chunk_pairs
             )
-            out[start:stop] = pack_signatures(sigs) if packed else sigs
-        return PackedSignatures(out, n_pairs) if packed else out
+        return out
 
     segment = create_segment(int(np.prod(out_shape, dtype=np.int64)))
     try:
@@ -169,15 +158,14 @@ def classify_cells_tiled(
                 kind,
                 sensing_range,
                 chunk_pairs,
-                packed,
             ),
         ) as pool:
             done = sum(pool.map(_run_tile, spans, chunksize=1))
         if done != n_cells:  # pragma: no cover - worker protocol violation
             raise RuntimeError(f"tiled classification covered {done}/{n_cells} cells")
-        buf = np.ndarray(out_shape, dtype=out_dtype, buffer=segment.buf)
+        buf = np.ndarray(out_shape, dtype=np.int8, buffer=segment.buf)
         out = buf.copy()
         del buf
     finally:
         release_segment(segment)
-    return PackedSignatures(out, n_pairs) if packed else out
+    return out

@@ -8,13 +8,11 @@ campaign is the same bytes no matter how many workers ran it or in which
 order — the property the workers-equality test pins with a digest.
 
 ``run_spec`` builds the world, runs the production kernels and the oracle
-side by side, and reports every divergence across eight check families:
+side by side, and reports every divergence across seven check families:
 
 * ``face_signatures`` — built face map vs Apollonius circle membership;
-* ``packed_signatures`` — 2-bit signature packing round trip and the
-  packed-backed float32 matching matrix vs dense (bitwise);
-* ``tiled_build`` — the tiled/packed builder vs the one-pass build
-  (every map array, bitwise);
+* ``tiled_build`` — the tiled builder, forced through several tiles, vs
+  the one-pass build (every map array, bitwise);
 * ``sampling_vector`` — vectorized Algorithm 1 vs per-pair loops (bitwise);
 * ``masked_distances`` — float32 Eq. 7 distances vs scalar float64
   (bitwise in basic mode, structural in extended mode);
@@ -50,7 +48,6 @@ from repro.core.vectors import (
 from repro.geometry.apollonius import uncertainty_constant
 from repro.geometry.faces import build_certain_face_map, build_face_map
 from repro.geometry.grid import Grid
-from repro.geometry.packing import PackedSignatures
 from repro.oracle.geometry import verify_face_map
 from repro.oracle.matching import (
     oracle_masked_sq_distance,
@@ -466,35 +463,10 @@ def _check_batched(
 
 
 def _check_scaleout(spec: FuzzSpec, world: dict, divergences: list) -> int:
-    """Scale-out layer vs the plain build — always a bitwise contract.
-
-    Covers the 2-bit signature packing (round trip and the packed-backed
-    float32 matching matrix) and the tiled builder (``tile_cells`` +
-    ``packed=True`` must reproduce every map array bit for bit).
+    """Tiled builder vs the plain build — always a bitwise contract:
+    a multi-tile ``tile_cells`` pass must reproduce every map array.
     """
     face_map = world["face_map"]
-    packed = PackedSignatures.from_dense(face_map.signatures)
-    n_checks = 1
-    if not np.array_equal(packed.dense(), face_map.signatures):
-        divergences.append(
-            {
-                "check": "packed_signatures",
-                "stage": "round_trip",
-                "dense": _jsonable(face_map.signatures),
-                "unpacked": _jsonable(packed.dense()),
-            }
-        )
-        return n_checks
-    packed_map = face_map.replace(signatures=None, packed=packed)
-    n_checks += 1
-    if not np.array_equal(packed_map._sig_f32(), face_map._sig_f32()):
-        divergences.append(
-            {
-                "check": "packed_signatures",
-                "stage": "float32_matrix",
-            }
-        )
-        return n_checks
     grid = face_map.grid
     tile = max(1, grid.n_cells // 3)  # force a multi-tile pass
     if spec.certain:
@@ -503,7 +475,6 @@ def _check_scaleout(spec: FuzzSpec, world: dict, divergences: list) -> int:
             grid,
             split_components=spec.split_components,
             tile_cells=tile,
-            packed=True,
         )
     else:
         rebuilt = build_face_map(
@@ -513,9 +484,7 @@ def _check_scaleout(spec: FuzzSpec, world: dict, divergences: list) -> int:
             sensing_range=spec.sensing_range,
             split_components=spec.split_components,
             tile_cells=tile,
-            packed=True,
         )
-    n_checks += 1
     for name in ("signatures", "centroids", "cell_face", "cell_counts", "adj_indptr", "adj_indices"):
         if not np.array_equal(getattr(rebuilt, name), getattr(face_map, name)):
             divergences.append(
@@ -526,7 +495,7 @@ def _check_scaleout(spec: FuzzSpec, world: dict, divergences: list) -> int:
                 }
             )
             break
-    return n_checks
+    return 1
 
 
 def _batches(world: dict, spec: FuzzSpec) -> list[SampleBatch]:

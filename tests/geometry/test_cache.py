@@ -124,7 +124,6 @@ class TestMemoryTier:
             "disk_hits": 0,
             "shm_hits": 0,
             "evictions": 2,
-            "migrations": 0,
         }
 
     def test_zero_maxsize_disables_memory_tier(self, four_nodes, small_grid):

@@ -77,7 +77,20 @@ class TestSharedFaceMap:
             with pytest.raises(ValueError):
                 fm.cell_face[0] = 0
             with pytest.raises(ValueError):
-                fm.packed_store().data[0, 0] = 0
+                fm.signatures[0, 0] = 0
+        finally:
+            handle.close()
+
+    def test_layout_inconsistent_with_n_pairs_is_rejected(self, four_nodes, small_grid, face_map):
+        handle = SharedFaceMap.create(face_map, _key(four_nodes, small_grid))
+        try:
+            manifest = dict(handle.manifest, n_pairs=face_map.n_pairs + 1)
+            attached = SharedFaceMap.attach(manifest)
+            try:
+                with pytest.raises(ValueError, match="n_pairs"):
+                    attached.face_map()
+            finally:
+                attached.close()
         finally:
             handle.close()
 

@@ -1,8 +1,8 @@
-"""Tests for tiled / parallel / packed face-map construction.
+"""Tests for tiled / parallel face-map construction.
 
-The contract is absolute: ``build_face_map(..., workers=N, tile_cells=M,
-packed=...)`` must produce a map *bit-identical* to the serial builder
-for every combination — same signatures, same face numbering, same
+The contract is absolute: ``build_face_map(..., workers=N, tile_cells=M)``
+must produce a map *bit-identical* to the serial builder for every
+combination — same signatures, same face numbering, same
 adjacency CSR.  Tiling only changes which process classifies which rows;
 classification is elementwise per cell, so any divergence is a bug.
 """
@@ -14,7 +14,6 @@ import pytest
 
 from repro.geometry import faces
 from repro.geometry.faces import build_certain_face_map, build_face_map
-from repro.geometry.packing import PackedSignatures
 from repro.geometry.tiling import classify_cells_tiled, default_tile_cells
 
 FIELDS = ("signatures", "centroids", "cell_face", "cell_counts", "adj_indptr", "adj_indices")
@@ -37,8 +36,6 @@ class TestTiledUncertain:
             {"workers": 1, "tile_cells": 37},
             {"workers": 2},
             {"workers": 2, "tile_cells": 53},
-            {"packed": True},
-            {"workers": 2, "packed": True},
         ],
     )
     def test_bit_identical_to_serial(self, four_nodes, small_grid, face_map, kwargs):
@@ -54,40 +51,26 @@ class TestTiledUncertain:
 
     def test_split_components_respected(self, four_nodes, small_grid):
         base = build_face_map(four_nodes, small_grid, 1.5, split_components=True)
-        tiled = build_face_map(
-            four_nodes, small_grid, 1.5, split_components=True, workers=2, packed=True
-        )
+        tiled = build_face_map(four_nodes, small_grid, 1.5, split_components=True, workers=2)
         _assert_identical(base, tiled)
 
 
 class TestTiledCertain:
-    @pytest.mark.parametrize("kwargs", [{"tile_cells": 11}, {"workers": 2}, {"packed": True}])
+    @pytest.mark.parametrize("kwargs", [{"tile_cells": 11}, {"workers": 2}])
     def test_bit_identical_to_serial(self, four_nodes, small_grid, certain_map, kwargs):
         tiled = build_certain_face_map(four_nodes, small_grid, **kwargs)
         _assert_identical(certain_map, tiled)
 
 
 class TestClassifyCellsTiled:
-    def test_packed_output_matches_dense(self, four_nodes, small_grid):
-        dense = classify_cells_tiled(
-            small_grid, four_nodes, c=1.5, kind="uncertain",
-            sensing_range=None, chunk_pairs=None, workers=1, tile_cells=29, packed=False,
-        )
-        packed = classify_cells_tiled(
-            small_grid, four_nodes, c=1.5, kind="uncertain",
-            sensing_range=None, chunk_pairs=None, workers=1, tile_cells=29, packed=True,
-        )
-        assert isinstance(packed, PackedSignatures)
-        assert np.array_equal(packed.dense(), dense)
-
     def test_parallel_matches_serial(self, four_nodes, small_grid):
         serial = classify_cells_tiled(
             small_grid, four_nodes, c=1.5, kind="uncertain",
-            sensing_range=None, chunk_pairs=None, workers=1, tile_cells=None, packed=False,
+            sensing_range=None, chunk_pairs=None, workers=1, tile_cells=None,
         )
         par = classify_cells_tiled(
             small_grid, four_nodes, c=1.5, kind="uncertain",
-            sensing_range=None, chunk_pairs=None, workers=3, tile_cells=97, packed=False,
+            sensing_range=None, chunk_pairs=None, workers=3, tile_cells=97,
         )
         assert np.array_equal(serial, par)
 
@@ -101,33 +84,6 @@ class TestDefaultTileCells:
         few = default_tile_cells(10_000, 190, 1)
         many = default_tile_cells(10_000, 190, 8)
         assert many <= few
-
-
-class TestPackedBackedFaceMap:
-    def test_lazy_dense_unpack(self, four_nodes, small_grid, face_map):
-        packed_map = build_face_map(four_nodes, small_grid, 1.5, packed=True)
-        store = packed_map.packed_store()
-        assert isinstance(store, PackedSignatures)
-        # dropping the dense matrix and unpacking on demand is exact
-        shrunk = face_map.replace(signatures=None, packed=store)
-        assert np.array_equal(shrunk.signatures, face_map.signatures)
-
-    def test_storage_accounting(self, four_nodes, small_grid):
-        # 6 pairs -> 2 packed bytes/row (exact); the asymptotic ratio is 4x
-        packed_map = build_face_map(four_nodes, small_grid, 1.5, packed=True)
-        dense_map = build_face_map(four_nodes, small_grid, 1.5)
-        assert packed_map.packed_store().nbytes == dense_map.n_faces * 2
-        assert dense_map.signatures.nbytes == dense_map.n_faces * 6
-
-    def test_matching_identical(self, face_map, rng):
-        packed_map = face_map.replace(
-            signatures=None, packed=PackedSignatures.from_dense(face_map.signatures)
-        )
-        for idx in rng.integers(0, face_map.n_faces, size=17):
-            vec = face_map.signatures[idx]
-            assert np.array_equal(
-                face_map.distances_to(vec), packed_map.distances_to(vec)
-            )
 
 
 class TestChunkedMatching:
