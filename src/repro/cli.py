@@ -283,6 +283,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         f"{summary['n_workers']} worker(s), seed {summary['seed']}"
     )
     print(f"digest: {summary['digest']}")
+    if summary["heuristic_agreement"] is not None:
+        print(f"Algorithm 2 agrees with the exhaustive winner on "
+              f"{summary['heuristic_agreement']:.1%} of climbs")
     first = summary["first_divergence"]
     if first is None:
         print("no divergences: optimized kernels agree with the oracle tier")

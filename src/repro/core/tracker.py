@@ -213,13 +213,8 @@ class FTTTracker:
             )
         self.soft_signatures = bool(soft_signatures)
         if matcher == "heuristic":
-            # soft matching carries a per-pair fractional background distance,
-            # so the fallback quality gate is proportionally looser
-            gate = 8.0 if self.soft_signatures else 4.0
             self.matcher: "HeuristicMatcher | ExhaustiveMatcher" = HeuristicMatcher(
-                face_map,
-                soft=self.soft_signatures,
-                fallback_sq_distance=gate,
+                face_map, soft=self.soft_signatures
             )
         else:
             self.matcher = ExhaustiveMatcher(face_map, soft=self.soft_signatures)

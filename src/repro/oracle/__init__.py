@@ -10,8 +10,9 @@ equations, with scalar loops and none of the production optimizations:
 * :mod:`repro.oracle.matching` — per-pair loop sampling vectors
   (Algorithm 1, Definitions 4/10, the Eq. 6 fill), scalar Eq. 7 masked
   distances, and naive per-face exhaustive maximum-likelihood matching
-  (Definition 7), cross-checking :mod:`repro.core.vectors`,
-  :mod:`repro.core.matching` and the batched
+  (Definition 7), and the scalar Algorithm 2 climb with its fallback
+  gate, cross-checking :mod:`repro.core.vectors`,
+  :mod:`repro.core.matching`, :mod:`repro.core.heuristic` and the batched
   :meth:`~repro.geometry.faces.FaceMap.distances_to_many` GEMM path;
 * :mod:`repro.oracle.tracking` — a round-by-round scalar tracker
   (including a literal mirror of the degradation policy), cross-checking
@@ -37,11 +38,13 @@ from repro.oracle.analysis import (
 )
 from repro.oracle.geometry import (
     dense_signatures,
+    oracle_face_adjacency,
     oracle_pair_value,
     pair_value_is_ambiguous,
     verify_face_map,
 )
 from repro.oracle.matching import (
+    oracle_climb,
     oracle_masked_sq_distance,
     oracle_match,
     oracle_sampling_vector,
@@ -53,9 +56,11 @@ __all__ = [
     "pair_value_is_ambiguous",
     "dense_signatures",
     "verify_face_map",
+    "oracle_face_adjacency",
     "oracle_sampling_vector",
     "oracle_masked_sq_distance",
     "oracle_match",
+    "oracle_climb",
     "OracleEstimate",
     "oracle_track",
     "mc_flip_capture",

@@ -8,7 +8,7 @@ campaign is the same bytes no matter how many workers ran it or in which
 order — the property the workers-equality test pins with a digest.
 
 ``run_spec`` builds the world, runs the production kernels and the oracle
-side by side, and reports every divergence across seven check families:
+side by side, and reports every divergence across nine check families:
 
 * ``face_signatures`` — built face map vs Apollonius circle membership;
 * ``tiled_build`` — the tiled builder, forced through several tiles, vs
@@ -18,7 +18,16 @@ side by side, and reports every divergence across seven check families:
   (bitwise in basic mode, structural in extended mode);
 * ``match_winner`` — production tie set vs the naive full scan;
 * ``batched_*`` — every batched kernel vs its own per-row path (bitwise);
-* ``tracker_anchor`` — the production round loop vs the oracle tracker.
+* ``heuristic`` — Algorithm 2's climb from the previous target's face:
+  bit-identical to the scalar oracle climb (basic mode), a local optimum
+  over its 2-hop ring, and with fallback on either within the gate or the
+  full scan's tie set; its agreement with the exhaustive winner is
+  recorded in the stats, not checked;
+* ``tracker_anchor`` / ``tracker_heuristic`` — the production round loop,
+  exhaustive and Algorithm 2, vs the oracle tracker.
+
+Node layouts are uniform, or one of three where a climb is most likely to
+stall: collinear, clustered, and perimeter-only.
 
 On divergence the harness greedily *shrinks* the spec (drop faults, turn
 degradation off, halve rounds, coarsen the grid...) while the same check
@@ -38,6 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.heuristic import HeuristicMatcher
 from repro.core.tracker import DegradationPolicy, FTTTracker
 from repro.core.vectors import (
     extended_sampling_vector,
@@ -48,8 +58,9 @@ from repro.core.vectors import (
 from repro.geometry.apollonius import uncertainty_constant
 from repro.geometry.faces import build_certain_face_map, build_face_map
 from repro.geometry.grid import Grid
-from repro.oracle.geometry import verify_face_map
+from repro.oracle.geometry import oracle_face_adjacency, verify_face_map
 from repro.oracle.matching import (
+    oracle_climb,
     oracle_masked_sq_distance,
     oracle_match,
     oracle_sampling_vector,
@@ -70,6 +81,7 @@ __all__ = [
 
 _EPS32 = float(np.finfo(np.float32).eps)
 _MAX_C = 2.5  # clamp Eq. 3 so pathological noise draws keep a usable division
+LAYOUTS = ("uniform", "collinear", "clustered", "perimeter")
 
 
 def default_budget(fallback: int = 200) -> int:
@@ -121,6 +133,7 @@ class FuzzSpec:
     deg_min_reporting: int = 3
     deg_max_masked: float = 0.9
     deg_tie_break: bool = True
+    layout: str = "uniform"  # one of LAYOUTS
 
     @property
     def c(self) -> float:
@@ -194,6 +207,9 @@ def generate_spec(index: int, master_seed: int = 0) -> FuzzSpec:
         deg_min_reporting=int(rng.choice([0, 2, 3])),
         deg_max_masked=float(rng.choice([0.5, 0.75, 0.9])),
         deg_tie_break=bool(rng.random() < 0.7),
+        # drawn last, so every other field keeps its value from before
+        # layouts existed
+        layout=LAYOUTS[int(rng.choice(4, p=[0.55, 0.15, 0.15, 0.15]))],
     )
 
 
@@ -205,17 +221,59 @@ def _draw_nodes(spec: FuzzSpec, rng: np.random.Generator) -> np.ndarray:
 
     Degenerate (coincident) nodes make the Apollonius construction
     meaningless; rejection sampling keeps the deployments sane without
-    biasing the seed stream (a bounded number of draws per node).
+    biasing the seed stream (a bounded number of draws per node).  The
+    layout picks where candidates come from: anywhere, on one line
+    through the field, inside one small disk, or on the field's border.
     """
     margin = 2.0
+    lo, hi = margin, spec.field_size - margin
     min_sep = spec.cell_size * math.sqrt(2.0)
+    if spec.layout == "collinear":
+        angle = rng.uniform(0.0, math.pi)
+        direction = np.array([math.cos(angle), math.sin(angle)])
+        centre = np.full(2, spec.field_size / 2.0)
+        # the longest chord of the inset square along this direction
+        half = (hi - lo) / 2.0 / max(abs(direction[0]), abs(direction[1]))
+
+        def draw() -> np.ndarray:
+            return centre + rng.uniform(-half, half) * direction
+
+    elif spec.layout == "clustered":
+        # the smallest disk that still fits the nodes at min_sep, roughly
+        radius = min_sep * max(1.0, math.sqrt(spec.n_nodes) / 2.0)
+        centre = rng.uniform(lo + radius, hi - radius, 2)
+
+        def draw() -> np.ndarray:
+            r = radius * math.sqrt(rng.random())
+            a = rng.uniform(0.0, 2.0 * math.pi)
+            return centre + r * np.array([math.cos(a), math.sin(a)])
+
+    elif spec.layout == "perimeter":
+        side = hi - lo
+
+        def draw() -> np.ndarray:
+            edge, along = divmod(rng.uniform(0.0, 4.0 * side), side)
+            return {
+                0: np.array([lo + along, lo]),
+                1: np.array([hi, lo + along]),
+                2: np.array([hi - along, hi]),
+                3: np.array([lo, hi - along]),
+            }[int(edge)]
+
+    elif spec.layout == "uniform":
+
+        def draw() -> np.ndarray:
+            return rng.uniform(lo, hi, 2)
+
+    else:
+        raise ValueError(f"unknown layout {spec.layout!r}; known: {', '.join(LAYOUTS)}")
     nodes: list[np.ndarray] = []
     for _ in range(spec.n_nodes):
-        candidate = rng.uniform(margin, spec.field_size - margin, 2)
+        candidate = draw()
         for _ in range(200):
             if all(np.hypot(*(candidate - p)) >= min_sep for p in nodes):
                 break
-            candidate = rng.uniform(margin, spec.field_size - margin, 2)
+            candidate = draw()
         nodes.append(candidate)
     return np.stack(nodes)
 
@@ -328,15 +386,23 @@ def _production_vector(spec: FuzzSpec, rss: np.ndarray) -> np.ndarray:
     return sampling_vector(rss, comparator_eps=spec.comparator_eps)
 
 
-def _check_rounds(spec: FuzzSpec, world: dict, divergences: list) -> tuple[int, list]:
-    """Per-round vector / distance / match differentials; returns vectors."""
+def _check_rounds(
+    spec: FuzzSpec, world: dict, divergences: list
+) -> tuple[int, list, list]:
+    """Per-round vector / distance / match differentials.
+
+    Returns the production vectors and, per round, the oracle distance of
+    every face (None where the round's vector already diverged).
+    """
     face_map = world["face_map"]
     signatures = face_map.signatures.astype(float)
     n_checks = 0
     vectors: list[np.ndarray] = []
+    oracle_ds: "list[list[float] | None]" = []
     for r, rss in enumerate(world["rss_rounds"]):
         prod_v = _production_vector(spec, rss)
         vectors.append(prod_v)
+        oracle_ds.append(None)
         oracle_v = oracle_sampling_vector(
             rss, mode=spec.mode, comparator_eps=spec.comparator_eps
         )
@@ -356,6 +422,7 @@ def _check_rounds(spec: FuzzSpec, world: dict, divergences: list) -> tuple[int, 
             oracle_masked_sq_distance(oracle_v, signatures[f])
             for f in range(face_map.n_faces)
         ]
+        oracle_ds[r] = oracle_d
         n_checks += 1
         if spec.mode == "basic":
             distance_bad = any(
@@ -405,7 +472,91 @@ def _check_rounds(spec: FuzzSpec, world: dict, divergences: list) -> tuple[int, 
                     "oracle_best": oracle_best,
                 }
             )
-    return n_checks, vectors
+    return n_checks, vectors, oracle_ds
+
+
+def _check_heuristic(
+    spec: FuzzSpec, world: dict, vectors: list, oracle_ds: list, divergences: list
+) -> tuple[int, int, int]:
+    """Algorithm 2 from the previous target's face, round by round.
+
+    The face adjacency the climb walks must first equal the oracle's,
+    list order included.  Each round then climbs from the face holding
+    the previous round's target (round 0 from the last round's), the
+    situation a tracker is in when the target jumped.  Without the
+    fallback the climb must equal the oracle climb (basic mode) and end
+    at a local optimum of its 2-hop ring; with it, it must equal the
+    oracle climb (basic mode) and end within the gate or on the full
+    scan's tie set.  Agreement with the exhaustive winner is only
+    counted.  Returns ``(n_checks, n_rounds, n_agree)``.
+    """
+    face_map = world["face_map"]
+    signatures = face_map.signatures.astype(float)
+    neighbors = oracle_face_adjacency(face_map)
+    basic = spec.mode == "basic"
+    gate = 0.1 * face_map.n_pairs  # the documented default for qualitative signatures
+    climb = HeuristicMatcher(face_map, fallback=False)
+    gated = HeuristicMatcher(face_map)
+    targets = world["targets"]
+    n_checks = n_rounds = n_agree = 0
+
+    def diverge(prop: str, r: int, **detail) -> None:
+        divergences.append({"check": "heuristic", "property": prop, "round": r, **detail})
+
+    n_checks += 1
+    for f in range(face_map.n_faces):
+        if face_map.neighbors(f).tolist() != neighbors[f]:
+            diverge("adjacency", -1, face=f, production=_jsonable(face_map.neighbors(f)),
+                    oracle=neighbors[f])
+            return n_checks, n_rounds, n_agree
+    for r, (v, oracle_d) in enumerate(zip(vectors, oracle_ds)):
+        if oracle_d is None:
+            continue  # the round's vector diverged; _check_rounds reported it
+        start = face_map.face_of_point(targets[r - 1])
+        got = climb.match(v, start_face=start)
+        face, d2 = got.face_id, float(got.sq_distance)
+        slack = 0.0 if basic else _extended_slack(oracle_d[face])
+        n_checks += 1
+        if basic:
+            want_ids, want_d2 = oracle_climb(signatures, neighbors, v, start, fallback=False)
+            if [face] != want_ids or d2 != want_d2:
+                diverge("oracle_climb", r, start=start, production=[face, d2],
+                        oracle=[want_ids, want_d2])
+                continue
+        ring = set(neighbors[face])
+        for nb in neighbors[face]:
+            ring.update(neighbors[nb])
+        ring.discard(face)
+        better = [g for g in sorted(ring) if oracle_d[g] < oracle_d[face] - 1e-12 - slack]
+        if abs(d2 - oracle_d[face]) > slack or better:
+            diverge("local_optimum", r, start=start, face=face, sq_distance=d2,
+                    oracle_sq_distance=oracle_d[face], better=better[:10])
+            continue
+
+        result = gated.match(v, start_face=start)
+        prod_ties, prod_d2 = [int(f) for f in result.face_ids], float(result.sq_distance)
+        n_checks += 1
+        if basic:
+            want_ids, want_d2 = oracle_climb(signatures, neighbors, v, start, gate=gate)
+            if prod_ties != want_ids or prod_d2 != want_d2:
+                diverge("oracle_climb", r, start=start, production=[prod_ties, prod_d2],
+                        oracle=[want_ids, want_d2])
+                continue
+        oracle_ties, oracle_best = oracle_match(signatures, v)
+        tol = oracle_tie_tolerance(oracle_best, face_map.n_pairs)
+        slack = 0.0 if basic else _extended_slack(oracle_best)
+        if basic:
+            full_scan = prod_ties == oracle_ties and prod_d2 == oracle_best
+        else:
+            full_scan = oracle_d[prod_ties[0]] <= oracle_best + tol + slack
+        if not (prod_d2 <= gate or full_scan):
+            diverge("gate", r, start=start, production_ties=prod_ties,
+                    production_best=prod_d2, gate=gate,
+                    oracle_ties=oracle_ties, oracle_best=oracle_best)
+            continue
+        n_rounds += 1
+        n_agree += oracle_d[prod_ties[0]] <= oracle_best + tol + slack
+    return n_checks, n_rounds, n_agree
 
 
 def _check_batched(
@@ -522,19 +673,23 @@ def _estimate_key(est) -> tuple:
 def _check_tracker(spec: FuzzSpec, world: dict, divergences: list) -> int:
     face_map = world["face_map"]
     policy = spec.policy()
-    tracker = FTTTracker(
-        face_map,
-        mode=spec.mode,
-        matcher="exhaustive",
-        comparator_eps=spec.comparator_eps,
-        degradation=policy,
-    )
-    estimates = [
-        tracker.localize(rss, t=t)
-        for rss, t in zip(world["rss_rounds"], world["times"])
-    ]
     n_checks = 0
-    if spec.mode == "basic":
+    for matcher, check in (("exhaustive", "tracker_anchor"), ("heuristic", "tracker_heuristic")):
+        tracker = FTTTracker(
+            face_map,
+            mode=spec.mode,
+            matcher=matcher,
+            comparator_eps=spec.comparator_eps,
+            degradation=policy,
+        )
+        found = [
+            tracker.localize(rss, t=t)
+            for rss, t in zip(world["rss_rounds"], world["times"])
+        ]
+        if matcher == "exhaustive":
+            estimates = found
+        if spec.mode != "basic":
+            continue
         # every quantity in the round loop is float32-exact in basic mode,
         # so the oracle tracker must reproduce the anchors bit for bit
         oracle_est = oracle_track(
@@ -542,15 +697,16 @@ def _check_tracker(spec: FuzzSpec, world: dict, divergences: list) -> int:
             world["rss_rounds"],
             world["times"],
             mode=spec.mode,
+            matcher=matcher,
             comparator_eps=spec.comparator_eps,
             degradation=policy,
         )
         n_checks += 1
-        for r, (prod, want) in enumerate(zip(estimates, oracle_est)):
+        for r, (prod, want) in enumerate(zip(found, oracle_est)):
             if _estimate_key(prod) != _estimate_key(want):
                 divergences.append(
                     {
-                        "check": "tracker_anchor",
+                        "check": check,
                         "round": r,
                         "production": _jsonable(_estimate_key(prod)),
                         "oracle": _jsonable(_estimate_key(want)),
@@ -587,8 +743,12 @@ def run_spec(spec: FuzzSpec) -> dict:
     divergences: list[dict] = []
     n_checks = _check_geometry(spec, world, divergences)
     n_checks += _check_scaleout(spec, world, divergences)
-    round_checks, vectors = _check_rounds(spec, world, divergences)
+    round_checks, vectors, oracle_ds = _check_rounds(spec, world, divergences)
     n_checks += round_checks
+    heuristic_checks, climbs, agree = _check_heuristic(
+        spec, world, vectors, oracle_ds, divergences
+    )
+    n_checks += heuristic_checks
     if spec.n_rounds > 1:
         n_checks += _check_batched(spec, world, vectors, divergences)
     n_checks += _check_tracker(spec, world, divergences)
@@ -600,6 +760,8 @@ def run_spec(spec: FuzzSpec) -> dict:
             "n_pairs": int(world["face_map"].n_pairs),
             "n_rounds": spec.n_rounds,
             "n_checks": n_checks,
+            "heuristic_rounds": climbs,
+            "heuristic_agree": int(agree),
         },
     }
 
@@ -677,6 +839,8 @@ def _shrink_candidates(spec: FuzzSpec) -> list[FuzzSpec]:
         out.append(replace(spec, cell_size=5.0))
     if spec.split_components:
         out.append(replace(spec, split_components=False))
+    if spec.layout != "uniform":
+        out.append(replace(spec, layout="uniform"))
     return out
 
 
@@ -717,12 +881,18 @@ def run_fuzz(
         json.dumps(reports, sort_keys=True).encode()
     ).hexdigest()
     divergent = [r for r in reports if r["divergences"]]
+    climbs = sum(r["stats"]["heuristic_rounds"] for r in reports)
     summary = {
         "n_scenarios": n_scenarios,
         "seed": seed,
         "n_workers": n_workers,
         "n_checks": sum(r["stats"]["n_checks"] for r in reports),
         "n_divergent": len(divergent),
+        # share of Algorithm 2 rounds (fallback on) that land on an
+        # exhaustive winner: a statistic, not a check
+        "heuristic_agreement": (
+            sum(r["stats"]["heuristic_agree"] for r in reports) / climbs if climbs else None
+        ),
         "digest": digest,
         "first_divergence": None,
     }

@@ -26,6 +26,7 @@ __all__ = [
     "pair_value_is_ambiguous",
     "dense_signatures",
     "verify_face_map",
+    "oracle_face_adjacency",
 ]
 
 
@@ -229,3 +230,31 @@ def _verify_face_grouping(face_map: FaceMap) -> list[tuple[int, str]]:
         if cx != gx or cy != gy:
             errors.append((fid, f"centroid ({gx}, {gy}) != oracle ({cx}, {cy})"))
     return errors
+
+
+def oracle_face_adjacency(face_map: FaceMap) -> list[list[int]]:
+    """Neighbor lists of every face (Definition 8), one cell at a time.
+
+    Two faces are neighbors when some cell of one shares a grid edge with
+    some cell of the other.  Walks every cell and its right and upper
+    neighbors.  Each list holds the higher face ids ascending, then the
+    lower ones ascending: the order of the production adjacency, which
+    decides the order Algorithm 2 meets ring faces in.
+    """
+    nx, ny = face_map.grid.nx, face_map.grid.ny
+    cell_face = face_map.cell_face
+    neighbors: list[set[int]] = [set() for _ in range(face_map.n_faces)]
+    for iy in range(ny):
+        for ix in range(nx):
+            here = int(cell_face[iy * nx + ix])
+            for jy, jx in ((iy, ix + 1), (iy + 1, ix)):
+                if jy >= ny or jx >= nx:
+                    continue
+                there = int(cell_face[jy * nx + jx])
+                if there != here:
+                    neighbors[here].add(there)
+                    neighbors[there].add(here)
+    return [
+        sorted(g for g in nbrs if g > f) + sorted(g for g in nbrs if g < f)
+        for f, nbrs in enumerate(neighbors)
+    ]

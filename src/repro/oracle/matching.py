@@ -1,6 +1,6 @@
 """Matching oracle: per-pair loop vectors, scalar Eq. 7 masking, naive matching.
 
-Three reference kernels, each a literal transcription:
+Four reference kernels, each a literal transcription:
 
 * :func:`oracle_sampling_vector` — Algorithm 1 + Definition 10 + the
   Eq. 6 fault fill, one pair at a time, one sample instant at a time;
@@ -8,7 +8,10 @@ Three reference kernels, each a literal transcription:
   one component at a time in float64;
 * :func:`oracle_match` — Definition 7 maximum-likelihood matching as the
   paper first states it: scan *every* face, keep the similarity maximum
-  (the O(n^4)-faces scan Algorithm 2 exists to avoid).
+  (the O(n^4)-faces scan Algorithm 2 exists to avoid);
+* :func:`oracle_climb` — Algorithm 2 (§4.4-2): hill-climb over the 2-hop
+  neighbor ring from the previous face, with the fallback gate that sends
+  a poor local optimum to :func:`oracle_match`.
 
 All arithmetic is float64 scalar.  The basic (Definition 4) pair values
 are small integers, exact in both float32 and float64, so the production
@@ -29,6 +32,7 @@ __all__ = [
     "oracle_sampling_vector",
     "oracle_masked_sq_distance",
     "oracle_match",
+    "oracle_climb",
     "oracle_tie_tolerance",
 ]
 
@@ -174,3 +178,67 @@ def oracle_match(
     tol = oracle_tie_tolerance(best, n_pairs)
     ties = [f for f, d in enumerate(distances) if d <= best + tol]
     return ties, best
+
+
+def oracle_climb(
+    signatures: np.ndarray,
+    neighbors: "list[list[int]]",
+    vector: np.ndarray,
+    start: int,
+    *,
+    hops: int = 2,
+    fallback: bool = True,
+    gate: "float | None" = None,
+) -> tuple[list[int], float]:
+    """Algorithm 2 hill climb by scalar loops, with its fallback gate.
+
+    Documented semantics of :class:`repro.core.heuristic.HeuristicMatcher`,
+    one step at a time:
+
+    1. start at face *start* with its masked distance;
+    2. form the ring: the neighbors of the current face and, with
+       ``hops=2``, their neighbors too, without the current face;
+    3. score every ring face; the best is the first face at the lowest
+       distance, in the order the matcher meets them: adjacency-list
+       order for one hop, and for two hops the iteration order of a
+       Python set filled with the neighbors, then each neighbor's
+       neighbors (CPython iterates a set of ints in an order fixed by
+       the values and the insertion sequence);
+    4. move there only on strict improvement (``< current - 1e-12``),
+       else stop at the local optimum;
+    5. when ``fallback`` is on and the optimum's distance exceeds the gate
+       (default ``0.1 * P``), discard the climb and scan every face.
+
+    *neighbors* lists each face's neighbors in the production adjacency
+    order (see :func:`repro.oracle.geometry.oracle_face_adjacency`).
+    Returns ``(face_ids, sq_distance)``: one face for a climb, the
+    full-scan tie set after a fallback.
+    """
+    signatures = np.asarray(signatures)
+    n_pairs = signatures.shape[1]
+    if gate is None:
+        gate = 0.1 * n_pairs
+    current = int(start)
+    current_d2 = oracle_masked_sq_distance(vector, signatures[current])
+    while True:  # every move strictly improves, so the climb ends
+        ring = list(neighbors[current])
+        if hops == 2 and ring:
+            faces = set(ring)
+            for nb in ring:
+                faces.update(neighbors[nb])
+            faces.discard(current)
+            ring = list(faces)
+        if not ring:
+            break
+        best_face, best_d2 = -1, math.inf
+        for face in ring:
+            d2 = oracle_masked_sq_distance(vector, signatures[face])
+            if d2 < best_d2:
+                best_face, best_d2 = face, d2
+        if best_d2 < current_d2 - 1e-12:
+            current, current_d2 = best_face, best_d2
+        else:
+            break
+    if fallback and current_d2 > gate:
+        return oracle_match(signatures, vector)
+    return [current], current_d2

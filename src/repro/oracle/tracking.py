@@ -5,7 +5,10 @@ including the PR-3 degradation policy (flip-rate suppression, reporting
 quorum, Definition 10 tie-break) — but builds every sampling vector with
 the per-pair loops of :func:`repro.oracle.matching.oracle_sampling_vector`
 and matches with the naive full scan of
-:func:`repro.oracle.matching.oracle_match`.
+:func:`repro.oracle.matching.oracle_match` or, for ``matcher="heuristic"``,
+with the scalar Algorithm 2 climb of
+:func:`repro.oracle.matching.oracle_climb` from the previous round's face
+over the adjacency of :func:`repro.oracle.geometry.oracle_face_adjacency`.
 
 Bit-identity contract: in **basic** mode every pair value is a small
 integer, every masked distance an exact small integer, and every
@@ -27,7 +30,8 @@ import numpy as np
 
 from repro.core.tracker import DegradationPolicy
 from repro.geometry.faces import FaceMap
-from repro.oracle.matching import oracle_match, oracle_sampling_vector
+from repro.oracle.geometry import oracle_face_adjacency
+from repro.oracle.matching import oracle_climb, oracle_match, oracle_sampling_vector
 
 __all__ = ["OracleEstimate", "oracle_track"]
 
@@ -50,17 +54,28 @@ def oracle_track(
     times: "list[float] | None" = None,
     *,
     mode: str = "basic",
+    matcher: str = "exhaustive",
     comparator_eps: float = 0.0,
     degradation: "DegradationPolicy | None" = None,
 ) -> list[OracleEstimate]:
-    """Track through *rss_rounds* with oracle kernels only."""
+    """Track through *rss_rounds* with oracle kernels only.
+
+    ``matcher="heuristic"`` climbs from the previous matched face (the
+    lowest id of its tie set); the first round, with no previous face,
+    scans every face, as does a climb that ends above the fallback gate.
+    A round held by the quorum check leaves the previous face in place.
+    """
+    if matcher not in ("exhaustive", "heuristic"):
+        raise ValueError(f"unknown matcher {matcher!r}")
     if times is None:
         times = [float(r) for r in range(len(rss_rounds))]
     signatures = face_map.signatures.astype(float)
     centroids = face_map.centroids
+    neighbors = oracle_face_adjacency(face_map) if matcher == "heuristic" else None
     flip_ewma: "list[float] | None" = None
     flip_obs: "list[int] | None" = None
     prev: "OracleEstimate | None" = None
+    last_face: "int | None" = None  # where the next climb starts
     estimates: list[OracleEstimate] = []
     for t, rss in zip(times, rss_rounds):
         rss = np.atleast_2d(np.asarray(rss, dtype=float))
@@ -88,7 +103,10 @@ def oracle_track(
                 estimates.append(est)
                 prev = est
                 continue
-        ties, best = oracle_match(signatures, vector)
+        if neighbors is not None and last_face is not None:
+            ties, best = oracle_climb(signatures, neighbors, vector, last_face)
+        else:
+            ties, best = oracle_match(signatures, vector)
         if (
             degradation is not None
             and degradation.tie_break
@@ -96,6 +114,7 @@ def oracle_track(
             and len(ties) > 1
         ):
             ties = _tie_break(ties, rss, signatures, comparator_eps)
+        last_face = ties[0]
         if degradation is not None:
             _update_residuals(raw, ties, signatures, flip_ewma, flip_obs, degradation)
         position = centroids[np.asarray(ties, dtype=np.int64)].mean(axis=0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.heuristic import HeuristicMatcher
+from repro.core.heuristic import HeuristicMatcher, default_fallback_gate
 from repro.core.matching import ExhaustiveMatcher
 
 
@@ -127,3 +127,36 @@ class TestHeuristicMatcher:
     def test_invalid_hops(self, face_map):
         with pytest.raises(ValueError, match="hops"):
             HeuristicMatcher(face_map, hops=3)
+
+
+class TestFallbackGate:
+    """The gate scales with P = C(n, 2) and is defined by the matcher alone."""
+
+    def test_default_gate_scales_with_pairs(self, face_map):
+        assert HeuristicMatcher(face_map).fallback_sq_distance == pytest.approx(
+            0.1 * face_map.n_pairs
+        )
+        assert default_fallback_gate(190) == pytest.approx(19.0)
+        assert default_fallback_gate(190, soft=True) == pytest.approx(38.0)
+
+    def test_explicit_gate_is_honoured(self, face_map):
+        assert HeuristicMatcher(face_map, fallback_sq_distance=4.0).fallback_sq_distance == 4.0
+        assert HeuristicMatcher(face_map, fallback_sq_distance=0.0).fallback_sq_distance == 0.0
+
+    def test_tracker_and_bare_matcher_share_the_gate(self):
+        """``make_tracker("fttt")``, the hops ablation's bare matcher and the
+        extended tracker all take the gate from the matcher's default."""
+        from repro.config import GridConfig, SimulationConfig
+        from repro.sim.scenario import make_scenario
+
+        config = SimulationConfig(n_sensors=8, grid=GridConfig(cell_size_m=4.0))
+        scenario = make_scenario(config, seed=3)
+        fm = scenario.face_map
+        hard = scenario.make_tracker("fttt").matcher
+        bare = HeuristicMatcher(fm)
+        assert hard.fallback_sq_distance == bare.fallback_sq_distance
+        assert hard.fallback_sq_distance == pytest.approx(0.1 * fm.n_pairs)
+        soft = scenario.make_tracker("fttt-extended").matcher
+        assert soft.soft
+        assert soft.fallback_sq_distance == pytest.approx(2.0 * hard.fallback_sq_distance)
+        assert HeuristicMatcher(fm, soft=True).fallback_sq_distance == soft.fallback_sq_distance

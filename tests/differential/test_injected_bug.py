@@ -2,9 +2,10 @@
 
 A differential harness that never fires is indistinguishable from one
 that cannot fire.  These tests mutate a production kernel (the match tie
-tolerance), assert the fuzzer reports a divergence with a shrunk,
-replayable artifact, then restore the kernel and assert the same
-campaign runs clean again.
+tolerance, the Eq. 6 fill, Algorithm 2's ring and its fallback gate),
+assert the fuzzer reports a divergence with a shrunk, replayable
+artifact, then restore the kernel and assert the same campaign runs
+clean again.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import json
 import numpy as np
 import pytest
 
+import repro.core.heuristic as heuristic
+from repro.core.heuristic import HeuristicMatcher
 from repro.geometry.faces import FaceMap
 from repro.oracle.fuzz import replay_divergence, run_fuzz
 
@@ -52,30 +55,28 @@ def test_injected_bug_is_caught_and_artifact_replayable(
     assert replay["recorded_check"] == first["check"]
 
 
+def _spec_size(spec: dict) -> tuple:
+    return (
+        spec["n_nodes"],
+        spec["n_rounds"],
+        spec["k"],
+        spec["value_fault"] is not None,
+        spec["dropout_p"] > 0,
+        spec["sample_loss_p"] > 0,
+        spec["degradation"],
+    )
+
+
+def _assert_not_larger(shrunk: dict, raw: dict) -> None:
+    """The shrunk spec is never larger than the raw one, in every dimension."""
+    assert all(s <= r for s, r in zip(_spec_size(shrunk), _spec_size(raw)))
+
+
 def test_shrinking_minimizes_the_failing_spec(inflated_tie_tolerance, tmp_path):
     raw = run_fuzz(N_SCENARIOS, artifact_dir=tmp_path, shrink=False, **CAMPAIGN)
     shrunk = run_fuzz(N_SCENARIOS, artifact_dir=tmp_path, shrink=True, **CAMPAIGN)
     assert raw["first_divergence"]["index"] == shrunk["first_divergence"]["index"]
-
-    def size(spec: dict) -> tuple:
-        return (
-            spec["n_nodes"],
-            spec["n_rounds"],
-            spec["k"],
-            spec["value_fault"] is not None,
-            spec["dropout_p"] > 0,
-            spec["sample_loss_p"] > 0,
-            spec["degradation"],
-        )
-
-    # never larger than the raw spec, in every shrink dimension
-    assert all(
-        s <= r
-        for s, r in zip(
-            size(shrunk["first_divergence"]["spec"]),
-            size(raw["first_divergence"]["spec"]),
-        )
-    )
+    _assert_not_larger(shrunk["first_divergence"]["spec"], raw["first_divergence"]["spec"])
 
 
 def test_campaign_is_clean_after_the_bug_is_removed(tmp_path):
@@ -112,3 +113,36 @@ def test_vector_kernel_bug_is_caught(monkeypatch, tmp_path):
     summary = run_fuzz(N_SCENARIOS, artifact_dir=tmp_path, **CAMPAIGN)
     assert summary["n_divergent"] > 0
     assert summary["first_divergence"]["check"] == "sampling_vector"
+
+
+@pytest.fixture
+def one_hop_climb(monkeypatch):
+    """Mutate Algorithm 2: every matcher silently climbs over one hop."""
+    original = HeuristicMatcher.__init__
+
+    def one_hop(self, face_map, **kwargs):
+        kwargs["hops"] = 1
+        original(self, face_map, **kwargs)
+
+    monkeypatch.setattr(HeuristicMatcher, "__init__", one_hop)
+
+
+@pytest.fixture
+def gate_never_fires(monkeypatch):
+    """Mutate the default fallback gate so no climb ever falls back."""
+    monkeypatch.setattr(heuristic, "default_fallback_gate", lambda n_pairs, soft=False: 1e9)
+
+
+@pytest.mark.parametrize("mutation", ["one_hop_climb", "gate_never_fires"])
+def test_climb_bug_is_caught_shrunk_and_replayable(mutation, request, tmp_path):
+    request.getfixturevalue(mutation)
+    raw = run_fuzz(N_SCENARIOS, artifact_dir=tmp_path / "raw", shrink=False, **CAMPAIGN)
+    summary = run_fuzz(N_SCENARIOS, artifact_dir=tmp_path, **CAMPAIGN)
+    first = summary["first_divergence"]
+    assert first is not None
+    assert first["check"] in ("heuristic", "tracker_heuristic")
+    assert first["index"] == raw["first_divergence"]["index"]
+    _assert_not_larger(first["spec"], raw["first_divergence"]["spec"])
+    replay = replay_divergence(first["artifact"])
+    assert replay["reproduced"]
+    assert replay["recorded_check"] == first["check"]

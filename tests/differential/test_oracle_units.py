@@ -16,6 +16,7 @@ from repro.analysis.sampling_times import (
     all_flips_probability,
     required_sampling_times,
 )
+from repro.core.heuristic import HeuristicMatcher
 from repro.core.tracker import DegradationPolicy, FTTTracker
 from repro.geometry.exact import circle_intersections
 from repro.geometry.primitives import Circle
@@ -24,6 +25,8 @@ from repro.oracle import (
     dense_signatures,
     mc_flip_capture,
     mc_interface_error,
+    oracle_climb,
+    oracle_face_adjacency,
     oracle_masked_sq_distance,
     oracle_match,
     oracle_pair_value,
@@ -157,6 +160,72 @@ class TestMatchingOracle:
             assert float(best) == oracle_best
 
 
+class TestClimbOracle:
+    """The scalar Algorithm 2 climb and the adjacency it walks."""
+
+    def test_face_adjacency_matches_production(self, face_map, certain_map):
+        for fm in (face_map, certain_map):
+            oracle = oracle_face_adjacency(fm)
+            assert [fm.neighbors(f).tolist() for f in range(fm.n_faces)] == oracle
+
+    def test_hand_built_path_graph(self):
+        """Ground truth without a face map: faces 0-1-2-3-4 in a path.
+
+        Distances to the zero vector are 5, 3, 3, 1, 0.  The 1-hop climb
+        from face 0 moves to 1 and stops there: 1's ring {0, 2} holds
+        nothing strictly better.  The 2-hop ring of 0 is {1, 2}; 1 and 2
+        tie at 3, the first met (1) wins, and the climb goes on to 3
+        and 4.
+        """
+        vector = np.zeros(5)
+        signatures = np.array(
+            [
+                [1, 1, 1, 1, 1],
+                [1, 1, 1, 0, 0],
+                [0, 0, 1, 1, 1],
+                [1, 0, 0, 0, 0],
+                [0, 0, 0, 0, 0],
+            ],
+            dtype=float,
+        )
+        neighbors = [[1], [0, 2], [1, 3], [2, 4], [3]]
+        assert oracle_climb(signatures, neighbors, vector, 0, hops=1, fallback=False) == ([1], 3.0)
+        # 2 hops: 0 -> 1 (tie with 2) -> 3 (ring {0, 2, 3}) -> 4
+        # (a set of ints below its table size iterates in ascending order)
+        assert oracle_climb(signatures, neighbors, vector, 0, fallback=False) == ([4], 0.0)
+        # the stalled 1-hop climb falls back to the full scan above the
+        # gate (default 0.1 * P = 0.5), and keeps its optimum within it
+        assert oracle_climb(signatures, neighbors, vector, 0, hops=1) == ([4], 0.0)
+        assert oracle_climb(signatures, neighbors, vector, 0, hops=1, gate=2.0) == ([4], 0.0)
+        assert oracle_climb(signatures, neighbors, vector, 0, hops=1, gate=3.0) == ([1], 3.0)
+
+    @pytest.mark.parametrize("hops", [1, 2])
+    @pytest.mark.parametrize("gate", [None, 0.0, 2.0])
+    def test_climb_bit_identical_to_production(self, face_map, rng, hops, gate):
+        signatures = face_map.signatures.astype(float)
+        neighbors = oracle_face_adjacency(face_map)
+        matcher = HeuristicMatcher(
+            face_map, hops=hops, fallback=gate is not None, fallback_sq_distance=gate
+        )
+        for _ in range(30):
+            rss = rng.uniform(-80.0, -40.0, (3, face_map.n_nodes))
+            rss[rng.random(rss.shape) < 0.2] = np.nan
+            v = oracle_sampling_vector(rss)
+            start = int(rng.integers(face_map.n_faces))
+            got = matcher.match(v, start_face=start)
+            ids, d2 = oracle_climb(
+                signatures,
+                neighbors,
+                v,
+                start,
+                hops=hops,
+                fallback=gate is not None,
+                gate=gate,
+            )
+            assert got.face_ids.tolist() == ids
+            assert float(got.sq_distance) == d2
+
+
 class TestTrackingOracle:
     def _rounds(self, rng, n_rounds=5, k=3, n=4):
         out = []
@@ -175,6 +244,27 @@ class TestTrackingOracle:
             assert prod.face_ids.tolist() == list(want.face_ids)
             assert tuple(prod.position) == want.position
             assert float(prod.sq_distance) == want.sq_distance
+
+    @pytest.mark.parametrize("with_policy", [False, True])
+    def test_heuristic_tracker_bit_identical(self, face_map, rng, with_policy):
+        policy = (
+            DegradationPolicy(warmup_rounds=2, min_reporting=3, max_masked_fraction=0.5)
+            if with_policy
+            else None
+        )
+        rounds = self._rounds(rng, n_rounds=12)
+        tracker = FTTTracker(face_map, degradation=policy)
+        assert isinstance(tracker.matcher, HeuristicMatcher)
+        production = [tracker.localize(r, t=float(i)) for i, r in enumerate(rounds)]
+        oracle = oracle_track(face_map, rounds, matcher="heuristic", degradation=policy)
+        for prod, want in zip(production, oracle):
+            assert prod.face_ids.tolist() == list(want.face_ids)
+            assert tuple(prod.position) == want.position
+            assert float(prod.sq_distance) == want.sq_distance
+
+    def test_unknown_matcher_rejected(self, face_map, rng):
+        with pytest.raises(ValueError, match="matcher"):
+            oracle_track(face_map, self._rounds(rng), matcher="greedy")
 
     def test_degradation_tracker_bit_identical(self, face_map, rng):
         policy = DegradationPolicy(

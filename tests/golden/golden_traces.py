@@ -67,6 +67,17 @@ SCENARIOS: dict[str, dict[str, Any]] = {
         ),
         "trackers": ["fttt", "fttt-robust", "fttt-zero"],
     },
+    # a deployment large enough (P = 190) for Algorithm 2 to matter: pins
+    # the default fttt climb, its ring order and its P-relative fallback
+    # gate; most rounds are decided by the climb, a few by the fallback
+    "climb": {
+        "faults": None,
+        "config": SimulationConfig(
+            duration_s=60.0, n_sensors=20, grid=GridConfig(cell_size_m=5.0)
+        ),
+        "n_rounds": 24,
+        "trackers": ["fttt", "fttt-exhaustive"],
+    },
 }
 
 
@@ -81,14 +92,16 @@ def _hex_list(a: np.ndarray) -> list[str]:
 def build_trace(name: str) -> dict[str, Any]:
     """Run the named golden scenario and serialize every estimate."""
     spec = SCENARIOS[name]
-    scenario = make_scenario(_CONFIG, seed=_SCENARIO_SEED)
+    config = spec.get("config", _CONFIG)
+    n_rounds = spec.get("n_rounds", _N_ROUNDS)
+    scenario = make_scenario(config, seed=_SCENARIO_SEED)
     faults = spec["faults"]() if spec["faults"] is not None else None
     results = run_all_trackers(
         scenario,
         spec.get("trackers", _TRACKERS),
         rng=_RNG_SEED,
         faults=faults,
-        n_rounds=_N_ROUNDS,
+        n_rounds=n_rounds,
     )
     trackers: dict[str, Any] = {}
     for tracker_name, result in results.items():
@@ -112,12 +125,12 @@ def build_trace(name: str) -> dict[str, Any]:
         "format_version": FORMAT_VERSION,
         "scenario": name,
         "config": {
-            "n_sensors": _CONFIG.n_sensors,
-            "field_size_m": _CONFIG.field_size_m,
-            "cell_size_m": _CONFIG.grid.cell_size_m,
+            "n_sensors": config.n_sensors,
+            "field_size_m": config.field_size_m,
+            "cell_size_m": config.grid.cell_size_m,
             "scenario_seed": _SCENARIO_SEED,
             "rng_seed": _RNG_SEED,
-            "n_rounds": _N_ROUNDS,
+            "n_rounds": n_rounds,
         },
         "trackers": trackers,
     }

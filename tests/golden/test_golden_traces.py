@@ -1,7 +1,8 @@
 """Golden-trace regression: fixed scenarios must replay bit-exactly.
 
 The committed ``trace_*.json`` fixtures hold ``float.hex``-serialized
-per-round estimates for a fault-free and a faulty scenario.  Re-running
+per-round estimates for fault-free, faulty, Byzantine and n = 20 climb
+scenarios.  Re-running
 the scenario must reproduce every number bit-for-bit — tolerance zero.
 If a kernel change intentionally moves the numbers, regenerate with
 ``PYTHONPATH=src python tools/make_golden_traces.py`` and review the diff.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from tests.golden.golden_traces import (
     FORMAT_VERSION,
     SCENARIOS,
@@ -88,3 +90,18 @@ def test_byzantine_trace_separates_trackers():
     assert golden["trackers"]["fttt"]["mean_error"] != (
         golden["trackers"]["fttt-robust"]["mean_error"]
     )
+
+
+def test_climb_trace_is_decided_by_the_climb():
+    """At n = 20 the default fttt climb, not its fallback scan, decides
+    most rounds, and the fixture still pins a few fallbacks."""
+    with obs.observe() as reg:
+        build_trace("climb")
+        snap = reg.snapshot()
+    climbs = snap["core.heuristic.rounds"]["value"]
+    fallbacks = snap.get("core.heuristic.fallbacks", {"value": 0})["value"]
+    golden = load_golden("climb")
+    assert golden["config"]["n_sensors"] >= 20
+    assert len(golden["trackers"]["fttt"]["rounds"]) >= 20
+    assert climbs == len(golden["trackers"]["fttt"]["rounds"]) - 1  # round 0 seeds
+    assert 0 < fallbacks < climbs / 2
