@@ -5,17 +5,17 @@ The paper argues the Eq. 6/7 machinery (fill missing pair values, mask
 This ablation sweeps the dropout probability and compares:
 
 * FTTT with the fault machinery (as shipped);
-* an ablated variant that simply drops silent sensors' pairs to 0
-  (no fill, no masking) — what a naive port would do;
+* an ablated variant, :class:`repro.faultlab.strawmen.ZeroFillFTTT`,
+  that forces every ``*`` pair value to a plain 0 (no masking) — what a
+  naive port would do;
 * Direct MLE under the same faults (its Eq.-6-style NaN handling comes
   from detection-sequence semantics).
 """
 
 import numpy as np
-import pytest
 
 from repro.config import GridConfig, SimulationConfig
-from repro.core.tracker import FTTTracker
+from repro.faultlab.strawmen import ZeroFillFTTT
 from repro.network.faults import IndependentDropout
 from repro.sim.runner import generate_batches
 from repro.sim.scenario import make_scenario
@@ -23,14 +23,6 @@ from repro.sim.scenario import make_scenario
 from conftest import emit
 
 DROPOUTS = (0.0, 0.1, 0.2, 0.4)
-
-
-class AblatedFTTT(FTTTracker):
-    """FTTT without Eq. 6/7: silent-pair components forced to plain 0."""
-
-    def build_vector(self, rss: np.ndarray) -> np.ndarray:
-        v = super().build_vector(rss)
-        return np.where(np.isnan(v), 0.0, v)
 
 
 def test_fault_tolerance_ablation(benchmark, results_dir):
@@ -42,7 +34,7 @@ def test_fault_tolerance_ablation(benchmark, results_dir):
             scenario = make_scenario(cfg, seed=3)
             batches = generate_batches(scenario, 4, faults=IndependentDropout(p=p))
             fttt = scenario.make_tracker("fttt")
-            ablated = AblatedFTTT(scenario.face_map, comparator_eps=cfg.resolution_dbm)
+            ablated = ZeroFillFTTT(scenario.face_map, comparator_eps=cfg.resolution_dbm)
             mle = scenario.make_tracker("direct-mle")
             table[p] = {
                 "fttt": fttt.track(batches).mean_error,
@@ -74,3 +66,7 @@ def test_fault_tolerance_ablation(benchmark, results_dir):
     assert table[0.4]["fttt"] < cfg.field_size_m / 2
     # FTTT under heavy faults stays at least as good as Direct MLE
     assert table[0.4]["fttt"] <= table[0.4]["direct-mle"] * 1.1
+    # the Eq. 7 masking is what buys that: zero-filling the * pairs instead
+    # costs accuracy once sensors actually go silent
+    for p in (0.2, 0.4):
+        assert table[p]["fttt"] < table[p]["ablated"]

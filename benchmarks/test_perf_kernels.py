@@ -3,11 +3,11 @@
 Microbenchmarks for the performance layer: cold vs warm face-map
 construction through the content-addressed cache, per-round loop vs
 batched GEMM matching of a 100-round trace, end-to-end sweep throughput
-with the cache on and off, and the tiled-build and shared-memory sweep
-paths against their serial and pickled twins.  Numbers print through
-``emit``; the assertions pin the speedup floors the layer promises (warm
-reuse ≥ 5x, batched matching ≥ 3x).  The end-to-end benchmark with
-recorded machine details is ``perfbench/`` (see ``perfbench/README.md``).
+with the cache on and off, and the shared-memory sweep path against its
+pickled twin.  Numbers print through ``emit``; the assertions pin the
+speedup floors the layer promises (warm reuse ≥ 5x, batched matching
+≥ 3x).  The end-to-end benchmark with recorded machine details is
+``perfbench/`` (see ``perfbench/README.md``).
 
 Run:  PYTHONPATH=src pytest benchmarks/test_perf_kernels.py -s
 """
@@ -28,9 +28,7 @@ from repro.geometry.cache import (
     default_face_map_cache,
 )
 from repro.geometry.faces import build_face_map
-from repro.geometry.grid import Grid
 from repro.geometry.shm import owned_segment_names
-from repro.network.deployment import random_deployment
 from repro.sim.parallel import parallel_sweep
 from repro.sim.runner import generate_batches
 from repro.sim.scenario import make_scenario
@@ -200,29 +198,6 @@ def test_obs_disabled_and_enabled_overhead(results_dir):
     )
     # even fully enabled, metrics must stay a small fraction of the loop
     assert t_on <= t_off * 1.5
-
-
-@pytest.mark.skipif(not _MULTICORE, reason="a parallel speed-up needs two cores")
-def test_tiled_build_keeps_pace_with_serial(results_dir):
-    """A tiled build on 2 workers is at least half as fast as serial.
-
-    The bound is loose because this n=20 instance is small; bit-identity
-    of tiled builds is pinned in tests/geometry/test_tiled_build.py.
-    """
-    nodes = random_deployment(20, 100.0, np.random.default_rng(0), min_separation=5.0)
-    grid = Grid.square(100.0, 2.5)
-    t_serial = _best_of(lambda: build_face_map(nodes, grid, 1.25), repeats=1)
-    t_tiled = _best_of(lambda: build_face_map(nodes, grid, 1.25, workers=2), repeats=1)
-    speedup = t_serial / t_tiled
-    emit(
-        "PERF — face-map build (n=20), serial vs tiled on 2 workers",
-        [
-            f"serial : {t_serial * 1e3:8.1f} ms",
-            f"tiled  : {t_tiled * 1e3:8.1f} ms",
-            f"speedup: {speedup:8.2f}x",
-        ],
-    )
-    assert speedup > 0.5
 
 
 @pytest.mark.skipif(not _MULTICORE, reason="a parallel speed-up needs two cores")

@@ -3,9 +3,9 @@
 
 Renders the uncertain-area structure of a deployment as ASCII (darker =
 more node pairs are ambiguous there), shows how the division reacts to
-the uncertainty constant, compares flat vs adaptive (ref [29]) division
-cost, and walks one localization by hand — sampling vector, matched face,
-similarity — so the vector-matching mechanics are visible end to end.
+the uncertainty constant, and walks one localization by hand — sampling
+vector, matched face, similarity — so the vector-matching mechanics are
+visible end to end.
 
 Run:  python examples/face_map_explorer.py
 """
@@ -13,7 +13,6 @@ Run:  python examples/face_map_explorer.py
 import numpy as np
 
 from repro.core.vectors import sampling_vector
-from repro.geometry.adaptive import build_adaptive_face_map
 from repro.geometry.apollonius import effective_uncertainty_constant, uncertainty_constant
 from repro.geometry.faces import build_face_map
 from repro.geometry.grid import Grid
@@ -43,21 +42,7 @@ def main() -> None:
         print(render_face_map(fm, width=56))
         print()
 
-    print("adaptive (double-level, ref [29]) vs flat division:")
-    fm_flat = build_face_map(nodes, grid, c_cal, sensing_range=40.0)
-    fm_adapt, stats = build_adaptive_face_map(
-        nodes, 100.0, c_cal, coarse_cell=8.0, refine_factor=4, sensing_range=40.0
-    )
-    same = np.array_equal(
-        fm_flat.signatures[fm_flat.cell_face], fm_adapt.signatures[fm_adapt.cell_face]
-    )
-    print(
-        f"  identical signature maps: {same}; classification work saved: "
-        f"{stats.classification_savings:.1%} "
-        f"({stats.uniform_cells}/{stats.coarse_cells} coarse cells were uniform)\n"
-    )
-
-    print("one localization, by hand:")
+    print("one localization, by hand (on the calibrated-C map above):")
     target = np.array([62.0, 37.0])
     channel = RssChannel(
         nodes=nodes,
@@ -75,15 +60,15 @@ def main() -> None:
         f"  sampling vector: {len(v)} pairs — {n_flipped} flipped (0), "
         f"{n_star} silent (*), rest ordinal"
     )
-    ties, d2 = fm_flat.match(v)
-    est = fm_flat.centroids[ties].mean(axis=0)
+    ties, d2 = fm.match(v)
+    est = fm.centroids[ties].mean(axis=0)
     sim = "inf" if d2 == 0 else f"{1/np.sqrt(d2):.3f}"
     print(
         f"  matched face(s) {ties.tolist()} at similarity {sim}; "
         f"estimate ({est[0]:.1f}, {est[1]:.1f}), error "
         f"{np.hypot(*(est - target)):.2f} m"
     )
-    d2_all = fm_flat.distances_to(v)
+    d2_all = fm.distances_to(v)
     order = np.argsort(d2_all)[:30]
     print(f"  distance landscape (30 best faces): {sparkline(d2_all[order])}")
 

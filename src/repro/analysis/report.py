@@ -35,7 +35,6 @@ KNOWN_RESULTS: dict[str, tuple[str, str]] = {
     "ablation_hops": ("Ablation — matcher hops", "2-hop ≈ exhaustive"),
     "ablation_soft": ("Ablation — soft signatures", "soft beats hard for extended vectors"),
     "ablation_noise": ("Ablation — noise structure", "temporal correlation hurts; common-mode cancels"),
-    "adaptive_grid": ("Adaptive double-level division", "identical maps, work saved at low density"),
     "density_tradeoff": ("§5.2 — density trade-off", "accuracy up, lifetime down"),
     "tracker_field": ("Extended tracker field", "FTTT leads the model-free spectrum"),
     "duty_cycle": ("Duty-cycling extension", "sensor-rounds saved at ~no error cost"),

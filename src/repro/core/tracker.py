@@ -19,7 +19,6 @@ from repro.core.matching import ExhaustiveMatcher, MatchResult
 from repro.core.vectors import (
     extended_sampling_vector,
     extended_sampling_vectors,
-    sampling_vector,
     sampling_vectors,
 )
 from repro.geometry.faces import FaceMap
@@ -167,6 +166,11 @@ class TrackResult:
         return len(self.estimates)
 
 
+def _n_reporting(rss: np.ndarray) -> int:
+    """Sensors that delivered at least one sample in a ``(k, n)`` round."""
+    return int((~np.isnan(rss).all(axis=0)).sum())
+
+
 class FTTTracker:
     """The Fault-Tolerant Target-Tracking strategy.
 
@@ -226,15 +230,15 @@ class FTTTracker:
     # -- vector construction ------------------------------------------------
 
     def build_vector(self, rss: np.ndarray) -> np.ndarray:
-        """Sampling vector for one grouping-sampling matrix."""
-        if self.mode == "extended":
-            return extended_sampling_vector(rss, self._pairs, comparator_eps=self.comparator_eps)
-        return sampling_vector(rss, self._pairs, comparator_eps=self.comparator_eps)
+        """Sampling vector for one grouping-sampling matrix: the ``T = 1``
+        case of :meth:`build_vectors`."""
+        return self.build_vectors(np.atleast_2d(np.asarray(rss, dtype=float))[None])[0]
 
     def build_vectors(self, rss_stack: np.ndarray) -> np.ndarray:
         """Batched Algorithm 1: ``(T, k, n)`` round stack -> ``(T, P)`` vectors.
 
-        Row ``t`` is bit-identical to ``build_vector(rss_stack[t])``.
+        Every vector the tracker matches comes from here, so a subclass
+        that changes the vectors overrides this method only.
         """
         if self.mode == "extended":
             return extended_sampling_vectors(
@@ -244,16 +248,26 @@ class FTTTracker:
 
     # -- localization ---------------------------------------------------------
 
-    def localize(self, rss: np.ndarray, t: float = 0.0) -> TrackEstimate:
-        """Localize from a raw ``(k, n)`` RSS matrix (NaN = missing)."""
+    def _as_rss(self, rss: np.ndarray) -> np.ndarray:
+        """One round's raw ``(k, n)`` RSS matrix, checked against the map."""
         rss = np.atleast_2d(np.asarray(rss, dtype=float))
         if rss.shape[1] != self.face_map.n_nodes:
             raise ValueError(
                 f"rss has {rss.shape[1]} sensors but the face map was built "
                 f"for {self.face_map.n_nodes}"
             )
-        vector = self.build_vector(rss)
-        n_reporting = int((~np.isnan(rss).all(axis=0)).sum())
+        return rss
+
+    def localize(self, rss: np.ndarray, t: float = 0.0) -> TrackEstimate:
+        """Localize from a raw ``(k, n)`` RSS matrix (NaN = missing)."""
+        rss = self._as_rss(rss)
+        return self._step(rss, self.build_vectors(rss[None])[0], t)
+
+    def _step(self, rss: np.ndarray, vector: np.ndarray, t: float) -> TrackEstimate:
+        """One round of the stateful strategy on its Algorithm 1 *vector*:
+        suppression, quorum/hold, match, weak-round tie-break, residual
+        update and the recorded estimate."""
+        n_reporting = _n_reporting(rss)
         raw_vector = vector
         weak = False
         if self.degradation is not None:
@@ -441,48 +455,39 @@ class FTTTracker:
     def track(self, batches: Iterable[SampleBatch]) -> TrackResult:
         """Track through a sequence of grouping samplings.
 
-        The matcher state persists across rounds, so the heuristic matcher
-        starts each search from the previous face (Algorithm 2's
-        consecutive-tracking speedup).  The exhaustive matcher has no such
-        state, so its whole trace is localized in two batched kernel calls
-        (Algorithm-1 vectors, then one GEMM match) — bit-identical to the
-        per-round loop, an order of magnitude faster.
+        Algorithm 1 is stateless, so every round's vector comes from one
+        :meth:`build_vectors` call over the whole trace (one ``T = 1`` call
+        per round when the rounds' sample counts differ).  Each round then
+        runs the same step as :meth:`localize`: the heuristic matcher
+        starts from the previous face (Algorithm 2's consecutive-tracking
+        speedup) and the degradation policy carries its state forward.
+        With neither kind of state (the exhaustive matcher, no
+        degradation) that step's matching is one batched GEMM over the
+        trace instead, bit-identical to the per-round step.
         """
         batches = list(batches)
-        record = obs.enabled()
-        # degradation is sequential state (flip EWMAs, previous face), so
-        # the trace-at-a-time kernel path only serves the stateless case
-        if (
-            isinstance(self.matcher, ExhaustiveMatcher)
-            and len(batches) > 1
-            and self.degradation is None
-        ):
-            stacked = self._stack_rss(batches)
-            if stacked is not None:
-                vectors = self.build_vectors(stacked)
-                matches = self.matcher.match_many(vectors)
-                result = TrackResult()
-                for batch, rss, vector, match in zip(batches, stacked, vectors, matches):
-                    n_reporting = int((~np.isnan(rss).all(axis=0)).sum())
-                    est = self._estimate(match, float(batch.times[0]), n_reporting, vector)
-                    result.append(est, batch.mean_position)
-                return result
         result = TrackResult()
-        for batch in batches:
+        if not batches:
+            return result
+        rounds = [self._as_rss(b.rss) for b in batches]
+        if all(r.shape == rounds[0].shape for r in rounds):
+            vectors = self.build_vectors(np.stack(rounds))
+        else:
+            vectors = np.stack([self.build_vectors(r[None])[0] for r in rounds])
+        if isinstance(self.matcher, ExhaustiveMatcher) and self.degradation is None:
+            matches = self.matcher.match_many(vectors)
+            for batch, rss, vector, match in zip(batches, rounds, vectors, matches):
+                est = self._estimate(match, float(batch.times[0]), _n_reporting(rss), vector)
+                result.append(est, batch.mean_position)
+            return result
+        record = obs.enabled()
+        for batch, rss, vector in zip(batches, rounds, vectors):
             t0 = time.perf_counter() if record else 0.0
-            est = self.localize_batch(batch)
+            est = self._step(rss, vector, float(batch.times[0]))
             if record:
                 obs.histogram("tracker.round_seconds").observe(time.perf_counter() - t0)
             result.append(est, batch.mean_position)
         return result
-
-    def _stack_rss(self, batches: "list[SampleBatch]") -> "np.ndarray | None":
-        """(T, k, n) stack of the batches' RSS, or None if shapes vary."""
-        stack = [np.atleast_2d(np.asarray(b.rss, dtype=float)) for b in batches]
-        shape = stack[0].shape
-        if any(s.shape != shape for s in stack) or shape[1] != self.face_map.n_nodes:
-            return None
-        return np.stack(stack)
 
     def reset(self) -> None:
         """Clear matcher and degradation state (start a fresh trace)."""

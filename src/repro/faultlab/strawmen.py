@@ -25,10 +25,6 @@ class ZeroFillFTTT(FTTTracker):
     from the distance entirely.
     """
 
-    def build_vector(self, rss: np.ndarray) -> np.ndarray:
-        v = super().build_vector(rss)
-        return np.where(np.isnan(v), 0.0, v)
-
     def build_vectors(self, rss_stack: np.ndarray) -> np.ndarray:
         v = super().build_vectors(rss_stack)
         return np.where(np.isnan(v), 0.0, v)

@@ -33,7 +33,6 @@ from repro.geometry.cache import (
     configure_face_map_cache,
     face_map_cache_enabled,
 )
-from repro.geometry.adaptive import AdaptiveDivisionStats, build_adaptive_face_map
 from repro.geometry.exact import (
     circle_intersections,
     RefinedFace,
@@ -67,8 +66,6 @@ __all__ = [
     "default_face_map_cache",
     "configure_face_map_cache",
     "face_map_cache_enabled",
-    "AdaptiveDivisionStats",
-    "build_adaptive_face_map",
     "circle_intersections",
     "RefinedFace",
     "refine_face",

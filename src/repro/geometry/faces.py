@@ -9,7 +9,6 @@ instead of scanning all O(n^4) faces (Theorem 1, Algorithm 2).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -19,7 +18,6 @@ from repro.geometry.apollonius import classify_points_pairwise
 from repro.geometry.bisector import certain_signatures
 from repro.geometry.components import label_equal_regions
 from repro.geometry.grid import Grid
-from repro.geometry.primitives import enumerate_pairs
 from repro.obs import metrics as obs
 
 __all__ = ["Face", "FaceMap", "build_face_map", "build_certain_face_map"]
@@ -27,24 +25,6 @@ __all__ = ["Face", "FaceMap", "build_face_map", "build_certain_face_map"]
 #: Bound on the float32 temporaries one block of the batched distance
 #: kernel may allocate (see ``FaceMap._block_rows``).
 _GEMM_TEMP_BYTES = 256 * 1024 * 1024
-
-
-def _resolve_build_workers(workers: "int | None") -> int:
-    """Build parallelism: explicit argument, else ``REPRO_BUILD_WORKERS``, else 1."""
-    if workers is None:
-        env = os.environ.get("REPRO_BUILD_WORKERS")
-        if env is None or env == "":
-            return 1
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_BUILD_WORKERS must be an integer, got {env!r}"
-            ) from None
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return workers
 
 
 @dataclass(frozen=True)
@@ -484,6 +464,13 @@ def _assemble_face_map(
     )
 
 
+def _as_nodes(nodes: np.ndarray) -> np.ndarray:
+    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
+    if len(nodes) < 2:
+        raise ValueError(f"need at least two nodes, got {len(nodes)}")
+    return nodes
+
+
 def build_face_map(
     nodes: np.ndarray,
     grid: Grid,
@@ -491,9 +478,6 @@ def build_face_map(
     *,
     sensing_range: float | None = None,
     split_components: bool = False,
-    chunk_pairs: int = 256,
-    workers: int | None = None,
-    tile_cells: int | None = None,
 ) -> FaceMap:
     """Divide the field by all pairwise uncertain boundaries (Definition 2).
 
@@ -510,36 +494,9 @@ def build_face_map(
         connected (strict face semantics).  Off by default — matching
         semantics are identical and the paper's own evaluation groups by
         signature.
-    workers : classify grid tiles in this many worker processes, writing
-        into one shared output buffer (default 1, or
-        ``REPRO_BUILD_WORKERS``).  Bit-identical to the serial build for
-        any worker count — classification is elementwise per cell.
-    tile_cells : cells per tile for the tiled classification path
-        (default: chosen automatically).  Forces the tiled path even at
-        ``workers=1``.
     """
-    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    if len(nodes) < 2:
-        raise ValueError(f"need at least two nodes, got {len(nodes)}")
-    workers = _resolve_build_workers(workers)
-    if workers > 1 or tile_cells is not None:
-        from repro.geometry.tiling import classify_cells_tiled
-
-        cell_sigs = classify_cells_tiled(
-            grid,
-            nodes,
-            c=c,
-            kind="uncertain",
-            sensing_range=sensing_range,
-            chunk_pairs=chunk_pairs,
-            workers=workers,
-            tile_cells=tile_cells,
-        )
-    else:
-        pairs = enumerate_pairs(len(nodes))
-        cell_sigs = classify_points_pairwise(
-            grid.cell_centers, nodes, c, pairs, sensing_range=sensing_range, chunk_pairs=chunk_pairs
-        )
+    nodes = _as_nodes(nodes)
+    cell_sigs = classify_points_pairwise(grid.cell_centers, nodes, c, sensing_range=sensing_range)
     return _assemble_face_map(nodes, grid, c, cell_sigs, split_components)
 
 
@@ -548,34 +505,12 @@ def build_certain_face_map(
     grid: Grid,
     *,
     split_components: bool = False,
-    chunk_pairs: int = 256,
-    workers: int | None = None,
-    tile_cells: int | None = None,
 ) -> FaceMap:
     """Face map of the certain-sequence baselines: bisector division only.
 
     This is the classic division of [22]/[24] — Fig. 3(a) of the paper —
     obtained in the ``C -> 1`` limit.  ``c`` is recorded as 1.0.
-    ``workers``/``tile_cells`` behave as in :func:`build_face_map`.
     """
-    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    if len(nodes) < 2:
-        raise ValueError(f"need at least two nodes, got {len(nodes)}")
-    workers = _resolve_build_workers(workers)
-    if workers > 1 or tile_cells is not None:
-        from repro.geometry.tiling import classify_cells_tiled
-
-        cell_sigs = classify_cells_tiled(
-            grid,
-            nodes,
-            c=1.0,
-            kind="certain",
-            sensing_range=None,
-            chunk_pairs=chunk_pairs,
-            workers=workers,
-            tile_cells=tile_cells,
-        )
-    else:
-        pairs = enumerate_pairs(len(nodes))
-        cell_sigs = certain_signatures(grid.cell_centers, nodes, pairs, chunk_pairs=chunk_pairs)
+    nodes = _as_nodes(nodes)
+    cell_sigs = certain_signatures(grid.cell_centers, nodes)
     return _assemble_face_map(nodes, grid, 1.0, cell_sigs, split_components)

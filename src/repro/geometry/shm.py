@@ -5,7 +5,9 @@ into each pool worker — a full copy of the signature matrix, adjacency CSR
 and cell→face array per task.  This module instead publishes each map once
 into a ``multiprocessing.shared_memory`` segment; workers *attach* and wrap
 the buffers in read-only numpy views, so the only per-worker cost is a page
-table mapping.
+table mapping.  Sweeps are its only user (``parallel_sweep(share_maps=True)``
+and the fault-lab campaign); face-map construction itself runs in one
+process.
 
 Lifecycle guarantees
 --------------------

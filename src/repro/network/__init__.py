@@ -32,9 +32,7 @@ from repro.network.faults import (
 )
 from repro.network.basestation import BaseStation, LocalizationRound
 from repro.network.events import EventScheduler, Event
-from repro.network.sync import NodeClock, ClockEnsemble, ReferenceBroadcastSync
 from repro.network.routing import RoutingTopology, build_routing_topology
-from repro.network.mac import SlottedContentionMac, MacRoundStats
 from repro.network.duty_cycle import LinearPredictor, DutyCycleController
 from repro.network.aggregation import (
     ClusterAssignment,
@@ -67,13 +65,8 @@ __all__ = [
     "LocalizationRound",
     "EventScheduler",
     "Event",
-    "NodeClock",
-    "ClockEnsemble",
-    "ReferenceBroadcastSync",
     "RoutingTopology",
     "build_routing_topology",
-    "SlottedContentionMac",
-    "MacRoundStats",
     "LinearPredictor",
     "DutyCycleController",
     "ClusterAssignment",

@@ -8,16 +8,16 @@ campaign is the same bytes no matter how many workers ran it or in which
 order — the property the workers-equality test pins with a digest.
 
 ``run_spec`` builds the world, runs the production kernels and the oracle
-side by side, and reports every divergence across nine check families:
+side by side, and reports every divergence across seven check families:
 
 * ``face_signatures`` — built face map vs Apollonius circle membership;
-* ``tiled_build`` — the tiled builder, forced through several tiles, vs
-  the one-pass build (every map array, bitwise);
 * ``sampling_vector`` — vectorized Algorithm 1 vs per-pair loops (bitwise);
 * ``masked_distances`` — float32 Eq. 7 distances vs scalar float64
   (bitwise in basic mode, structural in extended mode);
 * ``match_winner`` — production tie set vs the naive full scan;
-* ``batched_*`` — every batched kernel vs its own per-row path (bitwise);
+* ``batched_*`` — every batched kernel vs its own per-row path (bitwise),
+  including ``FTTTracker.track`` vs the per-round ``localize`` loop for
+  both matchers, with or without degradation;
 * ``heuristic`` — Algorithm 2's climb from the previous target's face:
   bit-identical to the scalar oracle climb (basic mode), a local optimum
   over its 2-hop ring, and with fallback on either within the gate or the
@@ -613,42 +613,6 @@ def _check_batched(
     return n_checks
 
 
-def _check_scaleout(spec: FuzzSpec, world: dict, divergences: list) -> int:
-    """Tiled builder vs the plain build — always a bitwise contract:
-    a multi-tile ``tile_cells`` pass must reproduce every map array.
-    """
-    face_map = world["face_map"]
-    grid = face_map.grid
-    tile = max(1, grid.n_cells // 3)  # force a multi-tile pass
-    if spec.certain:
-        rebuilt = build_certain_face_map(
-            face_map.nodes,
-            grid,
-            split_components=spec.split_components,
-            tile_cells=tile,
-        )
-    else:
-        rebuilt = build_face_map(
-            face_map.nodes,
-            grid,
-            spec.c,
-            sensing_range=spec.sensing_range,
-            split_components=spec.split_components,
-            tile_cells=tile,
-        )
-    for name in ("signatures", "centroids", "cell_face", "cell_counts", "adj_indptr", "adj_indices"):
-        if not np.array_equal(getattr(rebuilt, name), getattr(face_map, name)):
-            divergences.append(
-                {
-                    "check": "tiled_build",
-                    "field": name,
-                    "tile_cells": tile,
-                }
-            )
-            break
-    return 1
-
-
 def _batches(world: dict, spec: FuzzSpec) -> list[SampleBatch]:
     return [
         SampleBatch(
@@ -686,55 +650,46 @@ def _check_tracker(spec: FuzzSpec, world: dict, divergences: list) -> int:
             tracker.localize(rss, t=t)
             for rss, t in zip(world["rss_rounds"], world["times"])
         ]
-        if matcher == "exhaustive":
-            estimates = found
-        if spec.mode != "basic":
-            continue
-        # every quantity in the round loop is float32-exact in basic mode,
-        # so the oracle tracker must reproduce the anchors bit for bit
-        oracle_est = oracle_track(
-            face_map,
-            world["rss_rounds"],
-            world["times"],
-            mode=spec.mode,
-            matcher=matcher,
-            comparator_eps=spec.comparator_eps,
-            degradation=policy,
-        )
+        if spec.mode == "basic":
+            # every quantity in the round loop is float32-exact in basic
+            # mode, so the oracle tracker must reproduce the anchors bit
+            # for bit
+            oracle_est = oracle_track(
+                face_map,
+                world["rss_rounds"],
+                world["times"],
+                mode=spec.mode,
+                matcher=matcher,
+                comparator_eps=spec.comparator_eps,
+                degradation=policy,
+            )
+            n_checks += 1
+            _first_mismatch(found, oracle_est, divergences, check, "production", "oracle")
+        # track() builds the whole trace's vectors in one call (and matches
+        # in one GEMM when nothing is stateful); it must reproduce the
+        # per-round localize loop in both modes
+        tracker.reset()
+        batched = tracker.track(_batches(world, spec)).estimates
         n_checks += 1
-        for r, (prod, want) in enumerate(zip(found, oracle_est)):
-            if _estimate_key(prod) != _estimate_key(want):
-                divergences.append(
-                    {
-                        "check": check,
-                        "round": r,
-                        "production": _jsonable(_estimate_key(prod)),
-                        "oracle": _jsonable(_estimate_key(want)),
-                    }
-                )
-                break
-    if policy is None and spec.n_rounds > 1:
-        # the trace-at-a-time GEMM path documents bit-identity with the
-        # per-round loop; hold it to that in both modes
-        batched = FTTTracker(
-            face_map,
-            mode=spec.mode,
-            matcher="exhaustive",
-            comparator_eps=spec.comparator_eps,
-        ).track(_batches(world, spec))
-        n_checks += 1
-        for r, (prod, want) in enumerate(zip(batched.estimates, estimates)):
-            if _estimate_key(prod) != _estimate_key(want):
-                divergences.append(
-                    {
-                        "check": "batched_tracker",
-                        "round": r,
-                        "batched": _jsonable(_estimate_key(prod)),
-                        "per_round": _jsonable(_estimate_key(want)),
-                    }
-                )
-                break
+        _first_mismatch(batched, found, divergences, "batched_tracker", "batched", "per_round")
     return n_checks
+
+
+def _first_mismatch(
+    got: list, want: list, divergences: list, check: str, got_key: str, want_key: str
+) -> None:
+    """Record the first round whose estimates differ, if any."""
+    for r, (a, b) in enumerate(zip(got, want)):
+        if _estimate_key(a) != _estimate_key(b):
+            divergences.append(
+                {
+                    "check": check,
+                    "round": r,
+                    got_key: _jsonable(_estimate_key(a)),
+                    want_key: _jsonable(_estimate_key(b)),
+                }
+            )
+            return
 
 
 def run_spec(spec: FuzzSpec) -> dict:
@@ -742,7 +697,6 @@ def run_spec(spec: FuzzSpec) -> dict:
     world = _build_world(spec)
     divergences: list[dict] = []
     n_checks = _check_geometry(spec, world, divergences)
-    n_checks += _check_scaleout(spec, world, divergences)
     round_checks, vectors, oracle_ds = _check_rounds(spec, world, divergences)
     n_checks += round_checks
     heuristic_checks, climbs, agree = _check_heuristic(

@@ -23,12 +23,22 @@ from repro.core.vectors import (
     sampling_vector,
     sampling_vectors,
 )
+from repro.geometry import faces
 from repro.geometry.faces import build_face_map
 from repro.network.faults import IndependentDropout
+from repro.rf.channel import SampleBatch
 from repro.sim.runner import generate_batches
 from repro.sim.scenario import make_scenario
 
 CFG = SimulationConfig(n_sensors=10, duration_s=20.0, grid=GridConfig(cell_size_m=2.5))
+
+
+def _drop_samples(batch: SampleBatch, n: int) -> SampleBatch:
+    """*batch* without its last *n* sample instants."""
+    keep = len(batch.times) - n
+    return SampleBatch(
+        rss=batch.rss[:keep], times=batch.times[:keep], positions=batch.positions[:keep]
+    )
 
 
 @pytest.fixture(scope="module")
@@ -196,14 +206,33 @@ class TestBatchedTrackers:
             assert res.visited == single.visited
 
     def test_heuristic_tracker_unaffected_by_batching(self, world):
-        # the heuristic matcher is stateful (Algorithm 2) and must keep
-        # its sequential per-round semantics
+        # the heuristic matcher (Algorithm 2) and the degradation policy are
+        # stateful: batching the vectors must keep the per-round semantics,
+        # also when the rounds carry different sample counts
         scenario, batches, _ = world
-        tracker = scenario.make_tracker("fttt")
-        tracker.reset()
-        a = tracker.track(batches)
-        b = self._loop_track(tracker, batches)
-        self._assert_tracks_equal(a, b)
+        ragged = [_drop_samples(b, i % 3) for i, b in enumerate(batches)]
+        for name in ("fttt", "fttt-extended", "fttt-robust", "fttt-zero"):
+            for trace in (batches, ragged):
+                tracker = scenario.make_tracker(name)
+                tracker.reset()
+                a = tracker.track(trace)
+                b = self._loop_track(tracker, trace)
+                self._assert_tracks_equal(a, b)
+
+    @pytest.mark.parametrize("name", ["fttt", "fttt-robust", "fttt-zero", "fttt-exhaustive"])
+    def test_track_builds_vectors_once(self, world, name, monkeypatch):
+        scenario, batches, _ = world
+        tracker = scenario.make_tracker(name)
+        calls = []
+        build_vectors = tracker.build_vectors
+
+        def counting(rss_stack):
+            calls.append(np.shape(rss_stack))
+            return build_vectors(rss_stack)
+
+        monkeypatch.setattr(tracker, "build_vectors", counting)
+        tracker.track(batches)
+        assert calls == [np.shape(np.stack([b.rss for b in batches]))]
 
     def test_pm_viterbi_identical_to_pre_batched_decode(self, world):
         # PM's batched emissions must reproduce the per-round scores the
@@ -216,6 +245,47 @@ class TestBatchedTrackers:
             vector = tracker.build_vector(np.asarray(batch.rss, dtype=float))
             d2 = fm.distances_to(vector)
             assert est.sq_distance == float(d2[int(est.face_ids[0])])
+
+
+class TestChunkedMatching:
+    """Satellite: distances_to_many / match_many block over the trace axis.
+
+    The block size is ``_GEMM_TEMP_BYTES // (4 * F)`` rows; the tests set
+    the byte budget so the blocks hold exactly ``chunk_rows`` rows.
+    """
+
+    def _vectors(self, face_map, rng, n):
+        idx = rng.integers(0, face_map.n_faces, size=n)
+        return face_map.signatures[idx].astype(np.float32)
+
+    def _set_block_rows(self, monkeypatch, face_map, chunk_rows):
+        monkeypatch.setattr(faces, "_GEMM_TEMP_BYTES", 4 * face_map.n_faces * chunk_rows)
+        assert face_map._block_rows() == chunk_rows
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 7, 10_000])
+    def test_distances_to_many_invariant(self, face_map, rng, chunk_rows, monkeypatch):
+        V = self._vectors(face_map, rng, 23)
+        base = face_map.distances_to_many(V)
+        self._set_block_rows(monkeypatch, face_map, chunk_rows)
+        chunked = face_map.distances_to_many(V)
+        assert np.array_equal(base, chunked, equal_nan=True)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 5, 10_000])
+    def test_match_many_invariant(self, face_map, rng, chunk_rows, monkeypatch):
+        V = self._vectors(face_map, rng, 23)
+        base_ties, base_best = face_map.match_many(V)
+        self._set_block_rows(monkeypatch, face_map, chunk_rows)
+        ties, best = face_map.match_many(V)
+        assert np.array_equal(base_best, best)
+        assert len(base_ties) == len(ties)
+        for a, b in zip(base_ties, ties):
+            assert np.array_equal(a, b)
+
+    def test_default_chunk_is_bounded(self, face_map):
+        # the default must keep the GEMM temp under the documented cap
+        chunk = face_map._block_rows()
+        assert chunk * face_map.n_faces * 4 <= 256 * 1024 * 1024
+        assert chunk >= 1
 
 
 class TestBatchedCensus:

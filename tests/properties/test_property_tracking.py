@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.tracker import FTTTracker
 from repro.core.trajectory import exponential_smoothing, median_filter, moving_average
-from repro.network.mac import SlottedContentionMac
 from repro.testbed.packets import ReportFrame, decode_frame, encode_frame
 
 
@@ -110,16 +109,3 @@ class TestPacketRoundtripProperty:
             clamped = min(max(orig, -128.0), 127.9375)
             assert abs(got - clamped) <= (1 / 16) / 2 + 1e-9
 
-
-class TestMacInvariants:
-    @given(st.integers(1, 40), st.integers(1, 32), st.integers(0, 4), st.integers(0, 10_000))
-    @settings(max_examples=60, deadline=None)
-    def test_delivered_subset_of_reporting(self, n, slots, retries, seed):
-        rng = np.random.default_rng(seed)
-        mac = SlottedContentionMac(n_slots=slots, max_retries=retries)
-        reporting = rng.random(n) < 0.7
-        stats = mac.contend(reporting, rng)
-        assert not (stats.delivered & ~reporting).any()
-        # delays known exactly for delivered, NaN otherwise
-        assert np.isnan(stats.delay_slots[~stats.delivered]).all()
-        assert np.all(stats.delay_slots[stats.delivered] >= 0)
