@@ -15,8 +15,8 @@ from typing import Iterable
 import numpy as np
 
 from repro.baselines.sequences import sign_vector_from_rss, sign_vectors_from_rss
-from repro.core.matching import ExhaustiveMatcher
-from repro.core.tracker import TrackEstimate, TrackResult
+from repro.core.matching import ExhaustiveMatcher, MatchResult
+from repro.core.tracker import TrackEstimate, Tracker, TrackResult
 from repro.geometry.faces import FaceMap
 from repro.geometry.primitives import enumerate_pairs
 from repro.obs import metrics as obs
@@ -25,7 +25,7 @@ from repro.rf.channel import SampleBatch
 __all__ = ["DirectMLETracker"]
 
 
-class DirectMLETracker:
+class DirectMLETracker(Tracker):
     """Independent per-round sequence matching over the certain face map.
 
     Parameters
@@ -37,74 +37,57 @@ class DirectMLETracker:
         reading — while ``"last"`` replicates literal one-shot sensing.
     """
 
+    _rounds_counter = "baselines.direct_mle.rounds"
+
     def __init__(self, face_map: FaceMap, *, reduce: str = "mean") -> None:
         if reduce not in ("mean", "last"):
             raise ValueError(f"unknown reduce {reduce!r}")
         self.face_map = face_map
+        self.n_sensors = face_map.n_nodes
         self.reduce = reduce
         self._pairs = enumerate_pairs(face_map.n_nodes)
         self._matcher = ExhaustiveMatcher(face_map)
 
     def build_vector(self, rss: np.ndarray) -> np.ndarray:
+        """Pairwise sign vector of one round (``(k, n)`` group or ``(n,)`` row)."""
         return sign_vector_from_rss(rss, self._pairs, reduce=self.reduce)
 
-    def localize(self, rss: np.ndarray, t: float = 0.0) -> TrackEstimate:
-        rss = np.atleast_2d(np.asarray(rss, dtype=float))
-        if rss.shape[1] != self.face_map.n_nodes:
-            raise ValueError(
-                f"rss has {rss.shape[1]} sensors but the face map expects "
-                f"{self.face_map.n_nodes}"
-            )
-        vector = self.build_vector(rss)
-        match = self._matcher.match(vector)
-        if obs.enabled():
-            obs.counter("baselines.direct_mle.rounds").inc()
+    def build_vectors(self, rss_stack: np.ndarray) -> np.ndarray:
+        """``(T, k, n)`` round stack -> ``(T, P)`` pairwise sign vectors."""
+        return sign_vectors_from_rss(rss_stack, self._pairs, reduce=self.reduce)
+
+    def _estimate(self, t: float, rss: np.ndarray, match: MatchResult) -> TrackEstimate:
         return TrackEstimate(
             t=t,
             position=match.position,
             face_ids=match.face_ids,
             sq_distance=match.sq_distance,
-            n_reporting=int((~np.isnan(rss).all(axis=0)).sum()),
+            n_reporting=self._n_reporting(rss),
             visited_faces=match.visited,
         )
 
-    def localize_batch(self, batch: SampleBatch, t: "float | None" = None) -> TrackEstimate:
-        t0 = float(batch.times[0]) if t is None else t
-        return self.localize(batch.rss, t=t0)
+    def localize(self, rss: np.ndarray, t: float = 0.0) -> TrackEstimate:
+        rss = self._as_rss(rss)
+        match = self._matcher.match(self.build_vector(rss))
+        if obs.enabled():
+            obs.counter(self._rounds_counter).inc()
+        return self._estimate(t, rss, match)
 
     def track(self, batches: Iterable[SampleBatch]) -> TrackResult:
         """Localize the whole trace in one batched kernel call.
 
         Rounds are matched independently (that is the point of this
-        baseline), so the per-round loop collapses into one batched sign
-        -vector build plus one GEMM match — bit-identical to looping.
+        baseline), so the per-round loop collapses into the trace's sign
+        vectors plus one GEMM match, row-identical to :meth:`localize`.
         """
         batches = list(batches)
-        stack = [np.atleast_2d(np.asarray(b.rss, dtype=float)) for b in batches]
-        if len(batches) > 1 and all(
-            s.shape == stack[0].shape and s.shape[1] == self.face_map.n_nodes for s in stack
-        ):
-            rss_stack = np.stack(stack)
-            vectors = sign_vectors_from_rss(rss_stack, self._pairs, reduce=self.reduce)
-            matches = self._matcher.match_many(vectors)
-            if obs.enabled():
-                obs.counter("baselines.direct_mle.rounds").inc(len(batches))
-            result = TrackResult()
-            for batch, rss, match in zip(batches, rss_stack, matches):
-                est = TrackEstimate(
-                    t=float(batch.times[0]),
-                    position=match.position,
-                    face_ids=match.face_ids,
-                    sq_distance=match.sq_distance,
-                    n_reporting=int((~np.isnan(rss).all(axis=0)).sum()),
-                    visited_faces=match.visited,
-                )
-                result.append(est, batch.mean_position)
-            return result
         result = TrackResult()
-        for batch in batches:
-            result.append(self.localize_batch(batch), batch.mean_position)
+        if not batches:
+            return result
+        rounds, vectors = self._trace_vectors(batches)
+        matches = self._matcher.match_many(vectors)
+        if obs.enabled():
+            obs.counter(self._rounds_counter).inc(len(batches))
+        for batch, rss, match in zip(batches, rounds, matches):
+            result.append(self._estimate(float(batch.times[0]), rss, match), batch.mean_position)
         return result
-
-    def reset(self) -> None:
-        """Stateless; present for tracker-interface parity."""

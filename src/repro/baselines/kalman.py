@@ -13,17 +13,14 @@ turns keep violating.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
-from repro.core.tracker import TrackEstimate, TrackResult
-from repro.rf.channel import SampleBatch
+from repro.core.tracker import TrackEstimate, Tracker
 
 __all__ = ["KalmanTracker"]
 
 
-class KalmanTracker:
+class KalmanTracker(Tracker):
     """Constant-velocity Kalman filter over per-round position fixes.
 
     State ``[x, y, vx, vy]``; measurements are the 2-D position estimates
@@ -31,8 +28,9 @@ class KalmanTracker:
 
     Parameters
     ----------
-    measurement_tracker : any tracker with ``localize_batch`` — produces
-        the position fixes the filter smooths (e.g. ``RangeMLETracker``).
+    measurement_tracker : any :class:`~repro.core.tracker.Tracker` — its
+        ``localize`` produces the position fixes the filter smooths (e.g.
+        ``RangeMLETracker``) and checks the RSS width.
     process_sigma : accel-noise scale (m/s^2); larger trusts measurements
         more during manoeuvres.
     measurement_sigma : assumed std of the position fixes (metres).
@@ -50,6 +48,7 @@ class KalmanTracker:
         if process_sigma <= 0 or measurement_sigma <= 0:
             raise ValueError("noise scales must be positive")
         self.inner = measurement_tracker
+        self.n_sensors = measurement_tracker.n_sensors
         self.process_sigma = process_sigma
         self.measurement_sigma = measurement_sigma
         self.field_size = field_size
@@ -87,42 +86,26 @@ class KalmanTracker:
 
     # -- tracker interface ----------------------------------------------------
 
-    def localize_batch(self, batch: SampleBatch, t: "float | None" = None) -> TrackEstimate:
-        t0 = float(batch.times[0]) if t is None else t
-        fix = self.inner.localize_batch(batch)
+    def localize(self, rss: np.ndarray, t: float = 0.0) -> TrackEstimate:
+        fix = self.inner.localize(rss, t)
         z = np.asarray(fix.position, dtype=float)
         if self._state is None:
             self._state = np.array([z[0], z[1], 0.0, 0.0])
             self._cov = np.diag([self.measurement_sigma**2] * 2 + [4.0, 4.0])
         else:
-            dt = max(t0 - (self._last_t if self._last_t is not None else t0), 1e-3)
+            dt = max(t - (self._last_t if self._last_t is not None else t), 1e-3)
             self._predict(dt)
             self._update(z)
-        self._last_t = t0
+        self._last_t = t
         pos = np.clip(self._state[:2], 0.0, self.field_size)
         return TrackEstimate(
-            t=t0,
+            t=t,
             position=pos.copy(),
             face_ids=np.array([-1]),
             sq_distance=float("nan"),
             n_reporting=fix.n_reporting,
             visited_faces=fix.visited_faces,
         )
-
-    def localize(self, rss: np.ndarray, t: float = 0.0) -> TrackEstimate:
-        batch = SampleBatch(
-            rss=np.atleast_2d(np.asarray(rss, dtype=float)),
-            times=np.array([t]) if np.atleast_2d(rss).shape[0] == 1 else t + 0.1 * np.arange(np.atleast_2d(rss).shape[0]),
-            positions=np.zeros((np.atleast_2d(rss).shape[0], 2)),
-        )
-        return self.localize_batch(batch, t=t)
-
-    def track(self, batches: Iterable[SampleBatch]) -> TrackResult:
-        self.reset()
-        result = TrackResult()
-        for batch in batches:
-            result.append(self.localize_batch(batch), batch.mean_position)
-        return result
 
     def reset(self) -> None:
         self._state = None

@@ -6,56 +6,35 @@ deployment density, making it a useful yardstick in benchmark tables.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
-from repro.core.tracker import TrackEstimate, TrackResult
-from repro.rf.channel import SampleBatch
+from repro.baselines.sequences import mean_rss
+from repro.core.tracker import TrackEstimate, Tracker
 
 __all__ = ["NearestNodeTracker"]
 
 
-class NearestNodeTracker:
+class NearestNodeTracker(Tracker):
     """Estimate = position of the sensor with the highest mean RSS."""
 
     def __init__(self, nodes: np.ndarray) -> None:
         self.nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
+        self.n_sensors = len(self.nodes)
 
     def localize(self, rss: np.ndarray, t: float = 0.0) -> TrackEstimate:
-        rss = np.atleast_2d(np.asarray(rss, dtype=float))
-        if rss.shape[1] != len(self.nodes):
-            raise ValueError(
-                f"rss has {rss.shape[1]} sensors but the tracker knows {len(self.nodes)}"
-            )
-        all_nan = np.isnan(rss).all(axis=0)
-        counts = np.maximum((~np.isnan(rss)).sum(axis=0), 1)
-        sums = np.where(np.isnan(rss), 0.0, rss).sum(axis=0)
-        mean_rss = np.where(all_nan, np.nan, sums / counts)
-        if np.isnan(mean_rss).all():
+        rss = self._as_rss(rss)
+        means = mean_rss(rss)
+        if np.isnan(means).all():
             position = self.nodes.mean(axis=0)  # nobody heard anything
             loudest = -1
         else:
-            loudest = int(np.nanargmax(mean_rss))
+            loudest = int(np.nanargmax(means))
             position = self.nodes[loudest].copy()
         return TrackEstimate(
             t=t,
             position=position,
             face_ids=np.array([loudest]),
             sq_distance=float("nan"),
-            n_reporting=int((~np.isnan(rss).all(axis=0)).sum()),
+            n_reporting=self._n_reporting(rss),
             visited_faces=0,
         )
-
-    def localize_batch(self, batch: SampleBatch, t: "float | None" = None) -> TrackEstimate:
-        t0 = float(batch.times[0]) if t is None else t
-        return self.localize(batch.rss, t=t0)
-
-    def track(self, batches: Iterable[SampleBatch]) -> TrackResult:
-        result = TrackResult()
-        for batch in batches:
-            result.append(self.localize_batch(batch), batch.mean_position)
-        return result
-
-    def reset(self) -> None:
-        """Stateless; interface parity."""

@@ -12,19 +12,16 @@ related work describes.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
-from repro.core.tracker import TrackEstimate, TrackResult
-from repro.rf.channel import SampleBatch
+from repro.core.tracker import TrackEstimate, Tracker
 from repro.rf.pathloss import LogDistancePathLoss
 from repro.rng import ensure_rng
 
 __all__ = ["ParticleFilterTracker"]
 
 
-class ParticleFilterTracker:
+class ParticleFilterTracker(Tracker):
     """Bootstrap (SIR) particle filter with a near-constant-velocity prior.
 
     Parameters
@@ -55,6 +52,7 @@ class ParticleFilterTracker:
         seed: "int | np.random.Generator | None" = 0,
     ) -> None:
         self.nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
+        self.n_sensors = len(self.nodes)
         self.pathloss = pathloss
         if noise_sigma_dbm <= 0:
             raise ValueError(f"noise sigma must be positive, got {noise_sigma_dbm}")
@@ -127,16 +125,16 @@ class ParticleFilterTracker:
 
     # -- tracker interface ----------------------------------------------------
 
-    def localize_batch(self, batch: SampleBatch, t: "float | None" = None) -> TrackEstimate:
-        t0 = float(batch.times[0]) if t is None else t
+    def localize(self, rss: np.ndarray, t: float = 0.0) -> TrackEstimate:
+        rss = self._as_rss(rss)
         if self._pos is None:
             self._init_particles()
         else:
-            dt = max(t0 - (self._last_t if self._last_t is not None else t0), 1e-3)
+            dt = max(t - (self._last_t if self._last_t is not None else t), 1e-3)
             self._propagate(dt)
-        self._last_t = t0
+        self._last_t = t
 
-        loglik = self._log_likelihood(batch.rss)
+        loglik = self._log_likelihood(rss)
         loglik -= loglik.max()
         w = self._weights * np.exp(loglik)
         total = w.sum()
@@ -145,36 +143,18 @@ class ParticleFilterTracker:
             w = self._weights.copy()
             total = w.sum()
         self._weights = w / total
+        estimate = (self._pos * self._weights[:, None]).sum(axis=0)
         if self._effective_sample_size() < self.resample_threshold * self.n_particles:
-            estimate = (self._pos * self._weights[:, None]).sum(axis=0)
             self._resample()
-        else:
-            estimate = (self._pos * self._weights[:, None]).sum(axis=0)
 
         return TrackEstimate(
-            t=t0,
+            t=t,
             position=np.clip(estimate, 0.0, self.field_size),
             face_ids=np.array([-1]),
             sq_distance=float("nan"),
-            n_reporting=int((~np.isnan(batch.rss).all(axis=0)).sum()),
+            n_reporting=self._n_reporting(rss),
             visited_faces=self.n_particles,
         )
-
-    def localize(self, rss: np.ndarray, t: float = 0.0) -> TrackEstimate:
-        rss = np.atleast_2d(np.asarray(rss, dtype=float))
-        batch = SampleBatch(
-            rss=rss,
-            times=t + 0.1 * np.arange(rss.shape[0]),
-            positions=np.zeros((rss.shape[0], 2)),
-        )
-        return self.localize_batch(batch, t=t)
-
-    def track(self, batches: Iterable[SampleBatch]) -> TrackResult:
-        self.reset()
-        result = TrackResult()
-        for batch in batches:
-            result.append(self.localize_batch(batch), batch.mean_position)
-        return result
 
     def reset(self) -> None:
         self._pos = None

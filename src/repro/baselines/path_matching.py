@@ -14,31 +14,24 @@ paper criticizes PM for needing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from repro.baselines.sequences import sign_vector_from_rss, sign_vectors_from_rss
+from repro.baselines.direct_mle import DirectMLETracker
 from repro.core.tracker import TrackEstimate, TrackResult
 from repro.geometry.faces import FaceMap
-from repro.geometry.primitives import enumerate_pairs
 from repro.obs import metrics as obs
 from repro.rf.channel import SampleBatch
 
 __all__ = ["PathMatchingTracker"]
 
 
-@dataclass(frozen=True)
-class _Round:
-    t: float
-    vector: np.ndarray
-    n_reporting: int
-    true_position: np.ndarray
-
-
-class PathMatchingTracker:
+class PathMatchingTracker(DirectMLETracker):
     """Viterbi path matching over the certain face map.
+
+    Vectors and single-round :meth:`localize` are Direct MLE's (one round
+    has no path); :meth:`track` decodes the whole trace offline.
 
     Parameters
     ----------
@@ -51,6 +44,8 @@ class PathMatchingTracker:
         the reachable radius (soft constraint; decoding never dead-ends).
     unreachable_penalty : cap on the per-transition penalty.
     """
+
+    _rounds_counter = "baselines.pm.rounds"
 
     def __init__(
         self,
@@ -68,66 +63,37 @@ class PathMatchingTracker:
             raise ValueError(f"beam width must be >= 1, got {beam_width}")
         if penalty_per_m < 0 or unreachable_penalty < 0:
             raise ValueError("penalties must be non-negative")
-        self.face_map = face_map
+        super().__init__(face_map, reduce=reduce)
         self.vmax_mps = vmax_mps
         self.beam_width = beam_width
-        self.reduce = reduce
         self.penalty_per_m = penalty_per_m
         self.unreachable_penalty = unreachable_penalty
-        self._pairs = enumerate_pairs(face_map.n_nodes)
         # equivalent face radius: how far inside a face the target may sit
         areas = face_map.cell_counts * face_map.grid.cell_size**2
         self._face_radius = np.sqrt(areas / np.pi)
 
-    # -- per-round machinery -------------------------------------------------
-
-    def build_vector(self, rss: np.ndarray) -> np.ndarray:
-        return sign_vector_from_rss(rss, self._pairs, reduce=self.reduce)
-
-    def _emission_scores(self, vector: np.ndarray) -> np.ndarray:
-        """Negative squared vector distance to every face (log-likelihood shape)."""
-        return -self.face_map.distances_to(vector)
-
-    def localize(self, rss: np.ndarray, t: float = 0.0) -> TrackEstimate:
-        """Single-round localization (degenerates to Direct MLE: no path)."""
-        rss = np.atleast_2d(np.asarray(rss, dtype=float))
-        vector = self.build_vector(rss)
-        scores = self._emission_scores(vector)
-        best = float(scores.max())
-        ties = np.flatnonzero(scores >= best - 1e-9)
-        return TrackEstimate(
-            t=t,
-            position=self.face_map.centroids[ties].mean(axis=0),
-            face_ids=ties,
-            sq_distance=-best,
-            n_reporting=int((~np.isnan(rss).all(axis=0)).sum()),
-            visited_faces=self.face_map.n_faces,
-        )
-
     # -- path decoding ---------------------------------------------------------
 
-    def _decode(self, rounds: Sequence[_Round]) -> list[TrackEstimate]:
-        if not rounds:
-            return []
+    def _decode(
+        self, times: "list[float]", vectors: np.ndarray
+    ) -> "tuple[list[int], np.ndarray, int]":
+        """Viterbi over per-round beams: the decoded face of every round, the
+        ``(T, F)`` squared vector distances and the beam width."""
         fm = self.face_map
         # batched emissions: one GEMM for the whole trace instead of a
         # distances_to call per round (bit-identical; see distances_to_many)
-        vectors = np.stack([rnd.vector for rnd in rounds])
-        em_all = -fm.distances_to_many(vectors)  # (T, F)
-        beams: list[np.ndarray] = []
-        scores_list: list[np.ndarray] = []
-        for em in em_all:
-            width = min(self.beam_width, fm.n_faces)
-            beam = np.argpartition(-em, width - 1)[:width]
-            beams.append(beam)
-            scores_list.append(em[beam])
+        d2 = fm.distances_to_many(vectors)  # (T, F)
+        width = min(self.beam_width, fm.n_faces)
+        beams = [np.argpartition(row, width - 1)[:width] for row in d2]
+        # emission score: negative squared vector distance (log-likelihood shape)
+        scores_list = [-row[beam] for row, beam in zip(d2, beams)]
 
         # Viterbi over beams
         total = scores_list[0].copy()
         backptr: list[np.ndarray] = []
-        for step in range(1, len(rounds)):
+        for step in range(1, len(times)):
             prev_beam, beam = beams[step - 1], beams[step]
-            dt = max(rounds[step].t - rounds[step - 1].t, 1e-9)
+            dt = max(times[step] - times[step - 1], 1e-9)
             reach = (
                 self.vmax_mps * dt
                 + self._face_radius[prev_beam][:, None]
@@ -147,55 +113,31 @@ class PathMatchingTracker:
         # backtrack
         idx = int(np.argmax(total))
         path_rev = [int(beams[-1][idx])]
-        for step in range(len(rounds) - 1, 0, -1):
+        for step in range(len(times) - 1, 0, -1):
             idx = int(backptr[step - 1][idx])
             path_rev.append(int(beams[step - 1][idx]))
-        path = path_rev[::-1]
-
-        estimates = []
-        for step, (rnd, fid) in enumerate(zip(rounds, path)):
-            d2 = float(-em_all[step, fid])
-            estimates.append(
-                TrackEstimate(
-                    t=rnd.t,
-                    position=fm.centroids[fid].copy(),
-                    face_ids=np.array([fid]),
-                    sq_distance=d2,
-                    n_reporting=rnd.n_reporting,
-                    visited_faces=len(beams[0]) * len(rounds),
-                )
-            )
-        return estimates
+        return path_rev[::-1], d2, width
 
     def track(self, batches: Iterable[SampleBatch]) -> TrackResult:
         """Offline optimal-path decoding over the whole trace."""
         batches = list(batches)
-        stack = [np.atleast_2d(np.asarray(b.rss, dtype=float)) for b in batches]
-        if len(batches) > 1 and all(s.shape == stack[0].shape for s in stack):
-            # batched sign-vector construction (bit-identical to per-round)
-            vectors = sign_vectors_from_rss(np.stack(stack), self._pairs, reduce=self.reduce)
-        else:
-            vectors = [self.build_vector(rss) for rss in stack]
-        rounds: list[_Round] = []
-        for batch, rss, vector in zip(batches, stack, vectors):
-            rounds.append(
-                _Round(
-                    t=float(batch.times[0]),
-                    vector=np.asarray(vector),
-                    n_reporting=int((~np.isnan(rss).all(axis=0)).sum()),
-                    true_position=batch.mean_position,
-                )
-            )
-        estimates = self._decode(rounds)
-        if obs.enabled():
-            obs.counter("baselines.pm.rounds").inc(len(estimates))
-            obs.histogram("baselines.pm.beam_width").observe(
-                min(self.beam_width, self.face_map.n_faces)
-            )
         result = TrackResult()
-        for est, rnd in zip(estimates, rounds):
-            result.append(est, rnd.true_position)
+        if not batches:
+            return result
+        rounds, vectors = self._trace_vectors(batches)
+        times = [float(b.times[0]) for b in batches]
+        path, d2, width = self._decode(times, vectors)
+        if obs.enabled():
+            obs.counter(self._rounds_counter).inc(len(batches))
+            obs.histogram("baselines.pm.beam_width").observe(width)
+        for step, (batch, rss, fid) in enumerate(zip(batches, rounds, path)):
+            est = TrackEstimate(
+                t=times[step],
+                position=self.face_map.centroids[fid].copy(),
+                face_ids=np.array([fid]),
+                sq_distance=float(d2[step, fid]),
+                n_reporting=self._n_reporting(rss),
+                visited_faces=width * len(batches),
+            )
+            result.append(est, batch.mean_position)
         return result
-
-    def reset(self) -> None:
-        """Stateless between track() calls."""

@@ -11,17 +11,14 @@ uncertainty-aware baseline that, unlike FTTT, throws away the pairwise
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
-from repro.core.tracker import TrackEstimate, TrackResult
-from repro.rf.channel import SampleBatch
+from repro.core.tracker import TrackEstimate, Tracker
 
 __all__ = ["PkNNTracker"]
 
 
-class PkNNTracker:
+class PkNNTracker(Tracker):
     """Probability-weighted centroid of the probably-k-nearest sensors.
 
     Parameters
@@ -33,6 +30,7 @@ class PkNNTracker:
 
     def __init__(self, nodes: np.ndarray, *, k_neighbors: int = 4, min_prob: float = 0.05) -> None:
         self.nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
+        self.n_sensors = len(self.nodes)
         if k_neighbors < 1:
             raise ValueError(f"k_neighbors must be >= 1, got {k_neighbors}")
         if not (0.0 <= min_prob < 1.0):
@@ -59,11 +57,7 @@ class PkNNTracker:
         return votes / valid_samples
 
     def localize(self, rss: np.ndarray, t: float = 0.0) -> TrackEstimate:
-        rss = np.atleast_2d(np.asarray(rss, dtype=float))
-        if rss.shape[1] != len(self.nodes):
-            raise ValueError(
-                f"rss has {rss.shape[1]} sensors but the tracker knows {len(self.nodes)}"
-            )
+        rss = self._as_rss(rss)
         probs = self.membership_probabilities(rss)
         candidates = probs > self.min_prob
         if not candidates.any():
@@ -76,19 +70,6 @@ class PkNNTracker:
             position=position,
             face_ids=np.array([-1]),
             sq_distance=float("nan"),
-            n_reporting=int((~np.isnan(rss).all(axis=0)).sum()),
+            n_reporting=self._n_reporting(rss),
             visited_faces=0,
         )
-
-    def localize_batch(self, batch: SampleBatch, t: "float | None" = None) -> TrackEstimate:
-        t0 = float(batch.times[0]) if t is None else t
-        return self.localize(batch.rss, t=t0)
-
-    def track(self, batches: Iterable[SampleBatch]) -> TrackResult:
-        result = TrackResult()
-        for batch in batches:
-            result.append(self.localize_batch(batch), batch.mean_position)
-        return result
-
-    def reset(self) -> None:
-        """Stateless; interface parity."""

@@ -10,19 +10,17 @@ hurts when the model is inverted directly.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 from scipy.optimize import least_squares
 
-from repro.core.tracker import TrackEstimate, TrackResult
-from repro.rf.channel import SampleBatch
+from repro.baselines.sequences import mean_rss
+from repro.core.tracker import TrackEstimate, Tracker
 from repro.rf.pathloss import LogDistancePathLoss
 
 __all__ = ["RangeMLETracker"]
 
 
-class RangeMLETracker:
+class RangeMLETracker(Tracker):
     """Weighted nonlinear least squares on inverted-path-loss ranges.
 
     Parameters
@@ -44,18 +42,19 @@ class RangeMLETracker:
         min_sensors: int = 3,
     ) -> None:
         self.nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
+        self.n_sensors = len(self.nodes)
         self.pathloss = pathloss
         self.field_size = field_size
         if min_sensors < 1:
             raise ValueError(f"min_sensors must be >= 1, got {min_sensors}")
         self.min_sensors = min_sensors
 
-    def _estimate(self, mean_rss: np.ndarray) -> np.ndarray:
-        ok = ~np.isnan(mean_rss)
+    def _estimate(self, means: np.ndarray) -> np.ndarray:
+        ok = ~np.isnan(means)
         nodes = self.nodes[ok]
         if ok.sum() == 0:
             return np.full(2, self.field_size / 2.0)
-        ranges = self.pathloss.distance_from_rss(mean_rss[ok])
+        ranges = self.pathloss.distance_from_rss(means[ok])
         weights = 1.0 / np.maximum(ranges, 1.0)  # nearer sensors are more informative
         x0 = (nodes * weights[:, None]).sum(axis=0) / weights.sum()
         if ok.sum() < self.min_sensors:
@@ -75,34 +74,12 @@ class RangeMLETracker:
         return sol.x
 
     def localize(self, rss: np.ndarray, t: float = 0.0) -> TrackEstimate:
-        rss = np.atleast_2d(np.asarray(rss, dtype=float))
-        if rss.shape[1] != len(self.nodes):
-            raise ValueError(
-                f"rss has {rss.shape[1]} sensors but the tracker knows {len(self.nodes)}"
-            )
-        all_nan = np.isnan(rss).all(axis=0)
-        counts = np.maximum((~np.isnan(rss)).sum(axis=0), 1)
-        sums = np.where(np.isnan(rss), 0.0, rss).sum(axis=0)
-        mean_rss = np.where(all_nan, np.nan, sums / counts)
-        position = self._estimate(mean_rss)
+        rss = self._as_rss(rss)
         return TrackEstimate(
             t=t,
-            position=position,
+            position=self._estimate(mean_rss(rss)),
             face_ids=np.array([-1]),  # no face semantics for a range method
             sq_distance=float("nan"),
-            n_reporting=int((~np.isnan(rss).all(axis=0)).sum()),
+            n_reporting=self._n_reporting(rss),
             visited_faces=0,
         )
-
-    def localize_batch(self, batch: SampleBatch, t: "float | None" = None) -> TrackEstimate:
-        t0 = float(batch.times[0]) if t is None else t
-        return self.localize(batch.rss, t=t0)
-
-    def track(self, batches: Iterable[SampleBatch]) -> TrackResult:
-        result = TrackResult()
-        for batch in batches:
-            result.append(self.localize_batch(batch), batch.mean_position)
-        return result
-
-    def reset(self) -> None:
-        """Stateless; interface parity."""

@@ -16,6 +16,7 @@ from repro.geometry.primitives import enumerate_pairs
 
 __all__ = [
     "detection_sequence",
+    "mean_rss",
     "sign_vector_from_rss",
     "sign_vectors_from_rss",
     "sign_vector_from_ranks",
@@ -35,54 +36,32 @@ def detection_sequence(rss_row: np.ndarray) -> np.ndarray:
     return np.argsort(-key, kind="stable")
 
 
+def mean_rss(rss: np.ndarray) -> np.ndarray:
+    """Per-sensor mean RSS of grouping samplings: the mean over the sample
+    axis of a ``(..., k, n)`` array, skipping missing (NaN) samples; NaN
+    for a sensor that heard nothing."""
+    rss = np.asarray(rss, dtype=float)
+    missing = np.isnan(rss)
+    counts = np.maximum((~missing).sum(axis=-2), 1)
+    sums = np.where(missing, 0.0, rss).sum(axis=-2)
+    return np.where(missing.all(axis=-2), np.nan, sums / counts)
+
+
 def sign_vector_from_rss(
     rss: np.ndarray,
     pairs: "tuple[np.ndarray, np.ndarray] | None" = None,
     *,
     reduce: str = "mean",
 ) -> np.ndarray:
-    """Pairwise sign vector of a detection outcome.
+    """Pairwise sign vector of one detection outcome: the ``T = 1`` case of
+    :func:`sign_vectors_from_rss`.
 
-    Parameters
-    ----------
-    rss : (n,) one-shot RSS row, or (k, n) group reduced per *reduce*.
-    reduce : ``"mean"`` averages the group before comparing (the strongest
-        fair reading a certain-sequence method can get from the same data
-        FTTT sees); ``"last"`` uses the final sample only (literal one-shot
-        sensing).
-
-    Returns
-    -------
-    (P,) float vector in {-1, 0, +1}; NaN where both sensors are silent.
+    *rss* is a ``(n,)`` one-shot RSS row or a ``(k, n)`` group.
     """
     rss = np.asarray(rss, dtype=float)
-    if rss.ndim == 2:
-        if reduce == "mean":
-            all_nan = np.isnan(rss).all(axis=0)
-            counts = np.maximum((~np.isnan(rss)).sum(axis=0), 1)
-            sums = np.where(np.isnan(rss), 0.0, rss).sum(axis=0)
-            row = np.where(all_nan, np.nan, sums / counts)
-        elif reduce == "last":
-            row = rss[-1]
-        else:
-            raise ValueError(f"unknown reduce {reduce!r}")
-    elif rss.ndim == 1:
-        row = rss
-    else:
+    if rss.ndim not in (1, 2):
         raise ValueError(f"rss must be 1-D or 2-D, got shape {rss.shape}")
-
-    n = len(row)
-    if pairs is None:
-        pairs = enumerate_pairs(n)
-    i_idx, j_idx = pairs
-    a, b = row[i_idx], row[j_idx]
-    both_nan = np.isnan(a) & np.isnan(b)
-    with np.errstate(invalid="ignore"):
-        val = np.sign(
-            np.where(np.isnan(a), -np.inf, a) - np.where(np.isnan(b), -np.inf, b)
-        ).astype(float)
-    val[both_nan] = np.nan
-    return val
+    return sign_vectors_from_rss(np.atleast_2d(rss)[None], pairs, reduce=reduce)[0]
 
 
 def sign_vectors_from_rss(
@@ -91,19 +70,26 @@ def sign_vectors_from_rss(
     *,
     reduce: str = "mean",
 ) -> np.ndarray:
-    """Batched :func:`sign_vector_from_rss` over a ``(T, k, n)`` round stack.
+    """Pairwise sign vectors of a ``(T, k, n)`` stack of detection outcomes.
 
-    Row ``t`` is bit-identical to ``sign_vector_from_rss(rss[t], ...)`` —
-    the reduction and comparisons are elementwise per round.
+    Parameters
+    ----------
+    rss : one ``(k, n)`` group per round, reduced per *reduce*.
+    reduce : ``"mean"`` averages the group before comparing (the strongest
+        fair reading a certain-sequence method can get from the same data
+        FTTT sees); ``"last"`` uses the final sample only (literal one-shot
+        sensing).
+
+    Returns
+    -------
+    (T, P) float vectors in {-1, 0, +1}; NaN where both sensors are silent
+    (a silent sensor reads weaker than a reporting one).
     """
     rss = np.asarray(rss, dtype=float)
     if rss.ndim != 3:
         raise ValueError(f"rss must be a (T, k, n) stack, got shape {rss.shape}")
     if reduce == "mean":
-        all_nan = np.isnan(rss).all(axis=1)  # (T, n)
-        counts = np.maximum((~np.isnan(rss)).sum(axis=1), 1)
-        sums = np.where(np.isnan(rss), 0.0, rss).sum(axis=1)
-        rows = np.where(all_nan, np.nan, sums / counts)
+        rows = mean_rss(rss)
     elif reduce == "last":
         rows = rss[:, -1]
     else:

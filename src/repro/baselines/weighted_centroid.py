@@ -8,17 +8,15 @@ between nearest-node and the model-based trackers.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
-from repro.core.tracker import TrackEstimate, TrackResult
-from repro.rf.channel import SampleBatch
+from repro.baselines.sequences import mean_rss
+from repro.core.tracker import TrackEstimate, Tracker
 
 __all__ = ["WeightedCentroidTracker"]
 
 
-class WeightedCentroidTracker:
+class WeightedCentroidTracker(Tracker):
     """Estimate = sum_i w_i x_i / sum_i w_i with w_i = linear-power^g.
 
     Parameters
@@ -30,27 +28,21 @@ class WeightedCentroidTracker:
 
     def __init__(self, nodes: np.ndarray, *, exponent: float = 1.0) -> None:
         self.nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
+        self.n_sensors = len(self.nodes)
         if exponent <= 0:
             raise ValueError(f"exponent must be positive, got {exponent}")
         self.exponent = exponent
 
     def localize(self, rss: np.ndarray, t: float = 0.0) -> TrackEstimate:
-        rss = np.atleast_2d(np.asarray(rss, dtype=float))
-        if rss.shape[1] != len(self.nodes):
-            raise ValueError(
-                f"rss has {rss.shape[1]} sensors but the tracker knows {len(self.nodes)}"
-            )
-        all_nan = np.isnan(rss).all(axis=0)
-        counts = np.maximum((~np.isnan(rss)).sum(axis=0), 1)
-        sums = np.where(np.isnan(rss), 0.0, rss).sum(axis=0)
-        mean_rss = np.where(all_nan, np.nan, sums / counts)
-        heard = ~np.isnan(mean_rss)
+        rss = self._as_rss(rss)
+        means = mean_rss(rss)
+        heard = ~np.isnan(means)
         if not heard.any():
             position = self.nodes.mean(axis=0)
         else:
             # linearize dBm relative to the loudest to avoid overflow,
             # then weight by power^exponent
-            rel = mean_rss[heard] - np.nanmax(mean_rss)
+            rel = means[heard] - np.nanmax(means)
             weights = (10.0 ** (rel / 10.0)) ** self.exponent
             weights = np.maximum(weights, 1e-12)
             position = (self.nodes[heard] * weights[:, None]).sum(axis=0) / weights.sum()
@@ -62,16 +54,3 @@ class WeightedCentroidTracker:
             n_reporting=int(heard.sum()),
             visited_faces=0,
         )
-
-    def localize_batch(self, batch: SampleBatch, t: "float | None" = None) -> TrackEstimate:
-        t0 = float(batch.times[0]) if t is None else t
-        return self.localize(batch.rss, t=t0)
-
-    def track(self, batches: Iterable[SampleBatch]) -> TrackResult:
-        result = TrackResult()
-        for batch in batches:
-            result.append(self.localize_batch(batch), batch.mean_position)
-        return result
-
-    def reset(self) -> None:
-        """Stateless; interface parity."""

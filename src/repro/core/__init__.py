@@ -15,7 +15,7 @@ from repro.core.vectors import (
 from repro.core.matching import ExhaustiveMatcher, MatchResult
 from repro.core.heuristic import HeuristicMatcher
 from repro.core.extended import expected_extended_signatures, attach_soft_signatures
-from repro.core.tracker import DegradationPolicy, FTTTracker, TrackEstimate, TrackResult
+from repro.core.tracker import DegradationPolicy, FTTTracker, TrackEstimate, Tracker, TrackResult
 from repro.core.trajectory import (
     smooth_result,
     smoothness_metrics,
@@ -43,6 +43,7 @@ __all__ = [
     "FTTTracker",
     "TrackEstimate",
     "TrackResult",
+    "Tracker",
     "smooth_result",
     "smoothness_metrics",
     "TrajectorySmoothness",

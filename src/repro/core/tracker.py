@@ -27,7 +27,7 @@ from repro.obs import metrics as obs
 from repro.obs.tracing import trace_event
 from repro.rf.channel import SampleBatch
 
-__all__ = ["DegradationPolicy", "FTTTracker", "TrackEstimate", "TrackResult"]
+__all__ = ["DegradationPolicy", "FTTTracker", "TrackEstimate", "TrackResult", "Tracker"]
 
 Mode = Literal["basic", "extended"]
 MatcherKind = Literal["heuristic", "exhaustive"]
@@ -166,12 +166,70 @@ class TrackResult:
         return len(self.estimates)
 
 
-def _n_reporting(rss: np.ndarray) -> int:
-    """Sensors that delivered at least one sample in a ``(k, n)`` round."""
-    return int((~np.isnan(rss).all(axis=0)).sum())
+class Tracker:
+    """The per-round contract every tracker shares.
+
+    A tracker turns one grouping sampling, a raw ``(k, n)`` RSS matrix
+    (NaN = missing), into a :class:`TrackEstimate` with :meth:`localize`;
+    a subclass implements that and sets ``n_sensors``, the RSS width it
+    accepts.  The rest is common: :meth:`localize_batch` stamps a round
+    with its first sample time, :meth:`track` localizes the rounds in
+    order *continuing from the tracker's state*, and :meth:`reset` starts
+    a fresh trace.  A subclass overrides :meth:`track` only where a whole
+    trace is cheaper than its rounds, building the trace's vectors with
+    :meth:`_trace_vectors`.
+    """
+
+    n_sensors: int
+
+    def localize(self, rss: np.ndarray, t: float = 0.0) -> TrackEstimate:
+        """Localize from a raw ``(k, n)`` RSS matrix (NaN = missing)."""
+        raise NotImplementedError
+
+    def localize_batch(self, batch: SampleBatch) -> TrackEstimate:
+        """Localize a :class:`~repro.rf.channel.SampleBatch`, stamped with
+        its first sample time."""
+        return self.localize(batch.rss, t=float(batch.times[0]))
+
+    def track(self, batches: Iterable[SampleBatch]) -> TrackResult:
+        """Localize each grouping sampling in order, continuing from the
+        tracker's state (call :meth:`reset` first for a fresh trace)."""
+        result = TrackResult()
+        for batch in batches:
+            result.append(self.localize_batch(batch), batch.mean_position)
+        return result
+
+    def reset(self) -> None:
+        """Start a fresh trace (stateless trackers have nothing to clear)."""
+
+    def _as_rss(self, rss: np.ndarray) -> np.ndarray:
+        """One round's raw ``(k, n)`` RSS matrix, checked against ``n_sensors``."""
+        rss = np.atleast_2d(np.asarray(rss, dtype=float))
+        if rss.shape[1] != self.n_sensors:
+            raise ValueError(
+                f"rss has {rss.shape[1]} sensors but the tracker expects {self.n_sensors}"
+            )
+        return rss
+
+    @staticmethod
+    def _n_reporting(rss: np.ndarray) -> int:
+        """Sensors that delivered at least one sample in a ``(k, n)`` round."""
+        return int((~np.isnan(rss).all(axis=0)).sum())
+
+    def _trace_vectors(
+        self, batches: "list[SampleBatch]"
+    ) -> "tuple[list[np.ndarray], np.ndarray]":
+        """Each round's checked RSS matrix and the trace's ``(T, P)`` vectors
+        from the subclass's ``build_vectors``: one call over the stacked
+        trace when the rounds' shapes agree, else one ``T = 1`` call per
+        round."""
+        rounds = [self._as_rss(b.rss) for b in batches]
+        if all(r.shape == rounds[0].shape for r in rounds):
+            return rounds, self.build_vectors(np.stack(rounds))
+        return rounds, np.stack([self.build_vectors(r[None])[0] for r in rounds])
 
 
-class FTTTracker:
+class FTTTracker(Tracker):
     """The Fault-Tolerant Target-Tracking strategy.
 
     Parameters
@@ -203,6 +261,7 @@ class FTTTracker:
         if matcher not in ("heuristic", "exhaustive"):
             raise ValueError(f"unknown matcher {matcher!r}")
         self.face_map = face_map
+        self.n_sensors = face_map.n_nodes
         self.mode: Mode = mode
         self.comparator_eps = comparator_eps
         self._pairs = enumerate_pairs(face_map.n_nodes)
@@ -248,16 +307,6 @@ class FTTTracker:
 
     # -- localization ---------------------------------------------------------
 
-    def _as_rss(self, rss: np.ndarray) -> np.ndarray:
-        """One round's raw ``(k, n)`` RSS matrix, checked against the map."""
-        rss = np.atleast_2d(np.asarray(rss, dtype=float))
-        if rss.shape[1] != self.face_map.n_nodes:
-            raise ValueError(
-                f"rss has {rss.shape[1]} sensors but the face map was built "
-                f"for {self.face_map.n_nodes}"
-            )
-        return rss
-
     def localize(self, rss: np.ndarray, t: float = 0.0) -> TrackEstimate:
         """Localize from a raw ``(k, n)`` RSS matrix (NaN = missing)."""
         rss = self._as_rss(rss)
@@ -267,7 +316,7 @@ class FTTTracker:
         """One round of the stateful strategy on its Algorithm 1 *vector*:
         suppression, quorum/hold, match, weak-round tie-break, residual
         update and the recorded estimate."""
-        n_reporting = _n_reporting(rss)
+        n_reporting = self._n_reporting(rss)
         raw_vector = vector
         weak = False
         if self.degradation is not None:
@@ -445,11 +494,6 @@ class FTTTracker:
             visited=match.visited,
         )
 
-    def localize_batch(self, batch: SampleBatch, t: "float | None" = None) -> TrackEstimate:
-        """Localize from a :class:`~repro.rf.channel.SampleBatch`."""
-        t0 = float(batch.times[0]) if t is None else t
-        return self.localize(batch.rss, t=t0)
-
     # -- tracking -------------------------------------------------------------
 
     def track(self, batches: Iterable[SampleBatch]) -> TrackResult:
@@ -469,15 +513,11 @@ class FTTTracker:
         result = TrackResult()
         if not batches:
             return result
-        rounds = [self._as_rss(b.rss) for b in batches]
-        if all(r.shape == rounds[0].shape for r in rounds):
-            vectors = self.build_vectors(np.stack(rounds))
-        else:
-            vectors = np.stack([self.build_vectors(r[None])[0] for r in rounds])
+        rounds, vectors = self._trace_vectors(batches)
         if isinstance(self.matcher, ExhaustiveMatcher) and self.degradation is None:
             matches = self.matcher.match_many(vectors)
             for batch, rss, vector, match in zip(batches, rounds, vectors, matches):
-                est = self._estimate(match, float(batch.times[0]), _n_reporting(rss), vector)
+                est = self._estimate(match, float(batch.times[0]), self._n_reporting(rss), vector)
                 result.append(est, batch.mean_position)
             return result
         record = obs.enabled()

@@ -6,8 +6,10 @@ import pytest
 from repro.baselines.sequences import (
     detection_sequence,
     kendall_distance,
+    mean_rss,
     sign_vector_from_ranks,
     sign_vector_from_rss,
+    sign_vectors_from_rss,
     spearman_footrule,
 )
 
@@ -57,6 +59,25 @@ class TestSignVectorFromRss:
     def test_rejects_3d(self):
         with pytest.raises(ValueError):
             sign_vector_from_rss(np.zeros((2, 2, 2)))
+
+
+    def test_is_one_round_of_the_stack(self):
+        rss = np.array([[-40.0, np.nan, -45.0], [-48.0, np.nan, np.nan]])
+        for reduce in ("mean", "last"):
+            stacked = sign_vectors_from_rss(rss[None], reduce=reduce)[0]
+            assert np.array_equal(sign_vector_from_rss(rss, reduce=reduce), stacked, equal_nan=True)
+
+
+class TestMeanRss:
+    def test_skips_missing_samples(self):
+        rss = np.array([[-40.0, np.nan, -50.0], [-48.0, np.nan, np.nan]])
+        means = mean_rss(rss)
+        assert means[0] == -44.0 and means[2] == -50.0
+        assert np.isnan(means[1])  # silent sensor
+
+    def test_reduces_the_sample_axis_of_a_stack(self):
+        rss = np.array([[[-40.0, -50.0], [-42.0, np.nan]], [[np.nan, -60.0], [np.nan, -62.0]]])
+        assert np.array_equal(mean_rss(rss), [[-41.0, -50.0], [np.nan, -61.0]], equal_nan=True)
 
 
 class TestSignVectorFromRanks:
