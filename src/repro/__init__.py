@@ -20,7 +20,9 @@ Package layout
 ``repro.rf``        — path-loss / noise / acoustic channels
 ``repro.network``   — deployments, grouping sampling, faults, base station
 ``repro.mobility``  — random waypoint and deterministic paths
-``repro.baselines`` — PM, Direct MLE, range MLE, nearest node
+``repro.baselines`` — eight baselines: PM, Direct MLE, range MLE, PkNN,
+                      weighted centroid, Kalman and particle filters,
+                      nearest node
 ``repro.analysis``  — §5 formulas and tracking metrics
 ``repro.sim``       — scenarios, runners, replicated sweeps
 ``repro.testbed``   — the simulated outdoor IRIS-mote system

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import ndtri
 
 from repro.rng import ensure_rng
 
@@ -85,6 +85,8 @@ def paired_comparison(
         raise ValueError("need at least two paired worlds")
     diff = b - a
     _, lo, hi = bootstrap_mean_ci(diff, confidence=confidence, rng=rng)
+    from scipy import stats as sps
+
     t = sps.ttest_rel(b, a)
     return PairedComparison(
         mean_diff=float(diff.mean()),
@@ -102,6 +104,8 @@ def welch_test(sample_a: np.ndarray, sample_b: np.ndarray) -> tuple[float, float
     b = np.asarray(sample_b, dtype=float)
     if len(a) < 2 or len(b) < 2:
         raise ValueError("need at least two values per sample")
+    from scipy import stats as sps
+
     res = sps.ttest_ind(a, b, equal_var=False)
     return float(res.statistic), float(res.pvalue)
 
@@ -122,7 +126,7 @@ def required_replications(
         raise ValueError("need a pilot sample of at least two values")
     if target_halfwidth <= 0:
         raise ValueError(f"target half-width must be positive, got {target_halfwidth}")
-    z = sps.norm.ppf(0.5 + confidence / 2.0)
+    z = ndtri(0.5 + confidence / 2.0)
     s = values.std(ddof=1)
     n = int(np.ceil((z * s / target_halfwidth) ** 2))
     return max(n, 2)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.sequences import mean_rss
+from repro.core.vectors import mean_rss
 from repro.core.tracker import TrackEstimate, Tracker
 
 __all__ = ["NearestNodeTracker"]

@@ -11,9 +11,8 @@ hurts when the model is inverted directly.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import least_squares
 
-from repro.baselines.sequences import mean_rss
+from repro.core.vectors import mean_rss
 from repro.core.tracker import TrackEstimate, Tracker
 from repro.rf.pathloss import LogDistancePathLoss
 
@@ -59,6 +58,8 @@ class RangeMLETracker(Tracker):
         x0 = (nodes * weights[:, None]).sum(axis=0) / weights.sum()
         if ok.sum() < self.min_sensors:
             return np.clip(x0, 0.0, self.field_size)
+
+        from scipy.optimize import least_squares
 
         def residuals(p: np.ndarray) -> np.ndarray:
             d = np.hypot(nodes[:, 0] - p[0], nodes[:, 1] - p[1])

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.vectors import mean_rss
 from repro.geometry.primitives import enumerate_pairs
 
 __all__ = [
@@ -34,17 +35,6 @@ def detection_sequence(rss_row: np.ndarray) -> np.ndarray:
     rss_row = np.asarray(rss_row, dtype=float)
     key = np.where(np.isnan(rss_row), -np.inf, rss_row)
     return np.argsort(-key, kind="stable")
-
-
-def mean_rss(rss: np.ndarray) -> np.ndarray:
-    """Per-sensor mean RSS of grouping samplings: the mean over the sample
-    axis of a ``(..., k, n)`` array, skipping missing (NaN) samples; NaN
-    for a sensor that heard nothing."""
-    rss = np.asarray(rss, dtype=float)
-    missing = np.isnan(rss)
-    counts = np.maximum((~missing).sum(axis=-2), 1)
-    sums = np.where(missing, 0.0, rss).sum(axis=-2)
-    return np.where(missing.all(axis=-2), np.nan, sums / counts)
 
 
 def sign_vector_from_rss(

@@ -21,7 +21,7 @@ natural completion of §6 and is what eliminates similarity ties.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from repro.geometry.faces import FaceMap
 from repro.geometry.primitives import enumerate_pairs, pairwise_distances
@@ -69,9 +69,7 @@ def expected_extended_signatures(
         with np.errstate(divide="ignore"):
             dmu = 10.0 * path_loss_exponent * (np.log10(dj) - np.log10(di))
         if noise_sigma_dbm > 0:
-            vals = norm.cdf((dmu - resolution_dbm) / denom) - norm.cdf(
-                (-dmu - resolution_dbm) / denom
-            )
+            vals = ndtr((dmu - resolution_dbm) / denom) - ndtr((-dmu - resolution_dbm) / denom)
         else:  # noiseless: hard sign outside the deadband
             vals = np.sign(dmu) * (np.abs(dmu) > resolution_dbm)
         if sensing_range is not None:

@@ -32,6 +32,7 @@ __all__ = [
     "sampling_vectors",
     "extended_sampling_vectors",
     "pair_win_counts",
+    "mean_rss",
 ]
 
 STAR = np.nan
@@ -103,6 +104,17 @@ def extended_sampling_vector(
     return extended_sampling_vectors(_one_round(rss), pairs, comparator_eps=comparator_eps)[0]
 
 
+def mean_rss(rss: np.ndarray) -> np.ndarray:
+    """Per-sensor mean RSS of grouping samplings: the mean over the sample
+    axis of a ``(..., k, n)`` array, skipping missing (NaN) samples; NaN
+    for a sensor that heard nothing."""
+    rss = np.asarray(rss, dtype=float)
+    missing = np.isnan(rss)
+    counts = np.maximum((~missing).sum(axis=-2), 1)
+    sums = np.where(missing, 0.0, rss).sum(axis=-2)
+    return np.where(missing.all(axis=-2), np.nan, sums / counts)
+
+
 def _as_stack(
     rss: np.ndarray, pairs: "tuple[np.ndarray, np.ndarray] | None"
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
@@ -157,9 +169,7 @@ def _eq6_fill_stack(
     # both reported but never simultaneously: fall back to mean comparison
     both = no_common & ri & rj
     if both.any():
-        counts = np.maximum((~np.isnan(rss)).sum(axis=1), 1)  # (T, n)
-        sums = np.where(np.isnan(rss), 0.0, rss).sum(axis=1)
-        means = sums / counts
+        means = mean_rss(rss)  # (T, n)
         delta = means[:, i_idx] - means[:, j_idx]
         values[both] = np.sign(delta[both])
     return values

@@ -84,7 +84,7 @@ def effective_uncertainty_constant(
     Face maps built with it line up with what sampling vectors actually
     report, which is what matters for matching accuracy.
     """
-    from scipy.stats import norm
+    from scipy.special import ndtri
 
     if resolution_dbm < 0:
         raise ValueError(f"resolution must be non-negative, got {resolution_dbm}")
@@ -97,7 +97,7 @@ def effective_uncertainty_constant(
     if not (0.0 < capture_prob < 1.0):
         raise ValueError(f"capture_prob must be in (0, 1), got {capture_prob}")
     q = 1.0 - capture_prob
-    z = float(norm.ppf(q ** (1.0 / k)))
+    z = float(ndtri(q ** (1.0 / k)))
     delta_mu = resolution_dbm + math.sqrt(2.0) * noise_sigma_dbm * z
     c = 10.0 ** (max(delta_mu, 0.0) / (10.0 * path_loss_exponent))
     return max(c, 1.0 + 1e-9)

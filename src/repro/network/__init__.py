@@ -1,13 +1,11 @@
-"""Network substrate: sensor nodes, deployments, sampling, and faults.
+"""Network substrate: deployments, sampling, faults and the base station.
 
 Models the WSN side of the system: where sensors sit (grid / random /
-cross deployments), how grouping samplings are driven at the paper's
-10 Hz sampling rate through a small discrete-event scheduler, which
-sensors fail to report (fault models), and how the base station
-aggregates rounds.
+cross deployments), when each grouping sampling takes its samples at
+the paper's 10 Hz sampling rate, which sensors fail to report (fault
+models), and how the base station aggregates rounds.
 """
 
-from repro.network.node import SensorNode, NodeState
 from repro.network.deployment import (
     grid_deployment,
     random_deployment,
@@ -31,7 +29,6 @@ from repro.network.faults import (
     CompositeFaults,
 )
 from repro.network.basestation import BaseStation, LocalizationRound
-from repro.network.events import EventScheduler, Event
 from repro.network.routing import RoutingTopology, build_routing_topology
 from repro.network.duty_cycle import LinearPredictor, DutyCycleController
 from repro.network.aggregation import (
@@ -41,8 +38,6 @@ from repro.network.aggregation import (
 )
 
 __all__ = [
-    "SensorNode",
-    "NodeState",
     "grid_deployment",
     "random_deployment",
     "cross_deployment",
@@ -63,8 +58,6 @@ __all__ = [
     "CompositeFaults",
     "BaseStation",
     "LocalizationRound",
-    "EventScheduler",
-    "Event",
     "RoutingTopology",
     "build_routing_topology",
     "LinearPredictor",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.vectors import extended_sampling_vector, sampling_vector
+from repro.core.vectors import extended_sampling_vector, mean_rss, sampling_vector
 from repro.geometry.primitives import enumerate_pairs
 
 __all__ = ["ClusterAssignment", "assign_clusters", "DistributedVectorAssembly"]
@@ -148,10 +148,7 @@ class DistributedVectorAssembly:
         out[self._intra] = full[self._intra]
 
         # cross-cluster: compare forwarded group means
-        all_nan = np.isnan(rss).all(axis=0)
-        counts = np.maximum((~np.isnan(rss)).sum(axis=0), 1)
-        sums = np.where(np.isnan(rss), 0.0, rss).sum(axis=0)
-        means = np.where(all_nan, np.nan, sums / counts)
+        means = mean_rss(rss)
         cross = ~self._intra
         mi = means[self._i_idx[cross]]
         mj = means[self._j_idx[cross]]

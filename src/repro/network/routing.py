@@ -14,10 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
-
-from repro.rng import ensure_rng
 
 __all__ = ["RoutingTopology", "build_routing_topology"]
 
@@ -123,6 +120,8 @@ def build_routing_topology(
     if bs_position is None:
         bs_position = positions.mean(axis=0)
     bs_position = np.asarray(bs_position, dtype=float).reshape(2)
+
+    import networkx as nx
 
     graph = nx.Graph()
     graph.add_nodes_from(range(n))

@@ -87,14 +87,7 @@ class GroupSampler:
         positions = pos_flat.reshape(k, n, 2)
         diff = positions - self.channel.nodes[None, :, :]
         dist = np.hypot(diff[..., 0], diff[..., 1])  # (k, n)
-        rss = self.channel.pathloss.rss_dbm(dist) + self.channel.noise.sample(dist.shape, rng)
-        if self.channel.sensing_range_m is not None:
-            rss = np.where(dist <= self.channel.sensing_range_m, rss, np.nan)
-        if drop_mask is not None:
-            drop = np.asarray(drop_mask, dtype=bool)
-            if drop.ndim == 1:
-                drop = np.broadcast_to(drop, rss.shape)
-            rss = np.where(drop, np.nan, rss)
+        rss = self.channel.observe_distances(dist, rng, drop_mask=drop_mask)
         return SampleBatch(rss=rss, times=base_times, positions=nominal_positions)
 
     def sample_static(

@@ -58,14 +58,6 @@ class SampleBatch:
         """Centroid of the true positions during the group (quasi-stationary target)."""
         return self.positions.mean(axis=0)
 
-    def mean_rss(self) -> np.ndarray:
-        """Per-sensor mean RSS over the group, NaN for non-responders."""
-        out = np.full(self.n_sensors, np.nan)
-        ok = self.responding
-        if ok.any():
-            out[ok] = self.rss[:, ok].mean(axis=0)
-        return out
-
 
 @dataclass(frozen=True)
 class RssChannel:
@@ -103,6 +95,22 @@ class RssChannel:
         diff = positions[:, None, :] - self.nodes[None, :, :]
         return np.hypot(diff[..., 0], diff[..., 1])
 
+    def observe_distances(
+        self, dist: np.ndarray, rng: np.random.Generator, *, drop_mask: np.ndarray | None = None
+    ) -> np.ndarray:
+        """RSS matrix for a ``(k, n)`` target-to-sensor distance matrix:
+        path loss plus fresh noise, NaN beyond the sensing range and where
+        *drop_mask* (``(n,)`` or ``(k, n)``) is set."""
+        rss = self.pathloss.rss_dbm(dist) + self.noise.sample(dist.shape, rng)
+        if self.sensing_range_m is not None:
+            rss = np.where(dist <= self.sensing_range_m, rss, np.nan)
+        if drop_mask is not None:
+            drop = np.asarray(drop_mask, dtype=bool)
+            if drop.ndim == 1:
+                drop = np.broadcast_to(drop, rss.shape)
+            rss = np.where(drop, np.nan, rss)
+        return rss
+
     def observe(
         self,
         positions: np.ndarray,
@@ -124,15 +132,7 @@ class RssChannel:
         """
         positions = np.atleast_2d(np.asarray(positions, dtype=float))
         times = np.asarray(times, dtype=float)
-        dist = self.distances(positions)  # (k, n)
-        rss = self.pathloss.rss_dbm(dist) + self.noise.sample(dist.shape, rng)
-        if self.sensing_range_m is not None:
-            rss = np.where(dist <= self.sensing_range_m, rss, np.nan)
-        if drop_mask is not None:
-            drop = np.asarray(drop_mask, dtype=bool)
-            if drop.ndim == 1:
-                drop = np.broadcast_to(drop, rss.shape)
-            rss = np.where(drop, np.nan, rss)
+        rss = self.observe_distances(self.distances(positions), rng, drop_mask=drop_mask)
         return SampleBatch(rss=rss, times=times, positions=positions)
 
     def observe_static(

@@ -14,7 +14,7 @@ Each function isolates one decision and returns comparable records:
 
 from __future__ import annotations
 
-from typing import Sequence
+from functools import partial
 
 import numpy as np
 
@@ -36,13 +36,16 @@ __all__ = [
 ]
 
 
-def _mean_over_reps(config: SimulationConfig, run_one, n_reps: int, seed: int) -> dict[str, float]:
-    """Run ``run_one(scenario, rng) -> {variant: TrackResult}`` over reps."""
+def _mean_over_reps(
+    config: SimulationConfig, run_one, n_reps: int, seed: int, make=make_scenario
+) -> dict[str, float]:
+    """Run ``run_one(scenario, rng) -> {variant: TrackResult}`` over reps,
+    each on the world ``make(config, seed=...)`` builds."""
     rngs = spawn_rngs(seed, 2 * n_reps)
     sums: dict[str, list[float]] = {}
     stds: dict[str, list[float]] = {}
     for rep in range(n_reps):
-        scenario = make_scenario(config, seed=rngs[2 * rep])
+        scenario = make(config, seed=rngs[2 * rep])
         results = run_one(scenario, rngs[2 * rep + 1])
         for name, res in results.items():
             s = summarize_errors(res)
@@ -55,6 +58,16 @@ def _mean_over_reps(config: SimulationConfig, run_one, n_reps: int, seed: int) -
     return out
 
 
+def _fttt_only(label: str):
+    """``run_one`` for :func:`_mean_over_reps`: the default tracker alone."""
+
+    def run_one(scenario: Scenario, rng) -> dict:
+        batches = generate_batches(scenario, rng)
+        return {label: scenario.make_tracker("fttt").track(batches)}
+
+    return run_one
+
+
 def ablate_uncertainty_constant(
     config: "SimulationConfig | None" = None, *, n_reps: int = 3, seed: int = 0
 ) -> dict[str, float]:
@@ -62,17 +75,8 @@ def ablate_uncertainty_constant(
     config = config or SimulationConfig(duration_s=30.0)
     out: dict[str, float] = {}
     for c_mode in ("paper", "calibrated"):
-        rngs = spawn_rngs(seed, 2 * n_reps)
-        means, stds = [], []
-        for rep in range(n_reps):
-            scenario = make_scenario(config, seed=rngs[2 * rep], c_mode=c_mode)
-            batches = generate_batches(scenario, rngs[2 * rep + 1])
-            tracker = scenario.make_tracker("fttt")
-            s = summarize_errors(tracker.track(batches))
-            means.append(s.mean)
-            stds.append(s.std)
-        out[c_mode] = float(np.mean(means))
-        out[c_mode + "/std"] = float(np.mean(stds))
+        make = partial(make_scenario, c_mode=c_mode)
+        out.update(_mean_over_reps(config, _fttt_only(c_mode), n_reps, seed, make))
     return out
 
 
@@ -151,29 +155,25 @@ def ablate_noise_structure(
     }
     out: dict[str, float] = {}
     for label, noise in variants.items():
-        rngs = spawn_rngs(seed, 2 * n_reps)
-        means, stds = [], []
-        for rep in range(n_reps):
-            scenario = make_scenario(config, seed=rngs[2 * rep])
-            if noise is not None:
-                if isinstance(noise, TemporallyCorrelatedNoise):
-                    noise.reset()
-                scenario.channel = RssChannel(
-                    nodes=scenario.nodes,
-                    pathloss=scenario.channel.pathloss,
-                    noise=noise,
-                    sensing_range_m=scenario.channel.sensing_range_m,
-                )
-                scenario.sampler = type(scenario.sampler)(
-                    channel=scenario.channel,
-                    k=scenario.sampler.k,
-                    sampling_rate_hz=scenario.sampler.sampling_rate_hz,
-                )
-            batches = generate_batches(scenario, rngs[2 * rep + 1])
-            tracker = scenario.make_tracker("fttt")
-            s = summarize_errors(tracker.track(batches))
-            means.append(s.mean)
-            stds.append(s.std)
-        out[label] = float(np.mean(means))
-        out[label + "/std"] = float(np.mean(stds))
+        make = make_scenario if noise is None else partial(_with_noise, noise=noise)
+        out.update(_mean_over_reps(config, _fttt_only(label), n_reps, seed, make))
     return out
+
+
+def _with_noise(config: SimulationConfig, *, seed, noise) -> Scenario:
+    """The default world with its channel noise replaced by *noise*."""
+    scenario = make_scenario(config, seed=seed)
+    if isinstance(noise, TemporallyCorrelatedNoise):
+        noise.reset()
+    scenario.channel = RssChannel(
+        nodes=scenario.nodes,
+        pathloss=scenario.channel.pathloss,
+        noise=noise,
+        sensing_range_m=scenario.channel.sensing_range_m,
+    )
+    scenario.sampler = type(scenario.sampler)(
+        channel=scenario.channel,
+        k=scenario.sampler.k,
+        sampling_rate_hz=scenario.sampler.sampling_rate_hz,
+    )
+    return scenario

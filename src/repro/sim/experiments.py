@@ -214,17 +214,6 @@ def sweep_basic_vs_extended(
     seed: int = 0,
 ) -> list[SweepRecord]:
     """Fig. 12(c,d): basic vs extended FTTT mean error and error std."""
-    base = base_config or SimulationConfig()
-    records: list[SweepRecord] = []
-    for i, n in enumerate(n_values):
-        cfg = base.with_(n_sensors=int(n))
-        records.extend(
-            replicate_mean_error(
-                cfg,
-                ["fttt", "fttt-extended"],
-                n_reps=n_reps,
-                seed=seed + 1000 * i,
-                params={"n_sensors": int(n)},
-            )
-        )
-    return records
+    return sweep_n_sensors(
+        n_values, ["fttt", "fttt-extended"], base_config=base_config, n_reps=n_reps, seed=seed
+    )

@@ -10,13 +10,6 @@ tracking stack is byte-for-byte the same FTTT code the RF simulations use.
 from repro.testbed.motes import IrisMote, MoteReading
 from repro.testbed.gateway import Mib520Gateway
 from repro.testbed.outdoor import OutdoorSystem, build_outdoor_system
-from repro.testbed.packets import ReportFrame, encode_frame, decode_frame, corrupt, crc16
-from repro.testbed.firmware import (
-    FirmwareConfig,
-    MoteFirmware,
-    GatewayCollector,
-    run_reporting_epoch,
-)
 
 __all__ = [
     "IrisMote",
@@ -24,13 +17,4 @@ __all__ = [
     "Mib520Gateway",
     "OutdoorSystem",
     "build_outdoor_system",
-    "ReportFrame",
-    "encode_frame",
-    "decode_frame",
-    "corrupt",
-    "crc16",
-    "FirmwareConfig",
-    "MoteFirmware",
-    "GatewayCollector",
-    "run_reporting_epoch",
 ]

@@ -77,19 +77,6 @@ class TestHarnessDeterminism:
                 masks.append(np.stack([model.drop_mask(10, r, rng) for r in range(5)]))
             assert np.array_equal(masks[0], masks[1])
 
-    def test_firmware_epoch(self):
-        from repro.testbed.firmware import FirmwareConfig, MoteFirmware, run_reporting_epoch
-
-        def run():
-            cfg = FirmwareConfig(k=3)
-            motes = [MoteFirmware(i, cfg, link_delivery_p=0.6) for i in range(3)]
-            collector = run_reporting_epoch(motes, lambda m, t: 40.0 + m, 4, rng=11)
-            return [collector.round_matrix(r) for r in range(4)]
-
-        a, b = run(), run()
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y, equal_nan=True)
-
     def test_duty_cycle_loop(self):
         from repro.network.duty_cycle import DutyCycleController
         from repro.sim.runner import run_tracking_with_duty_cycle

@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.tracker import FTTTracker
 from repro.core.trajectory import exponential_smoothing, median_filter, moving_average
-from repro.testbed.packets import ReportFrame, decode_frame, encode_frame
 
 
 @st.composite
@@ -90,22 +89,3 @@ class TestFilterProperties:
         out = exponential_smoothing(pos, alpha)
         lo, hi = pos.min(axis=0), pos.max(axis=0)
         assert np.all(out >= lo - 1e-9) and np.all(out <= hi + 1e-9)
-
-
-class TestPacketRoundtripProperty:
-    @given(
-        st.integers(0, 255),
-        st.integers(0, 65535),
-        st.lists(st.floats(-120.0, 120.0, allow_nan=False), min_size=1, max_size=12),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_roundtrip_quantizes_within_half_step(self, mote_id, seq, levels):
-        frame = ReportFrame(mote_id=mote_id, sequence=seq, levels_db=tuple(levels))
-        decoded = decode_frame(encode_frame(frame))
-        assert decoded is not None
-        assert decoded.mote_id == mote_id
-        assert decoded.sequence == seq
-        for orig, got in zip(levels, decoded.levels_db):
-            clamped = min(max(orig, -128.0), 127.9375)
-            assert abs(got - clamped) <= (1 / 16) / 2 + 1e-9
-

@@ -35,13 +35,6 @@ class TestSampleBatch:
         batch = SampleBatch(rss=rss, times=np.zeros(2), positions=np.zeros((2, 2)))
         assert batch.responding.tolist() == [True, False, False]
 
-    def test_mean_rss_nan_for_partial(self):
-        rss = np.array([[1.0, np.nan], [3.0, 2.0]])
-        batch = SampleBatch(rss=rss, times=np.zeros(2), positions=np.zeros((2, 2)))
-        m = batch.mean_rss()
-        assert m[0] == pytest.approx(2.0)
-        assert np.isnan(m[1])
-
     def test_mean_position(self):
         pos = np.array([[0.0, 0.0], [2.0, 4.0]])
         batch = SampleBatch(rss=np.zeros((2, 1)), times=np.zeros(2), positions=pos)

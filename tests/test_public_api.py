@@ -1,6 +1,9 @@
 """The public API surface stays importable and coherent."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -45,3 +48,17 @@ def test_quickstart_surface():
     scenario = make_scenario(cfg, seed=0)
     results = run_all_trackers(scenario, ["fttt"], 1, n_rounds=2)
     assert "fttt" in results
+
+
+def test_import_leaves_heavy_dependencies_unloaded():
+    """``import repro`` loads scipy.stats, scipy.optimize and networkx only
+    when a function that needs them runs: together they are over a second
+    of start-up on a 2-vCPU host."""
+    heavy = ("scipy.stats", "scipy.optimize", "networkx")
+    code = f"import sys, repro; print([m for m in {heavy!r} if m in sys.modules])"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
