@@ -11,9 +11,6 @@ Four studies on identical worlds (common random numbers):
    correlated vs common-mode shadowing at equal power.
 """
 
-import numpy as np
-import pytest
-
 from repro.config import GridConfig, SimulationConfig
 from repro.sim.ablations import (
     ablate_matcher_hops,

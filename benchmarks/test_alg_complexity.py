@@ -11,10 +11,8 @@
 import time
 
 import numpy as np
-import pytest
 
 from repro.config import GridConfig, SimulationConfig
-from repro.core.matching import ExhaustiveMatcher
 from repro.core.vectors import sampling_vector
 from repro.sim.runner import generate_batches
 from repro.sim.scenario import make_scenario

@@ -9,7 +9,6 @@ against soft signatures, on live tracking rounds.
 """
 
 import numpy as np
-import pytest
 
 from repro.config import GridConfig, SimulationConfig
 from repro.core.diagnostics import ambiguity_census, face_separability

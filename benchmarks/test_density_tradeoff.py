@@ -8,9 +8,6 @@ and coverage (accuracy side) vs routing-tree relay load and first-death
 network lifetime (communication side).
 """
 
-import numpy as np
-import pytest
-
 from repro.analysis.coverage import density_tradeoff
 from repro.config import GridConfig, SimulationConfig
 from repro.sim.experiments import replicate_mean_error

@@ -8,7 +8,6 @@ nothing because the slept sensors were mostly out of range anyway.
 """
 
 import numpy as np
-import pytest
 
 from repro.config import GridConfig, SimulationConfig
 from repro.network.duty_cycle import DutyCycleController

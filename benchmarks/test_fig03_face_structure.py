@@ -8,7 +8,6 @@ counts behind those three panels.
 """
 
 import numpy as np
-import pytest
 
 from repro.geometry.apollonius import uncertainty_constant
 from repro.geometry.faces import build_certain_face_map, build_face_map

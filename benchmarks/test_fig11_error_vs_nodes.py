@@ -11,7 +11,6 @@ The timed quantity of the (b,c) test is the full sweep regeneration.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis.metrics import summarize_errors
 from repro.config import GridConfig, SimulationConfig

@@ -10,7 +10,6 @@ alongside (see EXPERIMENTS.md).
 """
 
 import numpy as np
-import pytest
 
 from repro.config import GridConfig, SimulationConfig
 from repro.geometry.apollonius import uncertainty_constant

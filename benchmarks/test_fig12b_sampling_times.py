@@ -11,7 +11,6 @@ motion confound removed.
 """
 
 import numpy as np
-import pytest
 
 from repro.config import GridConfig, SimulationConfig
 from repro.geometry.apollonius import uncertainty_constant

@@ -8,7 +8,6 @@ trajectory.
 """
 
 import numpy as np
-import pytest
 
 from repro.config import GridConfig, SimulationConfig
 from repro.sim.experiments import sweep_basic_vs_extended

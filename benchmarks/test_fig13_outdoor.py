@@ -11,7 +11,6 @@ deviation), most visibly near the corner.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis.metrics import summarize_errors
 from repro.testbed.outdoor import build_outdoor_system

@@ -6,9 +6,6 @@ network densities and confidence levels, the worked example (20 sensors,
 probability the closed form predicts.
 """
 
-import numpy as np
-import pytest
-
 from repro.analysis.sampling_times import (
     all_flips_probability,
     required_sampling_times,

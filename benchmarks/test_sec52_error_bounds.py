@@ -6,7 +6,6 @@ range — the three dependencies Eq. 10 calls out.  An empirical column
 confirms the *measured* tracking error moves the way the bound says.
 """
 
-import numpy as np
 import pytest
 
 from repro.analysis.error_bounds import (

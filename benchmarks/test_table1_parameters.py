@@ -7,8 +7,6 @@ the paper verbatim, and times the full scenario construction (deployment
 point — the setup cost every simulated experiment pays.
 """
 
-import pytest
-
 from repro.config import PaperDefaults, SimulationConfig
 from repro.sim.scenario import make_scenario
 

@@ -9,9 +9,6 @@ that by orders of magnitude, which is the headroom claim.
 
 import time
 
-import numpy as np
-import pytest
-
 from repro.config import GridConfig, SimulationConfig
 from repro.core.vectors import sampling_vector
 from repro.sim.runner import generate_batches

@@ -14,9 +14,7 @@ trade-off the paper's related work describes.
 """
 
 import numpy as np
-import pytest
 
-from repro.analysis.metrics import summarize_errors
 from repro.analysis.statistics import paired_comparison
 from repro.config import GridConfig, SimulationConfig
 from repro.core.trajectory import smoothness_metrics

@@ -9,8 +9,6 @@ message: uncertain bands eat the certain faces).
 Run:  python examples/deployment_comparison.py
 """
 
-import numpy as np
-
 from repro.analysis.metrics import format_table, summarize_errors
 from repro.config import GridConfig, SimulationConfig
 from repro.network.deployment import (

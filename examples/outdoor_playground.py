@@ -11,8 +11,6 @@ paper's observation.
 Run:  python examples/outdoor_playground.py
 """
 
-import numpy as np
-
 from repro.analysis.metrics import format_table, summarize_errors
 from repro.testbed.outdoor import build_outdoor_system
 

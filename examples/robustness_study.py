@@ -13,8 +13,6 @@ Stresses FTTT beyond the paper's assumptions on the same worlds:
 Run:  python examples/robustness_study.py
 """
 
-import numpy as np
-
 from repro.analysis.metrics import compare_trackers, format_table, summarize_errors
 from repro.config import GridConfig, SimulationConfig
 from repro.mobility.gauss_markov import GaussMarkov

@@ -11,8 +11,6 @@ need?" three ways:
 Run:  python examples/sampling_budget.py
 """
 
-import numpy as np
-
 from repro.analysis.sampling_times import (
     all_flips_probability,
     required_sampling_times,

@@ -3,8 +3,8 @@
 
 A base-station-eye view of a deployment: rounds stream in (some out of
 order, one long outage), the online session produces estimates with
-confidence, a duty-cycle controller keeps only useful sensors awake, and
-the energy ledger shows what that buys.
+confidence, and a duty-cycle controller keeps only useful sensors awake,
+reporting the sensor-rounds that saves.
 
 Run:  python examples/streaming_deployment.py
 """

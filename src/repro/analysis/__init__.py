@@ -28,13 +28,11 @@ from repro.analysis.coverage import (
     coverage_report,
     density_tradeoff,
 )
-from repro.analysis.energy import EnergyModel, EnergyLedger, project_lifetime
+from repro.analysis.energy import EnergyModel, project_lifetime
 from repro.analysis.statistics import (
     bootstrap_mean_ci,
     PairedComparison,
     paired_comparison,
-    welch_test,
-    required_replications,
 )
 
 __all__ = [
@@ -55,9 +53,6 @@ __all__ = [
     "bootstrap_mean_ci",
     "PairedComparison",
     "paired_comparison",
-    "welch_test",
-    "required_replications",
     "EnergyModel",
-    "EnergyLedger",
     "project_lifetime",
 ]

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.analysis.energy import EnergyModel
 from repro.geometry.grid import Grid
 from repro.geometry.primitives import pairwise_distances
 
@@ -71,8 +72,7 @@ def density_tradeoff(
     sensing_range: float,
     *,
     radio_range: float = 30.0,
-    report_cost_j: float = 5e-4,
-    energy_j: float = 100.0,
+    model: "EnergyModel | None" = None,
     seed: int = 0,
     cell_size: float = 4.0,
 ) -> list[dict]:
@@ -82,7 +82,8 @@ def density_tradeoff(
     For each n: deploy randomly, report mean hearing count (more = finer
     faces = better accuracy per Eq. 10) and the routing tree's bottleneck
     relay load / first-death lifetime (more sensors = more traffic through
-    the nodes near the base station).
+    the nodes near the base station), with report and relay costs and
+    the battery budget taken from *model* (``EnergyModel()`` by default).
     """
     from repro.network.deployment import random_deployment
     from repro.network.routing import build_routing_topology
@@ -99,9 +100,7 @@ def density_tradeoff(
                 "mean_hearing": report.mean_hearing_count,
                 "two_coverage": report.k_coverage_fraction[2],
                 "max_relay_load": int(topo.relay_counts.max()),
-                "lifetime_rounds": topo.network_lifetime_rounds(
-                    energy_j=energy_j, report_cost_j=report_cost_j
-                ),
+                "lifetime_rounds": topo.network_lifetime_rounds(model),
                 "disconnected": int((~topo.connected).sum()),
             }
         )

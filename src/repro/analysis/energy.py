@@ -1,19 +1,18 @@
-"""Network energy ledger.
+"""Network energy model.
 
-Pulls the scattered energy facts into one budget: per-round sampling and
-report costs (sensor side), relay forwarding (routing side), and duty-
-cycle savings — projecting network lifetime under a tracking workload.
-This is the quantitative backing for §5.2's deployment-density caution
-and for the duty-cycling extension's headline number.
+The one table of per-operation energy costs: per-round sampling and
+report costs (sensor side), relay forwarding (routing side, charged by
+``network.routing``), and duty-cycle savings — projecting network
+lifetime under a tracking workload.  This is the quantitative backing for
+§5.2's deployment-density caution and for the duty-cycling extension's
+headline number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-__all__ = ["EnergyModel", "EnergyLedger", "project_lifetime"]
+__all__ = ["EnergyModel", "project_lifetime"]
 
 
 @dataclass(frozen=True)
@@ -33,72 +32,6 @@ class EnergyModel:
                 raise ValueError(f"{name} must be non-negative")
         if self.battery_j <= 0:
             raise ValueError("battery must be positive")
-
-
-@dataclass
-class EnergyLedger:
-    """Accumulates per-sensor energy spending round by round."""
-
-    n_sensors: int
-    model: EnergyModel
-
-    def __post_init__(self) -> None:
-        if self.n_sensors < 1:
-            raise ValueError("need at least one sensor")
-        self.spent_j = np.zeros(self.n_sensors)
-        self.rounds = 0
-
-    def charge_round(
-        self,
-        k: int,
-        *,
-        awake: "np.ndarray | None" = None,
-        reported: "np.ndarray | None" = None,
-        relay_counts: "np.ndarray | None" = None,
-    ) -> None:
-        """Account one localization round.
-
-        Parameters
-        ----------
-        k : samples taken by each awake sensor.
-        awake : (n,) bool — sensors awake this round (default: all).
-        reported : (n,) bool — sensors that transmitted a report
-            (default: the awake set).
-        relay_counts : (n,) int — reports each sensor forwarded for others.
-        """
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        m = self.model
-        awake = np.ones(self.n_sensors, dtype=bool) if awake is None else np.asarray(awake, bool)
-        reported = awake if reported is None else np.asarray(reported, bool)
-        cost = np.where(awake, k * m.sample_j + m.idle_listen_j, m.sleep_j)
-        cost = cost + np.where(reported, m.report_tx_j, 0.0)
-        if relay_counts is not None:
-            cost = cost + np.asarray(relay_counts, dtype=float) * m.relay_tx_j
-        self.spent_j += cost
-        self.rounds += 1
-
-    @property
-    def remaining_j(self) -> np.ndarray:
-        return np.maximum(self.model.battery_j - self.spent_j, 0.0)
-
-    @property
-    def dead(self) -> np.ndarray:
-        return self.remaining_j <= 0.0
-
-    @property
-    def mean_spend_per_round_j(self) -> np.ndarray:
-        if self.rounds == 0:
-            return np.zeros(self.n_sensors)
-        return self.spent_j / self.rounds
-
-    def projected_lifetime_rounds(self) -> float:
-        """Rounds until first sensor death, extrapolating current spending."""
-        per_round = self.mean_spend_per_round_j
-        busiest = per_round.max()
-        if busiest <= 0:
-            return float("inf")
-        return float(self.model.battery_j / busiest)
 
 
 def project_lifetime(

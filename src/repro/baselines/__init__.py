@@ -11,12 +11,7 @@
   loudest sensor.
 """
 
-from repro.baselines.sequences import (
-    detection_sequence,
-    sign_vector_from_rss,
-    kendall_distance,
-    spearman_footrule,
-)
+from repro.baselines.sequences import sign_vector_from_rss
 from repro.baselines.direct_mle import DirectMLETracker
 from repro.baselines.path_matching import PathMatchingTracker
 from repro.baselines.range_mle import RangeMLETracker
@@ -27,10 +22,7 @@ from repro.baselines.kalman import KalmanTracker
 from repro.baselines.particle import ParticleFilterTracker
 
 __all__ = [
-    "detection_sequence",
     "sign_vector_from_rss",
-    "kendall_distance",
-    "spearman_footrule",
     "DirectMLETracker",
     "PathMatchingTracker",
     "RangeMLETracker",

@@ -20,8 +20,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from repro.analysis.metrics import format_table
 from repro.analysis.sampling_times import all_flips_probability, required_sampling_times
 from repro.config import GridConfig, SimulationConfig

@@ -37,11 +37,6 @@ class MatchResult:
             return float("inf")
         return 1.0 / float(np.sqrt(self.sq_distance))
 
-    @property
-    def is_ambiguous(self) -> bool:
-        """True when more than one face ties at the maximum similarity."""
-        return len(self.face_ids) > 1
-
 
 class ExhaustiveMatcher:
     """Stateless full-scan matcher over a face map.

@@ -10,7 +10,7 @@ detection, and an online-smoothed output trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque
 
 import numpy as np
@@ -158,14 +158,3 @@ class TrackingSession:
     @property
     def gaps_detected(self) -> int:
         return self._gaps
-
-    def recent_errors(self, truths: np.ndarray) -> np.ndarray:
-        """Errors of the recent history against supplied true positions."""
-        truths = np.atleast_2d(np.asarray(truths, dtype=float))
-        states = self.history[-len(truths) :]
-        if len(states) != len(truths):
-            raise ValueError(
-                f"{len(truths)} truths supplied for {len(states)} retained states"
-            )
-        est = np.stack([s.position for s in states])
-        return np.hypot(est[:, 0] - truths[:, 0], est[:, 1] - truths[:, 1])

@@ -157,11 +157,6 @@ class TrackResult:
         e = self.errors
         return float(e.std()) if len(e) else float("nan")
 
-    @property
-    def max_error(self) -> float:
-        e = self.errors
-        return float(e.max()) if len(e) else float("nan")
-
     def __len__(self) -> int:
         return len(self.estimates)
 

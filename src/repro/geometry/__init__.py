@@ -21,7 +21,7 @@ from repro.geometry.apollonius import (
     classify_points_pairwise,
     uncertain_band_halfwidth,
 )
-from repro.geometry.bisector import bisector_side, certain_signatures
+from repro.geometry.bisector import certain_signatures
 from repro.geometry.grid import Grid
 from repro.geometry.components import UnionFind, label_equal_regions
 from repro.geometry.faces import Face, FaceMap, build_face_map, build_certain_face_map
@@ -51,7 +51,6 @@ __all__ = [
     "uncertain_boundary_circles",
     "classify_points_pairwise",
     "uncertain_band_halfwidth",
-    "bisector_side",
     "certain_signatures",
     "Grid",
     "UnionFind",

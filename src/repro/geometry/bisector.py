@@ -12,19 +12,7 @@ import numpy as np
 
 from repro.geometry.primitives import enumerate_pairs, pairwise_distances
 
-__all__ = ["bisector_side", "certain_signatures", "rank_sequence_of_points"]
-
-
-def bisector_side(points: np.ndarray, p_i: np.ndarray, p_j: np.ndarray) -> np.ndarray:
-    """Which side of the (i, j) bisector each point falls on.
-
-    Returns +1 where the point is strictly nearer ``p_i``, -1 where strictly
-    nearer ``p_j``, and 0 exactly on the bisector.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    d_i = np.hypot(points[:, 0] - p_i[0], points[:, 1] - p_i[1])
-    d_j = np.hypot(points[:, 0] - p_j[0], points[:, 1] - p_j[1])
-    return np.sign(d_j - d_i).astype(np.int8)
+__all__ = ["certain_signatures"]
 
 
 def certain_signatures(
@@ -55,19 +43,3 @@ def certain_signatures(
         dj = dist[:, j_idx[start:stop]]
         sig[:, start:stop] = np.sign(dj - di)
     return sig
-
-
-def rank_sequence_of_points(points: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Distance rank vector of each point w.r.t. all nodes.
-
-    Rank 0 is the nearest node.  This is the "detection node sequence" of
-    the sequence-based baselines, expressed as a rank vector so that two
-    sequences can be compared with rank correlation.
-    """
-    dist = pairwise_distances(points, nodes)
-    order = np.argsort(dist, axis=1, kind="stable")
-    ranks = np.empty_like(order)
-    m, n = order.shape
-    rows = np.repeat(np.arange(m), n)
-    ranks[rows, order.ravel()] = np.tile(np.arange(n), m)
-    return ranks

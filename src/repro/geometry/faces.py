@@ -42,11 +42,6 @@ class Face:
         """How many pair boundaries this face sits inside (zeros in the signature)."""
         return int(np.count_nonzero(self.signature == 0))
 
-    @property
-    def is_certain(self) -> bool:
-        """True when every pair ordering is certain inside the face (no zeros)."""
-        return self.n_uncertain_pairs == 0
-
 
 class _Query(NamedTuple):
     """Sampling vectors prepared for ``FaceMap._sq_distances``."""
@@ -363,21 +358,6 @@ class FaceMap:
             self._record_matches(ties)
             obs.counter("geometry.match.batched_rounds").inc(len(ties))
         return ties, bests
-
-    def match_position(self, vector: np.ndarray, *, soft: bool = False) -> np.ndarray:
-        """Position estimate: mean centroid of all maximum-similarity faces.
-
-        The paper's §6 rule — "the mean value of all the candidate faces
-        which have the maximum similarity".
-        """
-        ties, _ = self.match(vector, soft=soft)
-        return self.centroids[ties].mean(axis=0)
-
-    # -- ground truth helpers ----------------------------------------------
-
-    def expected_vector_for_point(self, point: np.ndarray) -> np.ndarray:
-        """Noise-free expected sampling vector at *point* (== its face signature)."""
-        return self.signature_of_point(point).astype(np.float64)
 
 
 def _build_adjacency(cell_face: np.ndarray, grid: Grid, n_faces: int) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,6 @@ __all__ = [
     "enumerate_pairs",
     "pair_index",
     "polyline_length",
-    "resample_polyline",
 ]
 
 
@@ -107,23 +106,3 @@ def polyline_length(vertices: np.ndarray) -> float:
         return 0.0
     seg = np.diff(vertices, axis=0)
     return float(np.hypot(seg[:, 0], seg[:, 1]).sum())
-
-
-def resample_polyline(vertices: np.ndarray, arclengths: np.ndarray) -> np.ndarray:
-    """Positions along a polyline at the given arc-length offsets.
-
-    Offsets beyond the path are clamped to the endpoints; this is what the
-    mobility layer uses to sample a trace at localization instants.
-    """
-    vertices = np.asarray(vertices, dtype=float)
-    arclengths = np.asarray(arclengths, dtype=float)
-    if len(vertices) < 2:
-        return np.broadcast_to(vertices[0], arclengths.shape + (2,)).copy()
-    seg = np.diff(vertices, axis=0)
-    seg_len = np.hypot(seg[:, 0], seg[:, 1])
-    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
-    s = np.clip(arclengths, 0.0, cum[-1])
-    idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(seg_len) - 1)
-    denom = np.where(seg_len[idx] > 0, seg_len[idx], 1.0)
-    frac = (s - cum[idx]) / denom
-    return vertices[idx] + frac[..., None] * seg[idx]

@@ -8,8 +8,7 @@ Provides the random-waypoint model the paper generates traces with
 from repro.mobility.base import MobilityModel, StationaryTarget
 from repro.mobility.waypoint import RandomWaypoint
 from repro.mobility.gauss_markov import GaussMarkov
-from repro.mobility.paths import PiecewiseLinearPath, l_shape_path, lawnmower_path
-from repro.mobility.trace_io import RecordedTrace, save_trace, load_trace, record_model
+from repro.mobility.paths import PiecewiseLinearPath, l_shape_path
 
 __all__ = [
     "MobilityModel",
@@ -18,9 +17,4 @@ __all__ = [
     "GaussMarkov",
     "PiecewiseLinearPath",
     "l_shape_path",
-    "lawnmower_path",
-    "RecordedTrace",
-    "save_trace",
-    "load_trace",
-    "record_model",
 ]

@@ -15,7 +15,7 @@ import numpy as np
 from repro.geometry.primitives import polyline_length
 from repro.rng import ensure_rng
 
-__all__ = ["PiecewiseLinearPath", "l_shape_path", "lawnmower_path"]
+__all__ = ["PiecewiseLinearPath", "l_shape_path"]
 
 
 @dataclass
@@ -91,26 +91,3 @@ def l_shape_path(
         gen = ensure_rng(rng)
         speeds = gen.uniform(*speed_range, size=len(vertices) - 1)
     return PiecewiseLinearPath(vertices, speeds)
-
-
-def lawnmower_path(
-    field_size: float,
-    *,
-    n_sweeps: int = 4,
-    inset_frac: float = 0.15,
-    speed: float = 2.0,
-) -> PiecewiseLinearPath:
-    """Boustrophedon coverage path — a demanding tracking workload with
-    many sharp turns, used by the examples and stress tests."""
-    if n_sweeps < 2:
-        raise ValueError(f"need at least two sweeps, got {n_sweeps}")
-    inset = inset_frac * field_size
-    xs = np.linspace(inset, field_size - inset, n_sweeps)
-    lo, hi = inset, field_size - inset
-    pts: list[tuple[float, float]] = []
-    for i, x in enumerate(xs):
-        if i % 2 == 0:
-            pts.extend([(x, lo), (x, hi)])
-        else:
-            pts.extend([(x, hi), (x, lo)])
-    return PiecewiseLinearPath(np.asarray(pts), speed)

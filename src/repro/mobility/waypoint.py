@@ -73,11 +73,6 @@ class RandomWaypoint:
         self._times = np.asarray(times)
         self._points = np.stack(points)
 
-    @property
-    def waypoints(self) -> np.ndarray:
-        """The materialized waypoint list (V, 2)."""
-        return self._points.copy()
-
     def position(self, times: np.ndarray) -> np.ndarray:
         """Linear interpolation along the materialized trace; clamped at ends."""
         times = np.atleast_1d(np.asarray(times, dtype=float))

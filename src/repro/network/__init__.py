@@ -11,7 +11,6 @@ from repro.network.deployment import (
     random_deployment,
     cross_deployment,
     perturbed_grid_deployment,
-    deployment_stats,
 )
 from repro.network.sensing import GroupSampler
 from repro.network.faults import (
@@ -42,7 +41,6 @@ __all__ = [
     "random_deployment",
     "cross_deployment",
     "perturbed_grid_deployment",
-    "deployment_stats",
     "GroupSampler",
     "FaultModel",
     "ValueFaultModel",

@@ -76,11 +76,5 @@ class BaseStation:
     def n_rounds(self) -> int:
         return len(self.rounds)
 
-    def reporting_history(self) -> np.ndarray:
-        """(rounds, n) matrix of which sensors delivered data each round."""
-        if not self.rounds:
-            return np.zeros((0, 0), dtype=bool)
-        return np.stack([~np.isnan(r.effective_rss).all(axis=0) for r in self.rounds])
-
     def reset(self) -> None:
         self.rounds.clear()

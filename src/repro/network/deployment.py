@@ -9,7 +9,6 @@ jittered grid for positioning-error studies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +19,6 @@ __all__ = [
     "random_deployment",
     "perturbed_grid_deployment",
     "cross_deployment",
-    "deployment_stats",
-    "DeploymentStats",
 ]
 
 
@@ -143,33 +140,3 @@ def cross_deployment(field_size: float, arm_nodes: int = 2, *, spacing: float | 
     if np.any(arr < 0) or np.any(arr > field_size):
         raise ValueError("cross deployment spills outside the field; reduce spacing or arm_nodes")
     return arr
-
-
-@dataclass(frozen=True)
-class DeploymentStats:
-    """Summary statistics of a deployment used by the error-bound analysis."""
-
-    n_sensors: int
-    density_per_m2: float
-    mean_nn_distance: float
-    min_pair_distance: float
-    expected_sensing_count: float  # n = pi R^2 rho of §5.2
-
-
-def deployment_stats(nodes: np.ndarray, field_size: float, sensing_range: float) -> DeploymentStats:
-    """Compute the quantities §5.2's error bound depends on (rho, n = pi R^2 rho)."""
-    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    n = len(nodes)
-    if n < 2:
-        raise ValueError(f"need at least two nodes for statistics, got {n}")
-    diff = nodes[:, None, :] - nodes[None, :, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])
-    np.fill_diagonal(dist, np.inf)
-    density = n / field_size**2
-    return DeploymentStats(
-        n_sensors=n,
-        density_per_m2=density,
-        mean_nn_distance=float(dist.min(axis=1).mean()),
-        min_pair_distance=float(dist.min()),
-        expected_sensing_count=float(np.pi * sensing_range**2 * density),
-    )

@@ -6,7 +6,8 @@ attach to the nearest cluster head within radio range, heads forward to
 the base station over a shortest-hop tree, and every radio hop loses a
 report independently — so a sensor's effective delivery probability decays
 with its hop depth.  The energy cost of relaying is charged per forwarded
-report, which is what makes "too dense deployment will worsen the
+report, from the same ``analysis.energy.EnergyModel`` table the lifetime
+projections use, which is what makes "too dense deployment will worsen the
 communication ability" (§5.2) a measurable statement.
 """
 
@@ -15,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from repro.analysis.energy import EnergyModel
 
 __all__ = ["RoutingTopology", "build_routing_topology"]
 
@@ -78,21 +81,16 @@ class RoutingTopology:
         u = rng.random(self.n_nodes)
         return u >= self.delivery_probability()
 
-    def relay_energy_per_round(self, report_cost_j: float = 5e-4) -> np.ndarray:
-        """Energy each node spends per round on its own + relayed reports."""
-        own = np.where(self.connected, 1.0, 0.0)
-        return (own + self.relay_counts) * report_cost_j
-
-    def network_lifetime_rounds(
-        self, energy_j: float = 100.0, report_cost_j: float = 5e-4
-    ) -> float:
-        """Rounds until the busiest node exhausts its budget (classic
-        first-node-death lifetime)."""
-        per_round = self.relay_energy_per_round(report_cost_j)
+    def network_lifetime_rounds(self, model: "EnergyModel | None" = None) -> float:
+        """Rounds until the busiest node exhausts its battery (classic
+        first-node-death lifetime): every round each connected node sends
+        its own report and forwards ``relay_counts`` others."""
+        model = model or EnergyModel()
+        per_round = self.connected * model.report_tx_j + self.relay_counts * model.relay_tx_j
         busiest = per_round.max()
         if busiest <= 0:
             return float("inf")
-        return float(energy_j / busiest)
+        return float(model.battery_j / busiest)
 
 
 def build_routing_topology(

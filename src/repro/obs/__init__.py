@@ -12,7 +12,8 @@ Two cooperating pieces:
   masked-pair count, matcher work) plus sweep-level spans.
 
 Enable with ``REPRO_OBS=1`` (and ``REPRO_OBS_TRACE=/path/trace.jsonl``
-for events), or programmatically::
+for events), process-wide with :func:`set_enabled` and :func:`set_tracer`,
+or for one block of work::
 
     with repro.obs.observe(trace_path="out/trace.jsonl") as reg:
         run_tracking(...)
@@ -51,7 +52,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "Tracer",
-    "configure_observability",
     "counter",
     "enabled",
     "format_metrics",
@@ -68,22 +68,6 @@ __all__ = [
     "tracer",
     "write_metrics",
 ]
-
-
-def configure_observability(
-    *,
-    enabled: "bool | None" = None,
-    trace_path: "str | None" = None,
-) -> MetricsRegistry:
-    """Configure the process-global observability state.
-
-    ``enabled`` forces metrics on/off (``None`` restores ``REPRO_OBS``
-    env control); ``trace_path`` installs a JSONL tracer at that path
-    (empty string / ``None`` removes any tracer).  Returns the registry.
-    """
-    set_enabled(enabled)
-    set_tracer(Tracer(trace_path) if trace_path else None)
-    return registry()
 
 
 @contextmanager

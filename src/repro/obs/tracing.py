@@ -12,8 +12,8 @@ paper-level quantities per localization round: matched face, squared
 vector distance, masked-pair count (Eq. 7 ``*`` components), reporting
 sensors, and matcher work.
 
-A process has at most one active tracer (configured through
-:func:`repro.obs.configure_observability` or ``REPRO_OBS_TRACE``); when
+A process has at most one active tracer (installed by :func:`set_tracer`,
+:func:`repro.obs.observe` or ``REPRO_OBS_TRACE``); when
 none is configured every :func:`trace_event` / :func:`span` call is a
 no-op costing one attribute check.
 """

@@ -9,11 +9,7 @@ from repro.rf.pathloss import LogDistancePathLoss
 from repro.rf.noise import GaussianNoise, NoNoise, StudentTNoise, MixtureNoise
 from repro.rf.channel import RssChannel, SampleBatch
 from repro.rf.acoustic import AcousticToneChannel
-from repro.rf.shadowing import (
-    TemporallyCorrelatedNoise,
-    CommonModeNoise,
-    gudmundson_covariance,
-)
+from repro.rf.shadowing import TemporallyCorrelatedNoise, CommonModeNoise
 
 __all__ = [
     "LogDistancePathLoss",
@@ -26,5 +22,4 @@ __all__ = [
     "AcousticToneChannel",
     "TemporallyCorrelatedNoise",
     "CommonModeNoise",
-    "gudmundson_covariance",
 ]

@@ -61,8 +61,3 @@ class LogDistancePathLoss:
         """
         rss = np.asarray(rss_dbm, dtype=float)
         return self.d0 * 10.0 ** ((self.p0_dbm - rss) / (10.0 * self.exponent))
-
-    def rss_gradient_magnitude(self, distance_m: np.ndarray) -> np.ndarray:
-        """|d RSS / d distance| in dB per metre — resolution analysis helper."""
-        d = np.maximum(np.asarray(distance_m, dtype=float), self.min_distance)
-        return 10.0 * self.exponent / (d * np.log(10.0))

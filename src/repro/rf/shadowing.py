@@ -21,23 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["TemporallyCorrelatedNoise", "CommonModeNoise", "gudmundson_covariance"]
-
-
-def gudmundson_covariance(positions: np.ndarray, sigma_dbm: float, decorrelation_m: float) -> np.ndarray:
-    """Gudmundson's exponential spatial-correlation model.
-
-    cov[i, j] = sigma^2 * exp(-d_ij / d_corr) — the standard empirical model
-    for shadowing correlation between receiver locations.
-    """
-    positions = np.atleast_2d(np.asarray(positions, dtype=float))
-    if sigma_dbm < 0:
-        raise ValueError(f"sigma must be non-negative, got {sigma_dbm}")
-    if decorrelation_m <= 0:
-        raise ValueError(f"decorrelation distance must be positive, got {decorrelation_m}")
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])
-    return sigma_dbm**2 * np.exp(-dist / decorrelation_m)
+__all__ = ["TemporallyCorrelatedNoise", "CommonModeNoise"]
 
 
 @dataclass

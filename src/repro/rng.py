@@ -9,18 +9,9 @@ single integer seed fans out into any number of independent generators.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
-
 import numpy as np
 
-__all__ = [
-    "ensure_rng",
-    "spawn_rngs",
-    "rng_stream",
-    "derive_rng",
-]
-
-RngLike = "int | np.random.Generator | np.random.SeedSequence | None"
+__all__ = ["ensure_rng", "spawn_rngs"]
 
 
 def ensure_rng(seed: "int | np.random.Generator | np.random.SeedSequence | None" = None) -> np.random.Generator:
@@ -48,45 +39,3 @@ def spawn_rngs(seed: "int | np.random.SeedSequence | None", n: int) -> list[np.r
     else:
         ss = np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in ss.spawn(n)]
-
-
-def rng_stream(seed: "int | np.random.SeedSequence | None") -> Iterator[np.random.Generator]:
-    """Yield an unbounded stream of independent generators.
-
-    Useful when the number of replications is not known up front::
-
-        stream = rng_stream(1234)
-        for trial in trials:
-            run(trial, rng=next(stream))
-    """
-    if isinstance(seed, np.random.SeedSequence):
-        ss = seed
-    else:
-        ss = np.random.SeedSequence(seed)
-    while True:
-        (child,) = ss.spawn(1)
-        yield np.random.default_rng(child)
-
-
-def derive_rng(rng: np.random.Generator, *keys: "int | str") -> np.random.Generator:
-    """Derive a child generator from *rng*, namespaced by *keys*.
-
-    The same parent state and keys always produce the same child, letting
-    components carve private streams out of a shared generator without
-    coupling their draw counts.
-    """
-    material: list[int] = list(rng.bit_generator.state["state"].get("key", []))
-    if not material:
-        material = [int(rng.integers(0, 2**32))]
-    for key in keys:
-        if isinstance(key, str):
-            material.extend(key.encode("utf-8"))
-        else:
-            material.append(int(key) & 0xFFFFFFFF)
-    return np.random.default_rng(np.random.SeedSequence(material))
-
-
-def check_rngs_independent(rngs: Sequence[np.random.Generator], n_draws: int = 8) -> bool:
-    """Cheap sanity check that generators do not emit identical streams."""
-    draws = [tuple(r.integers(0, 2**63, size=n_draws).tolist()) for r in rngs]
-    return len(set(draws)) == len(draws)

@@ -21,7 +21,7 @@ from repro.sim.experiments import (
     sweep_sampling_times,
     sweep_basic_vs_extended,
 )
-from repro.sim.io import records_to_csv, records_to_json, load_records_json
+from repro.sim.io import records_to_csv
 from repro.sim.modelmode import ModelSampler, run_model_tracking
 from repro.sim.ablations import (
     ablate_uncertainty_constant,
@@ -47,8 +47,6 @@ __all__ = [
     "sweep_sampling_times",
     "sweep_basic_vs_extended",
     "records_to_csv",
-    "records_to_json",
-    "load_records_json",
     "ModelSampler",
     "run_model_tracking",
     "ablate_uncertainty_constant",

@@ -19,7 +19,7 @@ from repro.network.faults import FaultModel
 from repro.obs.tracing import span
 from repro.rng import spawn_rngs
 from repro.sim.runner import run_all_trackers
-from repro.sim.scenario import Scenario, make_scenario
+from repro.sim.scenario import make_scenario
 
 __all__ = [
     "SweepRecord",

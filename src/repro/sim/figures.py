@@ -1,9 +1,15 @@
-"""Reusable figure-data generators.
+"""Model-mode figure data for the CLI.
 
-The model-mode series behind Figs. 12(a) and 12(b) are needed by the CLI,
-the benchmark harness, and ad-hoc analysis; this module is their single
-implementation.  Each generator returns plain nested dicts of floats so
-callers can print, assert, or serialize without further plumbing.
+``fttt fig12a`` prints the Fig. 12(a) resolution series from
+:func:`fig12a_series`, one :func:`model_mode_error` replication loop per
+point (rep seeds ``seed + 31 * rep``).  ``fttt fig12b`` runs the
+physical-channel sweep (``sim.experiments.sweep_sampling_times``) instead.
+The benchmark harness does not call this module:
+``benchmarks/test_fig12a_resolution.py`` and
+``benchmarks/test_fig12b_sampling_times.py`` keep their own loops and
+seed schedules (``7 * rep`` and ``13 * rep``), so their committed CSVs do
+not follow from these generators.  Results are plain floats and nested
+dicts, ready to print, assert or serialize.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from repro.mobility.waypoint import RandomWaypoint
 from repro.network.deployment import random_deployment
 from repro.sim.modelmode import ModelSampler, run_model_tracking
 
-__all__ = ["model_mode_error", "fig12a_series", "fig12b_series"]
+__all__ = ["model_mode_error", "fig12a_series"]
 
 
 def model_mode_error(
@@ -79,25 +85,4 @@ def fig12a_series(
             for e in eps_values
         ]
         for n in n_values
-    }
-
-
-def fig12b_series(
-    k_values: Sequence[int],
-    n_values: Sequence[int],
-    *,
-    eps: float = 1.0,
-    n_reps: int = 5,
-    seed: int = 0,
-    **kwargs,
-) -> dict[int, list[float]]:
-    """Fig. 12(b): per-k error series over the sensor-count axis."""
-    if not k_values or not n_values:
-        raise ValueError("need at least one k and one n value")
-    return {
-        int(k): [
-            model_mode_error(n_sensors=int(n), eps=eps, k=int(k), n_reps=n_reps, seed=seed, **kwargs)
-            for n in n_values
-        ]
-        for k in k_values
     }

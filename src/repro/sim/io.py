@@ -1,55 +1,32 @@
-"""Result serialization: sweep records to CSV / JSON and back.
+"""Result serialization: sweep records to CSV.
 
-The benchmark harness writes every figure's regenerated series next to the
-printed table so results can be diffed across runs and plotted externally.
+The CLI's ``--out``, the fault-lab campaign and the benchmark harness
+write regenerated series as CSV so results can be diffed across runs and
+plotted externally.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
 from typing import Sequence
 
 from repro.sim.experiments import SweepRecord
 
-__all__ = ["records_to_csv", "records_to_json", "load_records_json"]
-
-
-def _rows(records: Sequence[SweepRecord]) -> tuple[list[str], list[dict]]:
-    if not records:
-        raise ValueError("no records to serialize")
-    dicts = [r.as_dict() for r in records]
-    keys: list[str] = []
-    for d in dicts:
-        for k in d:
-            if k not in keys:
-                keys.append(k)
-    return keys, dicts
+__all__ = ["records_to_csv"]
 
 
 def records_to_csv(records: Sequence[SweepRecord], path: "str | Path") -> Path:
-    """Write sweep records as CSV; returns the path written."""
+    """Write sweep records as CSV, one column per field in first-seen
+    order; returns the path written."""
+    if not records:
+        raise ValueError("no records to serialize")
+    dicts = [r.as_dict() for r in records]
+    keys = list(dict.fromkeys(k for d in dicts for k in d))
     path = Path(path)
-    keys, dicts = _rows(records)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=keys)
         writer.writeheader()
-        for d in dicts:
-            writer.writerow(d)
+        writer.writerows(dicts)
     return path
-
-
-def records_to_json(records: Sequence[SweepRecord], path: "str | Path") -> Path:
-    """Write sweep records as JSON; returns the path written."""
-    path = Path(path)
-    _, dicts = _rows(records)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(dicts, indent=2, sort_keys=True))
-    return path
-
-
-def load_records_json(path: "str | Path") -> list[dict]:
-    """Load records previously written by :func:`records_to_json`."""
-    return json.loads(Path(path).read_text())

@@ -1,24 +1,19 @@
 """ASCII visualization helpers.
 
 Terminal-renderable views of the simulated world: the face map's
-uncertain-area structure, tracking traces with estimates overlaid, and
-coverage fields.  Used by the examples; no plotting dependencies.
+uncertain-area structure, coverage fields and error sparklines.  Used by
+the examples; no plotting dependencies.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.tracker import TrackResult
 from repro.geometry.faces import FaceMap
 
-__all__ = ["render_face_map", "render_track", "render_scalar_field", "sparkline"]
+__all__ = ["render_face_map", "render_scalar_field", "sparkline"]
 
 _SHADES = " .:-=+*#%@"
-
-
-def _canvas(width: int, height: int) -> list[list[str]]:
-    return [[" "] * width for _ in range(height)]
 
 
 def _to_text(canvas: list[list[str]]) -> str:
@@ -70,34 +65,6 @@ def render_scalar_field(
             y = min(int(p[1] / h_m * height), height - 1)
             canvas[y][x] = "#"
     canvas.reverse()  # row 0 at the bottom
-    return _to_text(canvas)
-
-
-def render_track(
-    result: TrackResult,
-    field_size: float,
-    *,
-    width: int = 60,
-    nodes: "np.ndarray | None" = None,
-) -> str:
-    """Overlay the true trace (.), the estimates (o), and sensors (#)."""
-    height = max(2, width // 2)
-    canvas = _canvas(width, height)
-
-    def put(p, ch):
-        x = min(max(int(p[0] / field_size * width), 0), width - 1)
-        y = min(max(int(p[1] / field_size * height), 0), height - 1)
-        cur = canvas[y][x]
-        canvas[y][x] = "X" if cur not in (" ", ch) else ch
-
-    for p in result.truth:
-        put(p, ".")
-    for p in result.positions:
-        put(p, "o")
-    if nodes is not None:
-        for p in np.atleast_2d(nodes):
-            put(p, "#")
-    canvas.reverse()
     return _to_text(canvas)
 
 

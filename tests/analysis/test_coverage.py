@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.coverage import coverage_field, coverage_report, density_tradeoff
+from repro.analysis.energy import EnergyModel
 from repro.geometry.grid import Grid
 from repro.network.deployment import grid_deployment
 
@@ -65,3 +66,8 @@ class TestDensityTradeoff:
         # ...communication side worsens (the paper's trade-off)
         assert dense["max_relay_load"] >= sparse["max_relay_load"]
         assert dense["lifetime_rounds"] <= sparse["lifetime_rounds"]
+        # lifetimes are priced by the energy model: twice the battery, twice the rounds
+        rich = density_tradeoff([8, 32], 100.0, 40.0, seed=3, model=EnergyModel(battery_j=200.0))
+        assert [r["lifetime_rounds"] for r in rich] == pytest.approx(
+            [2.0 * r["lifetime_rounds"] for r in rows]
+        )

@@ -1,9 +1,8 @@
 """Tests for repro.analysis.energy."""
 
-import numpy as np
 import pytest
 
-from repro.analysis.energy import EnergyLedger, EnergyModel, project_lifetime
+from repro.analysis.energy import EnergyModel, project_lifetime
 
 
 class TestEnergyModel:
@@ -19,55 +18,6 @@ class TestEnergyModel:
             EnergyModel(battery_j=0.0)
 
 
-class TestEnergyLedger:
-    def test_charge_round_all_awake(self):
-        m = EnergyModel(sample_j=1.0, report_tx_j=2.0, idle_listen_j=0.5, battery_j=100.0)
-        led = EnergyLedger(3, m)
-        led.charge_round(k=4)
-        # 4 samples + idle + report = 4 + 0.5 + 2 = 6.5 each
-        assert np.allclose(led.spent_j, 6.5)
-        assert led.rounds == 1
-
-    def test_sleeping_sensors_cheap(self):
-        m = EnergyModel(sample_j=1.0, report_tx_j=2.0, idle_listen_j=0.5, sleep_j=0.01)
-        led = EnergyLedger(2, m)
-        led.charge_round(k=4, awake=np.array([True, False]))
-        assert led.spent_j[0] == pytest.approx(6.5)
-        assert led.spent_j[1] == pytest.approx(0.01)
-
-    def test_relay_costs_added(self):
-        m = EnergyModel(sample_j=0.0, report_tx_j=1.0, idle_listen_j=0.0, relay_tx_j=1.0)
-        led = EnergyLedger(2, m)
-        led.charge_round(k=0, relay_counts=np.array([3, 0]))
-        assert led.spent_j[0] == pytest.approx(4.0)  # own report + 3 relays
-        assert led.spent_j[1] == pytest.approx(1.0)
-
-    def test_remaining_and_death(self):
-        m = EnergyModel(sample_j=1.0, report_tx_j=0.0, idle_listen_j=0.0, battery_j=10.0)
-        led = EnergyLedger(1, m)
-        for _ in range(12):
-            led.charge_round(k=1)
-        assert led.remaining_j[0] == 0.0
-        assert led.dead[0]
-
-    def test_lifetime_projection(self):
-        m = EnergyModel(sample_j=1.0, report_tx_j=0.0, idle_listen_j=0.0, battery_j=100.0)
-        led = EnergyLedger(2, m)
-        led.charge_round(k=2)
-        assert led.projected_lifetime_rounds() == pytest.approx(50.0)
-
-    def test_no_rounds_infinite_lifetime(self):
-        led = EnergyLedger(2, EnergyModel())
-        assert led.projected_lifetime_rounds() == float("inf")
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EnergyLedger(0, EnergyModel())
-        led = EnergyLedger(2, EnergyModel())
-        with pytest.raises(ValueError):
-            led.charge_round(k=-1)
-
-
 class TestProjectLifetime:
     def test_duty_cycling_extends_lifetime(self):
         full = project_lifetime(10, 5, duty_cycle=1.0)
@@ -80,13 +30,12 @@ class TestProjectLifetime:
         heavy = project_lifetime(10, 5, max_relay_load=8)
         assert heavy["bottleneck_rounds"] < light["bottleneck_rounds"]
 
-    def test_consistency_with_ledger(self):
-        m = EnergyModel()
-        proj = project_lifetime(4, 5, model=m, duty_cycle=1.0)
-        led = EnergyLedger(4, m)
-        for _ in range(5):
-            led.charge_round(k=5)
-        assert led.projected_lifetime_rounds() == pytest.approx(proj["mean_rounds"], rel=1e-9)
+    def test_matches_hand_computed_round_cost(self):
+        m = EnergyModel(sample_j=1.0, report_tx_j=2.0, idle_listen_j=0.5, relay_tx_j=1.0, battery_j=130.0)
+        proj = project_lifetime(4, 4, model=m, duty_cycle=1.0, max_relay_load=3)
+        # 4 samples + idle + report = 6.5 J a round; the bottleneck adds 3 relays
+        assert proj["mean_rounds"] == pytest.approx(20.0)
+        assert proj["bottleneck_rounds"] == pytest.approx(130.0 / 9.5)
 
     def test_validation(self):
         with pytest.raises(ValueError):

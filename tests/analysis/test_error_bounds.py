@@ -1,6 +1,5 @@
 """Tests for repro.analysis.error_bounds (§5.2, Appendix II)."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.error_bounds import (

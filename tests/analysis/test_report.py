@@ -1,6 +1,5 @@
 """Tests for repro.analysis.report."""
 
-from pathlib import Path
 
 import pytest
 

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.statistics import (
-    bootstrap_mean_ci,
-    paired_comparison,
-    required_replications,
-    welch_test,
-)
+from repro.analysis.statistics import bootstrap_mean_ci, paired_comparison
 
 
 class TestBootstrapCI:
@@ -46,7 +41,7 @@ class TestPairedComparison:
         a = rng.normal(4.0, 0.5, 20)
         b = a + 2.0 + rng.normal(0, 0.2, 20)
         cmp = paired_comparison(a, b, rng=0)
-        assert cmp.a_is_better
+        assert cmp.mean_diff > 0 and cmp.p_value < 0.05
         assert cmp.mean_diff == pytest.approx(2.0, abs=0.3)
         assert cmp.win_rate_a == 1.0
         assert cmp.ci_lo > 0
@@ -55,7 +50,7 @@ class TestPairedComparison:
         a = rng.normal(5.0, 1.0, 15)
         b = a + rng.normal(0, 0.01, 15)
         cmp = paired_comparison(a, b, rng=0)
-        assert not cmp.a_is_better or abs(cmp.mean_diff) < 0.05
+        assert cmp.p_value >= 0.05 or abs(cmp.mean_diff) < 0.05
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -77,38 +72,3 @@ class TestPairedComparison:
         cmp = paired_comparison(np.array(fttt), np.array(mle), rng=0)
         assert cmp.mean_diff > 0  # FTTT lower error on average
         assert cmp.win_rate_a >= 0.5
-
-
-class TestWelch:
-    def test_detects_difference(self, rng):
-        t, p = welch_test(rng.normal(0, 1, 50), rng.normal(2, 1, 50))
-        assert p < 1e-6
-
-    def test_no_difference(self, rng):
-        t, p = welch_test(rng.normal(0, 1, 50), rng.normal(0, 1, 50))
-        assert p > 0.01
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            welch_test(np.array([1.0]), np.array([1.0, 2.0]))
-
-
-class TestRequiredReplications:
-    def test_formula(self, rng):
-        pilot = rng.normal(5.0, 2.0, 10)
-        n = required_replications(pilot, target_halfwidth=0.5)
-        # n = (1.96 * s / 0.5)^2 for 95%
-        s = pilot.std(ddof=1)
-        assert n == int(np.ceil((1.959963984540054 * s / 0.5) ** 2))
-
-    def test_tighter_target_needs_more(self, rng):
-        pilot = rng.normal(5.0, 2.0, 10)
-        assert required_replications(pilot, target_halfwidth=0.2) > required_replications(
-            pilot, target_halfwidth=1.0
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            required_replications(np.array([1.0]), target_halfwidth=0.5)
-        with pytest.raises(ValueError):
-            required_replications(np.array([1.0, 2.0]), target_halfwidth=0.0)

@@ -43,11 +43,8 @@ class TestExhaustiveMatcher:
         b = m.match(v, start_face=0)
         assert np.array_equal(a.face_ids, b.face_ids)
 
-    def test_is_ambiguous_flag(self):
-        res_single = MatchResult(np.array([3]), 0.0, np.zeros(2), 1)
+    def test_face_id_is_the_first_tie(self):
         res_multi = MatchResult(np.array([3, 5]), 0.0, np.zeros(2), 1)
-        assert not res_single.is_ambiguous
-        assert res_multi.is_ambiguous
         assert res_multi.face_id == 3
 
     def test_reset_is_noop(self, face_map):

@@ -92,21 +92,6 @@ class TestGaps:
         assert state.gaps_detected == 0
 
 
-class TestRecentErrors:
-    def test_errors_against_truth(self, session, four_nodes, rng):
-        points = [rng.uniform(30, 70, 2) for _ in range(4)]
-        for i, p in enumerate(points):
-            session.submit(batch_at(four_nodes, p, 0.5 * i, noise=1.0, rng=rng))
-        errs = session.recent_errors(np.stack(points))
-        assert errs.shape == (4,)
-        assert np.all(errs >= 0)
-
-    def test_mismatched_truth_length(self, session, four_nodes):
-        session.submit(batch_at(four_nodes, [40.0, 40.0], 0.0))
-        with pytest.raises(ValueError, match="truths"):
-            session.recent_errors(np.zeros((5, 2)))
-
-
 class TestValidation:
     def test_bad_params(self, face_map):
         tracker = FTTTracker(face_map)

@@ -116,13 +116,11 @@ class TestTrack:
         e = result.errors
         assert result.mean_error == pytest.approx(e.mean())
         assert result.std_error == pytest.approx(e.std())
-        assert result.max_error == pytest.approx(e.max())
 
     def test_empty_result_metrics_are_nan(self):
         r = TrackResult()
         assert np.isnan(r.mean_error)
         assert np.isnan(r.std_error)
-        assert np.isnan(r.max_error)
         assert r.positions.shape == (0, 2)
 
     def test_reset_clears_matcher_state(self, face_map, four_nodes):

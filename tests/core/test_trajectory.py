@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.trajectory import (
-    TrajectorySmoothness,
     exponential_smoothing,
     median_filter,
     moving_average,

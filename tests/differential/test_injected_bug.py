@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 import repro.core.heuristic as heuristic

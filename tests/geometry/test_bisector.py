@@ -1,27 +1,22 @@
 """Tests for repro.geometry.bisector (certain-world classification)."""
 
 import numpy as np
-import pytest
 
 from repro.geometry.apollonius import classify_points_pairwise
-from repro.geometry.bisector import bisector_side, certain_signatures, rank_sequence_of_points
-
-
-class TestBisectorSide:
-    def test_sides_and_boundary(self):
-        p_i = np.array([0.0, 0.0])
-        p_j = np.array([10.0, 0.0])
-        pts = np.array([[2.0, 1.0], [8.0, -1.0], [5.0, 7.0]])
-        assert bisector_side(pts, p_i, p_j).tolist() == [1, -1, 0]
-
-    def test_antisymmetric_in_nodes(self, rng):
-        p_i = np.array([1.0, 2.0])
-        p_j = np.array([7.0, -3.0])
-        pts = rng.uniform(-10, 10, (50, 2))
-        assert np.array_equal(bisector_side(pts, p_i, p_j), -bisector_side(pts, p_j, p_i))
+from repro.geometry.bisector import certain_signatures
 
 
 class TestCertainSignatures:
+    def test_sides_and_boundary(self):
+        nodes = np.array([[0.0, 0.0], [10.0, 0.0]])
+        pts = np.array([[2.0, 1.0], [8.0, -1.0], [5.0, 7.0]])
+        assert certain_signatures(pts, nodes)[:, 0].tolist() == [1, -1, 0]
+
+    def test_antisymmetric_in_nodes(self, rng):
+        nodes = np.array([[1.0, 2.0], [7.0, -3.0]])
+        pts = rng.uniform(-10, 10, (50, 2))
+        assert np.array_equal(certain_signatures(pts, nodes), -certain_signatures(pts, nodes[::-1]))
+
     def test_equals_apollonius_in_c_to_one_limit(self, four_nodes, rng):
         pts = rng.uniform(0, 100, (100, 2))
         certain = certain_signatures(pts, four_nodes)
@@ -45,15 +40,3 @@ class TestCertainSignatures:
                 expected = np.sign(d[j] - d[i])
                 assert sig[idx] == expected
                 idx += 1
-
-
-class TestRankSequence:
-    def test_rank_zero_is_nearest(self, four_nodes):
-        ranks = rank_sequence_of_points(np.array([[31.0, 29.0]]), four_nodes)[0]
-        assert ranks[0] == 0  # node at (30, 30) is nearest
-
-    def test_ranks_are_permutations(self, four_nodes, rng):
-        pts = rng.uniform(0, 100, (20, 2))
-        ranks = rank_sequence_of_points(pts, four_nodes)
-        for row in ranks:
-            assert sorted(row.tolist()) == list(range(len(four_nodes)))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.matching import ExhaustiveMatcher
 from repro.geometry.faces import build_certain_face_map, build_face_map
 from repro.geometry.grid import Grid
 
@@ -63,7 +64,6 @@ class TestFaceAccess:
         for fid in range(min(10, face_map.n_faces)):
             f = face_map.face(fid)
             assert f.n_uncertain_pairs == int((f.signature == 0).sum())
-            assert f.is_certain == (f.n_uncertain_pairs == 0)
 
 
 class TestAdjacency:
@@ -127,7 +127,7 @@ class TestMatching:
 
     def test_match_position_mean_of_ties(self, face_map):
         v = face_map.signatures[0].astype(float)
-        pos = face_map.match_position(v)
+        pos = ExhaustiveMatcher(face_map).match(v).position
         ties, _ = face_map.match(v)
         assert np.allclose(pos, face_map.centroids[ties].mean(axis=0))
 
@@ -167,13 +167,6 @@ class TestComponentSplitting:
         split = build_face_map(four_nodes, small_grid, c=1.5, split_components=True)
         assert set(np.unique(split.signatures)).issubset({-1, 0, 1})
         assert split.cell_counts.sum() == split.grid.n_cells
-
-
-class TestExpectedVector:
-    def test_expected_vector_matches_signature(self, face_map):
-        p = np.array([25.0, 75.0])
-        v = face_map.expected_vector_for_point(p)
-        assert np.array_equal(v, face_map.signature_of_point(p).astype(float))
 
 
 class TestTieTolerance:

@@ -10,7 +10,6 @@ from repro.geometry.primitives import (
     pairwise_distances,
     point_in_circle,
     polyline_length,
-    resample_polyline,
 )
 
 
@@ -114,18 +113,3 @@ class TestPolyline:
     def test_length_rejects_bad_shape(self):
         with pytest.raises(ValueError, match="vertices"):
             polyline_length(np.zeros(4))
-
-    def test_resample_endpoints_and_midpoint(self):
-        v = np.array([[0, 0], [10, 0]], dtype=float)
-        pts = resample_polyline(v, np.array([0.0, 5.0, 10.0]))
-        assert np.allclose(pts, [[0, 0], [5, 0], [10, 0]])
-
-    def test_resample_clamps_beyond_path(self):
-        v = np.array([[0, 0], [10, 0]], dtype=float)
-        pts = resample_polyline(v, np.array([-5.0, 25.0]))
-        assert np.allclose(pts, [[0, 0], [10, 0]])
-
-    def test_resample_across_corner(self):
-        v = np.array([[0, 0], [10, 0], [10, 10]], dtype=float)
-        pts = resample_polyline(v, np.array([15.0]))
-        assert np.allclose(pts, [[10, 5]])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mobility.base import MobilityModel, StationaryTarget
-from repro.mobility.paths import PiecewiseLinearPath, l_shape_path, lawnmower_path
+from repro.mobility.paths import PiecewiseLinearPath, l_shape_path
 
 
 class TestStationaryTarget:
@@ -85,19 +85,3 @@ class TestLShapePath:
         on_vertical = np.isclose(v[:, 0], 25.0)
         on_horizontal = np.isclose(v[:, 1], 75.0)
         assert np.all(on_vertical | on_horizontal)
-
-
-class TestLawnmowerPath:
-    def test_inside_field(self):
-        p = lawnmower_path(100.0, n_sweeps=5)
-        t = np.linspace(0, p.duration_s, 500)
-        pos = p.position(t)
-        assert pos.min() >= 0 and pos.max() <= 100
-
-    def test_sweep_count_reflected_in_vertices(self):
-        p = lawnmower_path(100.0, n_sweeps=4)
-        assert len(p.vertices) == 8
-
-    def test_rejects_single_sweep(self):
-        with pytest.raises(ValueError):
-            lawnmower_path(100.0, n_sweeps=1)

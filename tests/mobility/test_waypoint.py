@@ -71,9 +71,3 @@ class TestRandomWaypoint:
             RandomWaypoint(pause_s=-1.0)
         with pytest.raises(ValueError):
             RandomWaypoint(field_size=100.0, margin=60.0)
-
-    def test_waypoints_copy(self):
-        m = RandomWaypoint(seed=1)
-        w = m.waypoints
-        w[:] = 0
-        assert not np.allclose(m.waypoints, 0)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.vectors import sampling_vector
 from repro.network.aggregation import (
-    ClusterAssignment,
     DistributedVectorAssembly,
     assign_clusters,
 )

@@ -5,7 +5,6 @@ import pytest
 
 from repro.network.deployment import (
     cross_deployment,
-    deployment_stats,
     grid_deployment,
     perturbed_grid_deployment,
     random_deployment,
@@ -113,23 +112,3 @@ class TestCrossDeployment:
             cross_deployment(0.0)
         with pytest.raises(ValueError):
             cross_deployment(40.0, arm_nodes=0)
-
-
-class TestDeploymentStats:
-    def test_density(self):
-        pts = grid_deployment(25, 100.0)
-        s = deployment_stats(pts, 100.0, 40.0)
-        assert s.n_sensors == 25
-        assert s.density_per_m2 == pytest.approx(25 / 1e4)
-        assert s.expected_sensing_count == pytest.approx(np.pi * 1600 * 25 / 1e4)
-
-    def test_nn_distances_positive(self, rng):
-        pts = random_deployment(10, 100.0, rng)
-        s = deployment_stats(pts, 100.0, 40.0)
-        assert s.mean_nn_distance > 0
-        assert s.min_pair_distance > 0
-        assert s.min_pair_distance <= s.mean_nn_distance
-
-    def test_rejects_single_node(self):
-        with pytest.raises(ValueError):
-            deployment_stats(np.array([[1.0, 1.0]]), 100.0, 40.0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.energy import EnergyModel
 from repro.network.deployment import grid_deployment, random_deployment
 from repro.network.routing import build_routing_topology
 
@@ -90,9 +91,16 @@ class TestEnergy:
         topo = build_routing_topology(
             nodes, bs_position=np.array([0.0, 0.0]), radio_range=12.0
         )
-        life = topo.network_lifetime_rounds(energy_j=3.0, report_cost_j=1.0)
+        life = topo.network_lifetime_rounds(
+            EnergyModel(report_tx_j=1.0, relay_tx_j=1.0, battery_j=3.0)
+        )
         # node 0 spends 3 J per round (own + 2 relays)
         assert life == pytest.approx(1.0)
+        life = topo.network_lifetime_rounds(
+            EnergyModel(report_tx_j=1.0, relay_tx_j=0.5, battery_j=4.0)
+        )
+        # own report and relays are priced apart: 1 J + 2 x 0.5 J per round
+        assert life == pytest.approx(2.0)
 
     def test_denser_network_shortens_bottleneck_lifetime(self, rng):
         """§5.2's discussion: more sensors = more relay traffic near the BS."""

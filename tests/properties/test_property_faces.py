@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.matching import ExhaustiveMatcher
 from repro.geometry.faces import build_face_map
 from repro.geometry.grid import Grid
 from repro.network.deployment import random_deployment
@@ -65,7 +66,7 @@ def test_own_signature_matches_exactly(fm):
 def test_match_position_always_in_field(fm, seed):
     rng = np.random.default_rng(seed)
     v = rng.choice([-1.0, 0.0, 1.0], size=fm.n_pairs)
-    pos = fm.match_position(v)
+    pos = ExhaustiveMatcher(fm).match(v).position
     assert np.all(pos >= 0.0) and np.all(pos <= 60.0)
 
 

@@ -57,17 +57,3 @@ class TestValidation:
     def test_rejects_nonpositive_min_distance(self):
         with pytest.raises(ValueError):
             LogDistancePathLoss(min_distance=0.0)
-
-
-class TestGradient:
-    def test_gradient_decreases_with_distance(self):
-        pl = LogDistancePathLoss(exponent=4.0)
-        g = pl.rss_gradient_magnitude(np.array([1.0, 10.0, 100.0]))
-        assert np.all(np.diff(g) < 0)
-
-    def test_gradient_value(self):
-        pl = LogDistancePathLoss(exponent=2.0)
-        # |dRSS/dd| = 10*beta/(d ln10)
-        assert pl.rss_gradient_magnitude(np.array([10.0]))[0] == pytest.approx(
-            20.0 / (10.0 * np.log(10.0))
-        )

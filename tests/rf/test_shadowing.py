@@ -3,35 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.rf.shadowing import (
-    CommonModeNoise,
-    TemporallyCorrelatedNoise,
-    gudmundson_covariance,
-)
-
-
-class TestGudmundson:
-    def test_diagonal_is_variance(self):
-        pos = np.array([[0.0, 0.0], [10.0, 0.0]])
-        cov = gudmundson_covariance(pos, 6.0, 20.0)
-        assert np.allclose(np.diag(cov), 36.0)
-
-    def test_decay_with_distance(self):
-        pos = np.array([[0.0, 0.0], [5.0, 0.0], [50.0, 0.0]])
-        cov = gudmundson_covariance(pos, 6.0, 20.0)
-        assert cov[0, 1] > cov[0, 2] > 0
-
-    def test_symmetric_psd(self, rng):
-        pos = rng.uniform(0, 100, (8, 2))
-        cov = gudmundson_covariance(pos, 6.0, 20.0)
-        assert np.allclose(cov, cov.T)
-        assert np.linalg.eigvalsh(cov).min() > -1e-9
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            gudmundson_covariance(np.zeros((2, 2)), -1.0, 20.0)
-        with pytest.raises(ValueError):
-            gudmundson_covariance(np.zeros((2, 2)), 6.0, 0.0)
+from repro.rf.shadowing import CommonModeNoise, TemporallyCorrelatedNoise
 
 
 class TestTemporalNoise:

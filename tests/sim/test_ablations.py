@@ -1,7 +1,6 @@
 """Tests for repro.sim.ablations."""
 
 import numpy as np
-import pytest
 
 from repro.config import GridConfig, SimulationConfig
 from repro.sim.ablations import (

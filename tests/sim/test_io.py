@@ -5,7 +5,7 @@ import csv
 import pytest
 
 from repro.sim.experiments import SweepRecord
-from repro.sim.io import load_records_json, records_to_csv, records_to_json
+from repro.sim.io import records_to_csv
 
 
 @pytest.fixture
@@ -33,13 +33,3 @@ class TestCsv:
     def test_rejects_empty(self, tmp_path):
         with pytest.raises(ValueError):
             records_to_csv([], tmp_path / "out.csv")
-
-
-class TestJson:
-    def test_roundtrip(self, records, tmp_path):
-        path = records_to_json(records, tmp_path / "out.json")
-        loaded = load_records_json(path)
-        assert len(loaded) == 2
-        assert loaded[0]["tracker"] == "fttt"
-        assert loaded[0]["mean_error"] == 5.5
-        assert loaded[0]["n_sensors"] == 10

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.geometry.faces import build_face_map
-from repro.geometry.grid import Grid
 from repro.sim.modelmode import ModelSampler, run_model_tracking
 
 

@@ -1,6 +1,5 @@
 """Tests for repro.sim.parallel."""
 
-import numpy as np
 import pytest
 
 from repro.config import GridConfig, SimulationConfig

@@ -1,6 +1,5 @@
 """Tests for repro.cli — every subcommand drives end to end."""
 
-import numpy as np
 import pytest
 
 from repro.cli import build_parser, main

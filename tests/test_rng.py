@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.rng import (
-    check_rngs_independent,
-    derive_rng,
-    ensure_rng,
-    rng_stream,
-    spawn_rngs,
-)
+from repro.rng import ensure_rng, spawn_rngs
 
 
 class TestEnsureRng:
@@ -35,8 +29,8 @@ class TestSpawn:
         assert len(spawn_rngs(0, 7)) == 7
 
     def test_independence(self):
-        rngs = spawn_rngs(0, 10)
-        assert check_rngs_independent(rngs)
+        draws = {tuple(g.integers(0, 2**63, size=8).tolist()) for g in spawn_rngs(0, 10)}
+        assert len(draws) == 10
 
     def test_reproducible(self):
         a = [g.integers(0, 1000) for g in spawn_rngs(3, 4)]
@@ -49,31 +43,3 @@ class TestSpawn:
 
     def test_zero_is_empty(self):
         assert spawn_rngs(0, 0) == []
-
-
-class TestStream:
-    def test_unbounded_and_distinct(self):
-        stream = rng_stream(5)
-        rngs = [next(stream) for _ in range(5)]
-        assert check_rngs_independent(rngs)
-
-    def test_reproducible(self):
-        a = next(rng_stream(9)).integers(0, 10**6)
-        b = next(rng_stream(9)).integers(0, 10**6)
-        assert a == b
-
-
-class TestDerive:
-    def test_same_keys_same_stream(self):
-        parent = np.random.default_rng(0)
-        a = derive_rng(parent, "noise", 3).integers(0, 10**6)
-        parent2 = np.random.default_rng(0)
-        b = derive_rng(parent2, "noise", 3).integers(0, 10**6)
-        assert a == b
-
-    def test_different_keys_differ(self):
-        parent = np.random.default_rng(0)
-        a = derive_rng(parent, "noise").integers(0, 10**6, 4)
-        parent2 = np.random.default_rng(0)
-        b = derive_rng(parent2, "faults").integers(0, 10**6, 4)
-        assert not np.array_equal(a, b)

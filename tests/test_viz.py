@@ -3,23 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.tracker import TrackEstimate, TrackResult
-from repro.viz import render_face_map, render_scalar_field, render_track, sparkline
-
-
-def make_result(points):
-    res = TrackResult()
-    for i, p in enumerate(points):
-        est = TrackEstimate(
-            t=float(i),
-            position=np.asarray(p, dtype=float) + np.array([12.0, 0.0]),
-            face_ids=np.array([0]),
-            sq_distance=0.0,
-            n_reporting=4,
-            visited_faces=1,
-        )
-        res.append(est, np.asarray(p, dtype=float))
-    return res
+from repro.viz import render_face_map, render_scalar_field, sparkline
 
 
 class TestScalarField:
@@ -52,19 +36,6 @@ class TestScalarField:
     def test_rejects_1d(self):
         with pytest.raises(ValueError):
             render_scalar_field(np.zeros(10))
-
-
-class TestRenderTrack:
-    def test_contains_truth_and_estimates(self):
-        res = make_result([[20.0, 20.0], [40.0, 40.0], [60.0, 60.0]])
-        text = render_track(res, 100.0, width=40)
-        assert "." in text
-        assert "o" in text
-
-    def test_nodes_overlay(self, four_nodes):
-        res = make_result([[50.0, 50.0]])
-        text = render_track(res, 100.0, nodes=four_nodes)
-        assert "#" in text
 
 
 class TestRenderFaceMap:
