@@ -4,7 +4,8 @@ The paper sweeps eps in 0.5..3 dBm for n in {10, 15, 20, 25} at k = 5 and
 reports error growing with eps, with the slope flattening for n >= 20.
 
 Reproduced in model mode (the paper's own flip semantics, where eps
-defines the uncertain areas).  The physical channel at Table 1's
+defines the uncertain areas) by ``sim.figures.fig12a_series``, the loop
+``fttt fig12a`` also runs, over replication seeds 7·r.  The physical channel at Table 1's
 sigma = 6 dB makes eps second-order — a documented deviation, reported
 alongside (see EXPERIMENTS.md).
 """
@@ -12,44 +13,22 @@ alongside (see EXPERIMENTS.md).
 import numpy as np
 
 from repro.config import GridConfig, SimulationConfig
-from repro.geometry.apollonius import uncertainty_constant
-from repro.geometry.faces import build_face_map
-from repro.geometry.grid import Grid
-from repro.mobility.waypoint import RandomWaypoint
-from repro.network.deployment import random_deployment
 from repro.sim.experiments import sweep_resolution
-from repro.sim.modelmode import ModelSampler, run_model_tracking
+from repro.sim.figures import fig12a_series
 
 from conftest import emit
 
 EPS_VALUES = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
 N_VALUES = [10, 15, 20, 25]
-N_REPS = 6
-
-
-def model_mode_error(eps: float, n: int, n_reps: int = N_REPS) -> float:
-    errs = []
-    for rep in range(n_reps):
-        seed = 7 * rep
-        nodes = random_deployment(n, 100.0, seed, min_separation=4.0)
-        c = uncertainty_constant(eps, 4.0, 6.0)
-        fm = build_face_map(nodes, Grid.square(100.0, 2.5), c, sensing_range=40.0)
-        mob = RandomWaypoint(field_size=100.0, duration_s=30.0, seed=seed + 1)
-        times = np.arange(60) * 0.5
-        sampler = ModelSampler(nodes, c, k=5, sensing_range=40.0)
-        errs.append(
-            run_model_tracking(fm, sampler, mob.position(times), times, seed + 2).mean_error
-        )
-    return float(np.mean(errs))
+REP_SEEDS = [7 * rep for rep in range(6)]
 
 
 def test_fig12a_model_mode(benchmark, results_dir):
-    def regenerate():
-        return {
-            n: [model_mode_error(eps, n) for eps in EPS_VALUES] for n in N_VALUES
-        }
-
-    table = benchmark.pedantic(regenerate, rounds=1, iterations=1)
+    table = benchmark.pedantic(
+        lambda: fig12a_series(EPS_VALUES, N_VALUES, rep_seeds=REP_SEEDS),
+        rounds=1,
+        iterations=1,
+    )
 
     lines = [" eps  " + "".join(f"{f'n={n}':>9s}" for n in N_VALUES)]
     for i, eps in enumerate(EPS_VALUES):

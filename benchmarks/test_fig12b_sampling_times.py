@@ -5,21 +5,16 @@ reports (1) larger k lowers the error and (2) with very limited k and
 many sensors, the error can *rise* with n (flip information cannot be
 captured).
 
-Reproduced in model mode (flip capture is exactly the §5.1 process);
-a physical-channel static-target table confirms the k-direction with the
+Reproduced in model mode (flip capture is exactly the §5.1 process) by
+``sim.figures.model_mode_error`` over replication seeds 13·r; a physical-channel static-target table confirms the k-direction with the
 motion confound removed.
 """
 
 import numpy as np
 
 from repro.config import GridConfig, SimulationConfig
-from repro.geometry.apollonius import uncertainty_constant
-from repro.geometry.faces import build_face_map
-from repro.geometry.grid import Grid
 from repro.mobility.base import StationaryTarget
-from repro.mobility.waypoint import RandomWaypoint
-from repro.network.deployment import random_deployment
-from repro.sim.modelmode import ModelSampler, run_model_tracking
+from repro.sim.figures import model_mode_error
 from repro.sim.runner import run_tracking
 from repro.sim.scenario import make_scenario
 
@@ -27,28 +22,15 @@ from conftest import emit
 
 K_VALUES = [3, 5, 7, 9]
 N_VALUES = [10, 20, 30, 40]
-N_REPS = 5
-
-
-def model_mode_error(k: int, n: int, n_reps: int = N_REPS) -> float:
-    c = uncertainty_constant(1.0, 4.0, 6.0)
-    errs = []
-    for rep in range(n_reps):
-        seed = 13 * rep
-        nodes = random_deployment(n, 100.0, seed, min_separation=4.0)
-        fm = build_face_map(nodes, Grid.square(100.0, 2.5), c, sensing_range=40.0)
-        mob = RandomWaypoint(field_size=100.0, duration_s=30.0, seed=seed + 1)
-        times = np.arange(60) * 0.5
-        sampler = ModelSampler(nodes, c, k=k, sensing_range=40.0)
-        errs.append(
-            run_model_tracking(fm, sampler, mob.position(times), times, seed + 2).mean_error
-        )
-    return float(np.mean(errs))
+REP_SEEDS = [13 * rep for rep in range(5)]
 
 
 def test_fig12b_model_mode(benchmark, results_dir):
     table = benchmark.pedantic(
-        lambda: {k: [model_mode_error(k, n) for n in N_VALUES] for k in K_VALUES},
+        lambda: {
+            k: [model_mode_error(n_sensors=n, k=k, rep_seeds=REP_SEEDS) for n in N_VALUES]
+            for k in K_VALUES
+        },
         rounds=1,
         iterations=1,
     )

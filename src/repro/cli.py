@@ -8,10 +8,13 @@
     fttt stats paper-baseline         # run a preset under repro.obs, print metrics
     fttt run sparse --stats --obs-out obs/
 
-Every experiment prints the series the corresponding paper figure plots
-and (with ``--out``) writes CSV next to it.  ``--stats`` runs any
-command under :mod:`repro.obs` and prints the metrics table afterwards;
-``--obs-out DIR`` additionally writes ``metrics.json`` + ``trace.jsonl``.
+Every experiment prints the series the corresponding paper figure plots;
+``fig11``, ``fig12b`` and ``fig12cd`` also take ``--out DIR`` and write
+their records there as CSV.  Each command accepts only the options it
+reads.
+``--stats`` runs a figure command or ``run`` under :mod:`repro.obs` and
+prints the metrics table afterwards; ``--obs-out DIR`` additionally
+writes ``metrics.json`` + ``trace.jsonl``.
 """
 
 from __future__ import annotations
@@ -90,7 +93,8 @@ def cmd_fig12a(args: argparse.Namespace) -> int:
 
     eps_values = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0] if not args.quick else [0.5, 3.0]
     n_values = [10, 15, 20, 25] if not args.quick else [10]
-    table = fig12a_series(eps_values, n_values, n_reps=args.reps, seed=args.seed)
+    rep_seeds = [args.seed + 31 * rep for rep in range(args.reps)]
+    table = fig12a_series(eps_values, n_values, rep_seeds=rep_seeds)
     rows = {
         f"n={n},eps={eps}": [table[n][i]]
         for n in n_values
@@ -331,6 +335,16 @@ def cmd_sampling_times(args: argparse.Namespace) -> int:
     return 0
 
 
+# the options a figure command may take; each command registers only the ones it reads
+_FIGURE_OPTIONS = {
+    "reps": dict(type=int, default=3, help="replications per point"),
+    "seed": dict(type=int, default=0),
+    "quick": dict(action="store_true", help="coarse grid, short runs"),
+    "out": dict(type=str, default=None, help="directory for CSV output"),
+    "trace": dict(action="store_true", help="print the full estimated trace"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fttt",
@@ -340,38 +354,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list available experiments").set_defaults(func=cmd_list)
 
-    def common(p):
-        p.add_argument("--reps", type=int, default=3, help="replications per point")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--quick", action="store_true", help="coarse grid, short runs")
-        p.add_argument("--out", type=str, default=None, help="directory for CSV output")
-        _obs_options(p)
-
-    p10 = sub.add_parser("fig10", help=EXPERIMENTS["fig10"])
-    common(p10)
-    p10.add_argument("--trace", action="store_true", help="print the full estimated trace")
-    p10.set_defaults(func=cmd_fig10)
-
-    for name, fn in (("fig11", cmd_fig11), ("fig12a", cmd_fig12a), ("fig12b", cmd_fig12b), ("fig12cd", cmd_fig12cd)):
+    for name, fn, flags in (
+        ("fig10", cmd_fig10, ("seed", "quick", "trace")),
+        ("fig11", cmd_fig11, ("reps", "seed", "quick", "out")),
+        ("fig12a", cmd_fig12a, ("reps", "seed", "quick")),
+        ("fig12b", cmd_fig12b, ("reps", "seed", "quick", "out")),
+        ("fig12cd", cmd_fig12cd, ("reps", "seed", "quick", "out")),
+        ("fig13", cmd_fig13, ("seed",)),
+        ("fig3", cmd_fig3, ("quick",)),
+        ("ablations", cmd_ablations, ("reps", "seed", "quick")),
+        ("density", cmd_density, ("seed",)),
+    ):
         p = sub.add_parser(name, help=EXPERIMENTS[name])
-        common(p)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FIGURE_OPTIONS[flag])
+        _obs_options(p)
         p.set_defaults(func=fn)
-
-    p13 = sub.add_parser("fig13", help=EXPERIMENTS["fig13"])
-    common(p13)
-    p13.set_defaults(func=cmd_fig13)
-
-    p3 = sub.add_parser("fig3", help=EXPERIMENTS["fig3"])
-    common(p3)
-    p3.set_defaults(func=cmd_fig3)
-
-    pab = sub.add_parser("ablations", help=EXPERIMENTS["ablations"])
-    common(pab)
-    pab.set_defaults(func=cmd_ablations)
-
-    pde = sub.add_parser("density", help=EXPERIMENTS["density"])
-    common(pde)
-    pde.set_defaults(func=cmd_density)
 
     pfl = sub.add_parser("faultlab", help=EXPERIMENTS["faultlab"])
     pfl.add_argument(

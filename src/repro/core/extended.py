@@ -28,6 +28,8 @@ from repro.geometry.primitives import enumerate_pairs, pairwise_distances
 
 __all__ = ["expected_extended_signatures", "attach_soft_signatures"]
 
+CHUNK_PAIRS = 128  # pairs per block: bounds the (cells, block) float64 temporaries
+
 
 def expected_extended_signatures(
     face_map: FaceMap,
@@ -36,7 +38,6 @@ def expected_extended_signatures(
     noise_sigma_dbm: float,
     resolution_dbm: float = 0.0,
     sensing_range: float | None = None,
-    chunk_pairs: int = 128,
 ) -> np.ndarray:
     """Per-face expected extended pair values, shape ``(F, P)`` float32.
 
@@ -62,8 +63,8 @@ def expected_extended_signatures(
     counts = face_map.cell_counts.astype(np.float64)
     out = np.empty((n_faces, n_pairs), dtype=np.float32)
     denom = np.sqrt(2.0) * noise_sigma_dbm
-    for start in range(0, n_pairs, chunk_pairs):
-        stop = min(start + chunk_pairs, n_pairs)
+    for start in range(0, n_pairs, CHUNK_PAIRS):
+        stop = min(start + CHUNK_PAIRS, n_pairs)
         di = dist[:, i_idx[start:stop]]
         dj = dist[:, j_idx[start:stop]]
         with np.errstate(divide="ignore"):

@@ -31,12 +31,6 @@ class MatchResult:
         """Lowest-id best face (deterministic tie representative)."""
         return int(self.face_ids[0])
 
-    @property
-    def similarity(self) -> float:
-        if self.sq_distance == 0.0:
-            return float("inf")
-        return 1.0 / float(np.sqrt(self.sq_distance))
-
 
 class ExhaustiveMatcher:
     """Stateless full-scan matcher over a face map.

@@ -107,12 +107,6 @@ class TrackEstimate:
     n_reporting: int  # sensors that delivered data this round
     visited_faces: int  # matcher work (for complexity accounting)
 
-    @property
-    def similarity(self) -> float:
-        if self.sq_distance == 0.0:
-            return float("inf")
-        return 1.0 / float(np.sqrt(self.sq_distance))
-
 
 @dataclass
 class TrackResult:

@@ -29,6 +29,8 @@ __all__ = [
     "uncertain_band_halfwidth",
 ]
 
+CHUNK_PAIRS = 256  # pairs classified per block of classify_points_pairwise
+
 
 def uncertainty_constant(resolution_dbm: float, path_loss_exponent: float, noise_sigma_dbm: float) -> float:
     """The constant ``C`` of Eq. 3.
@@ -165,7 +167,6 @@ def classify_points_pairwise(
     pairs: tuple[np.ndarray, np.ndarray] | None = None,
     *,
     sensing_range: float | None = None,
-    chunk_pairs: int = 256,
 ) -> np.ndarray:
     """Signature matrix for *points* against all node pairs.
 
@@ -181,8 +182,9 @@ def classify_points_pairwise(
         in-range node is +1/-1 toward the hearing node regardless of the
         uncertain band, and a pair with neither node in range is 0 (its
         sampling value is ``*`` and masked at match time anyway).
-    chunk_pairs : pairs processed per block, bounding peak memory at
-        roughly ``M * chunk_pairs`` bytes.
+
+    Pairs are processed :data:`CHUNK_PAIRS` at a time, bounding peak
+    memory at roughly ``M * CHUNK_PAIRS`` bytes.
 
     Returns
     -------
@@ -198,8 +200,8 @@ def classify_points_pairwise(
     dist = pairwise_distances(points, nodes)  # (M, n)
     n_pairs = len(i_idx)
     sig = np.empty((len(points), n_pairs), dtype=np.int8)
-    for start in range(0, n_pairs, chunk_pairs):
-        stop = min(start + chunk_pairs, n_pairs)
+    for start in range(0, n_pairs, CHUNK_PAIRS):
+        stop = min(start + CHUNK_PAIRS, n_pairs)
         di = dist[:, i_idx[start:stop]]
         dj = dist[:, j_idx[start:stop]]
         block = sig[:, start:stop]

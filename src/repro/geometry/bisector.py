@@ -14,13 +14,13 @@ from repro.geometry.primitives import enumerate_pairs, pairwise_distances
 
 __all__ = ["certain_signatures"]
 
+CHUNK_PAIRS = 256  # pairs classified per block of certain_signatures
+
 
 def certain_signatures(
     points: np.ndarray,
     nodes: np.ndarray,
     pairs: tuple[np.ndarray, np.ndarray] | None = None,
-    *,
-    chunk_pairs: int = 256,
 ) -> np.ndarray:
     """Signature matrix under the *certain* (no-uncertainty) assumption.
 
@@ -37,8 +37,8 @@ def certain_signatures(
     dist = pairwise_distances(points, nodes)
     n_pairs = len(i_idx)
     sig = np.empty((len(points), n_pairs), dtype=np.int8)
-    for start in range(0, n_pairs, chunk_pairs):
-        stop = min(start + chunk_pairs, n_pairs)
+    for start in range(0, n_pairs, CHUNK_PAIRS):
+        stop = min(start + CHUNK_PAIRS, n_pairs)
         di = dist[:, i_idx[start:stop]]
         dj = dist[:, j_idx[start:stop]]
         sig[:, start:stop] = np.sign(dj - di)

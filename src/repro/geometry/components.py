@@ -56,18 +56,13 @@ class UnionFind:
         return merges
 
     def labels(self) -> np.ndarray:
-        """Canonical component label (0..n_components-1) for every element."""
+        """Canonical component label (0..k-1 for k components) for every element."""
         n = len(self.parent)
         roots = np.empty(n, dtype=np.int64)
         for i in range(n):
             roots[i] = self.find(i)
         _, labels = np.unique(roots, return_inverse=True)
         return labels
-
-    @property
-    def n_components(self) -> int:
-        n = len(self.parent)
-        return int(sum(1 for i in range(n) if self.find(i) == i))
 
 
 def label_equal_regions(

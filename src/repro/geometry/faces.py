@@ -37,11 +37,6 @@ class Face:
     n_cells: int
     area_m2: float
 
-    @property
-    def n_uncertain_pairs(self) -> int:
-        """How many pair boundaries this face sits inside (zeros in the signature)."""
-        return int(np.count_nonzero(self.signature == 0))
-
 
 class _Query(NamedTuple):
     """Sampling vectors prepared for ``FaceMap._sq_distances``."""
@@ -160,9 +155,6 @@ class FaceMap:
     def face_of_point(self, point: np.ndarray) -> int:
         """Face id containing *point* (via its grid cell)."""
         return int(self.cell_face[self.grid.cell_of(np.asarray(point))[0]])
-
-    def signature_of_point(self, point: np.ndarray) -> np.ndarray:
-        return self.signatures[self.face_of_point(point)]
 
     def neighbors(self, face_id: int) -> np.ndarray:
         """Neighbor face ids of *face_id* (Definition 8)."""

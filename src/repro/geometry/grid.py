@@ -77,14 +77,6 @@ class Grid:
         iy = np.clip((points[:, 1] / self.cell_size).astype(np.int64), 0, self.ny - 1)
         return iy * self.nx + ix
 
-    def center_of(self, flat_idx: np.ndarray) -> np.ndarray:
-        """Centre coordinates of flat cell indices."""
-        flat_idx = np.asarray(flat_idx, dtype=np.int64)
-        if np.any((flat_idx < 0) | (flat_idx >= self.n_cells)):
-            raise IndexError("flat cell index out of range")
-        iy, ix = np.divmod(flat_idx, self.nx)
-        return np.column_stack([(ix + 0.5) * self.cell_size, (iy + 0.5) * self.cell_size])
-
     def neighbor_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """4-connected adjacent cell pairs ``(a, b)`` with ``a < b``.
 
@@ -100,8 +92,3 @@ class Grid:
             np.concatenate([horiz_a, vert_a]),
             np.concatenate([horiz_b, vert_b]),
         )
-
-    @property
-    def max_quantization_error(self) -> float:
-        """Worst-case distance from a point to its cell centre (half diagonal)."""
-        return float(self.cell_size * np.sqrt(2.0) / 2.0)

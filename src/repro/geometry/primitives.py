@@ -36,18 +36,6 @@ class Circle:
     def center(self) -> np.ndarray:
         return np.array([self.cx, self.cy])
 
-    def contains(self, points: np.ndarray, *, strict: bool = False) -> np.ndarray:
-        """Vectorized membership test for ``points`` of shape ``(..., 2)``."""
-        return point_in_circle(points, self, strict=strict)
-
-    def circumference_points(self, n: int = 128) -> np.ndarray:
-        """Sample ``n`` points on the circle, for tests and visual dumps."""
-        theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        return np.stack(
-            [self.cx + self.r * np.cos(theta), self.cy + self.r * np.sin(theta)],
-            axis=-1,
-        )
-
 
 def point_in_circle(points: np.ndarray, circle: Circle, *, strict: bool = False) -> np.ndarray:
     """Return a boolean mask of points inside *circle*.

@@ -38,10 +38,6 @@ class LinearPredictor:
             self._times.pop(0)
             self._points.pop(0)
 
-    @property
-    def n_observations(self) -> int:
-        return len(self._times)
-
     def velocity(self) -> "np.ndarray | None":
         """Least-squares velocity over the window; None with < 2 points."""
         if len(self._times) < 2:

@@ -24,9 +24,8 @@ from repro.core.extended import attach_soft_signatures
 from repro.core.tracker import FTTTracker
 from repro.rf.channel import RssChannel
 from repro.rf.shadowing import CommonModeNoise, TemporallyCorrelatedNoise
-from repro.rng import spawn_rngs
 from repro.sim.runner import generate_batches
-from repro.sim.scenario import Scenario, make_scenario
+from repro.sim.scenario import Scenario, make_scenario, replications
 
 __all__ = [
     "ablate_uncertainty_constant",
@@ -36,17 +35,13 @@ __all__ = [
 ]
 
 
-def _mean_over_reps(
-    config: SimulationConfig, run_one, n_reps: int, seed: int, make=make_scenario
-) -> dict[str, float]:
-    """Run ``run_one(scenario, rng) -> {variant: TrackResult}`` over reps,
-    each on the world ``make(config, seed=...)`` builds."""
-    rngs = spawn_rngs(seed, 2 * n_reps)
+def _mean_over_reps(run_one, worlds) -> dict[str, float]:
+    """Run ``run_one(scenario, rng) -> {variant: TrackResult}`` on every
+    ``(scenario, noise_rng)`` replication of *worlds* and average."""
     sums: dict[str, list[float]] = {}
     stds: dict[str, list[float]] = {}
-    for rep in range(n_reps):
-        scenario = make(config, seed=rngs[2 * rep])
-        results = run_one(scenario, rngs[2 * rep + 1])
+    for scenario, noise_rng in worlds:
+        results = run_one(scenario, noise_rng)
         for name, res in results.items():
             s = summarize_errors(res)
             sums.setdefault(name, []).append(s.mean)
@@ -76,7 +71,8 @@ def ablate_uncertainty_constant(
     out: dict[str, float] = {}
     for c_mode in ("paper", "calibrated"):
         make = partial(make_scenario, c_mode=c_mode)
-        out.update(_mean_over_reps(config, _fttt_only(c_mode), n_reps, seed, make))
+        worlds = replications(config, n_reps=n_reps, seed=seed, make=make)
+        out.update(_mean_over_reps(_fttt_only(c_mode), worlds))
     return out
 
 
@@ -99,7 +95,7 @@ def ablate_matcher_hops(
         results["exhaustive"] = ex.track(batches)
         return results
 
-    return _mean_over_reps(config, run_one, n_reps, seed)
+    return _mean_over_reps(run_one, replications(config, n_reps=n_reps, seed=seed))
 
 
 def ablate_soft_signatures(
@@ -133,7 +129,7 @@ def ablate_soft_signatures(
         results["basic"] = basic.track(batches)
         return results
 
-    return _mean_over_reps(config, run_one, n_reps, seed)
+    return _mean_over_reps(run_one, replications(config, n_reps=n_reps, seed=seed))
 
 
 def ablate_noise_structure(
@@ -156,7 +152,8 @@ def ablate_noise_structure(
     out: dict[str, float] = {}
     for label, noise in variants.items():
         make = make_scenario if noise is None else partial(_with_noise, noise=noise)
-        out.update(_mean_over_reps(config, _fttt_only(label), n_reps, seed, make))
+        worlds = replications(config, n_reps=n_reps, seed=seed, make=make)
+        out.update(_mean_over_reps(_fttt_only(label), worlds))
     return out
 
 

@@ -9,6 +9,7 @@ deviation, which is exactly what the paper's figures plot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -17,9 +18,8 @@ from repro.analysis.metrics import summarize_errors
 from repro.config import SimulationConfig
 from repro.network.faults import FaultModel
 from repro.obs.tracing import span
-from repro.rng import spawn_rngs
 from repro.sim.runner import run_all_trackers
-from repro.sim.scenario import make_scenario
+from repro.sim.scenario import make_scenario, replications
 
 __all__ = [
     "SweepRecord",
@@ -89,15 +89,14 @@ def replicate_mean_error(
     if lost_track_threshold_m is None:
         lost_track_threshold_m = config.field_size_m / 4.0
     params = dict(params or {})
-    # two independent streams per rep: world construction and observation noise
-    rngs = spawn_rngs(seed, 2 * n_reps)
     per_tracker_means: dict[str, list[float]] = {n: [] for n in tracker_names}
     per_tracker_all_errors: dict[str, list[np.ndarray]] = {n: [] for n in tracker_names}
     per_tracker_stds: dict[str, list[float]] = {n: [] for n in tracker_names}
-    for rep in range(n_reps):
+    make = partial(make_scenario, deployment=deployment)
+    worlds = replications(config, n_reps=n_reps, seed=seed, make=make)
+    for rep, (scenario, noise_rng) in enumerate(worlds):
         with span("replication", rep=rep, seed=seed, **params):
-            scenario = make_scenario(config, deployment=deployment, seed=rngs[2 * rep])
-            results = run_all_trackers(scenario, tracker_names, rngs[2 * rep + 1], faults=faults)
+            results = run_all_trackers(scenario, tracker_names, noise_rng, faults=faults)
         for name, res in results.items():
             summary = summarize_errors(res)
             per_tracker_means[name].append(summary.mean)

@@ -1,15 +1,16 @@
-"""Model-mode figure data for the CLI.
+"""Model-mode figure data: the one replication loop of Fig. 12(a)/(b).
 
-``fttt fig12a`` prints the Fig. 12(a) resolution series from
-:func:`fig12a_series`, one :func:`model_mode_error` replication loop per
-point (rep seeds ``seed + 31 * rep``).  ``fttt fig12b`` runs the
-physical-channel sweep (``sim.experiments.sweep_sampling_times``) instead.
-The benchmark harness does not call this module:
-``benchmarks/test_fig12a_resolution.py`` and
-``benchmarks/test_fig12b_sampling_times.py`` keep their own loops and
-seed schedules (``7 * rep`` and ``13 * rep``), so their committed CSVs do
-not follow from these generators.  Results are plain floats and nested
-dicts, ready to print, assert or serialize.
+:func:`model_mode_error` runs the paper's flip-model semantics (§5.1)
+over one world per replication seed; :func:`fig12a_series` sweeps it over
+the resolution axis.  Every caller states its own seed schedule:
+``fttt fig12a`` passes ``seed + 31 * r``,
+``benchmarks/test_fig12a_resolution.py`` calls :func:`fig12a_series`
+with ``7 * r`` (r < 6) and ``benchmarks/test_fig12b_sampling_times.py``
+calls :func:`model_mode_error` with ``13 * r`` (r < 5), so the committed
+``fig12a.csv`` and ``fig12b.csv`` follow from this module.  ``fttt
+fig12b`` runs the physical-channel sweep
+(``sim.experiments.sweep_sampling_times``) instead.  Results are plain
+floats and nested dicts, ready to print, assert or serialize.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ __all__ = ["model_mode_error", "fig12a_series"]
 def model_mode_error(
     *,
     n_sensors: int,
+    rep_seeds: Sequence[int],
     eps: float = 1.0,
     k: int = 5,
-    n_reps: int = 5,
-    seed: int = 0,
     field_size: float = 100.0,
     sensing_range: float = 40.0,
     beta: float = 4.0,
@@ -44,16 +44,16 @@ def model_mode_error(
 ) -> float:
     """Mean tracking error under the paper's flip-model semantics.
 
-    One replication = fresh random deployment + random-waypoint trace +
-    model-mode observations, matched against the Eq. 3 face map built with
-    the same epsilon.
+    One replication per entry of *rep_seeds*: with seed ``s``, a random
+    deployment drawn from ``s``, a random-waypoint trace from ``s + 1`` and
+    model-mode observations from ``s + 2``, matched against the Eq. 3 face
+    map built with the same epsilon.
     """
-    if n_reps < 1:
-        raise ValueError(f"need at least one replication, got {n_reps}")
+    if len(rep_seeds) < 1:
+        raise ValueError("need at least one replication seed")
     c = uncertainty_constant(eps, beta, sigma)
     errs = []
-    for rep in range(n_reps):
-        rep_seed = seed + 31 * rep
+    for rep_seed in rep_seeds:
         nodes = random_deployment(n_sensors, field_size, rep_seed, min_separation=4.0)
         fm = build_face_map(
             nodes, Grid.square(field_size, cell_size), c, sensing_range=sensing_range
@@ -71,9 +71,8 @@ def fig12a_series(
     eps_values: Sequence[float],
     n_values: Sequence[int],
     *,
+    rep_seeds: Sequence[int],
     k: int = 5,
-    n_reps: int = 5,
-    seed: int = 0,
     **kwargs,
 ) -> dict[int, list[float]]:
     """Fig. 12(a): per-n error series over the resolution axis."""
@@ -81,7 +80,7 @@ def fig12a_series(
         raise ValueError("need at least one eps and one n value")
     return {
         int(n): [
-            model_mode_error(n_sensors=int(n), eps=float(e), k=k, n_reps=n_reps, seed=seed, **kwargs)
+            model_mode_error(n_sensors=int(n), eps=float(e), k=k, rep_seeds=rep_seeds, **kwargs)
             for e in eps_values
         ]
         for n in n_values

@@ -10,8 +10,8 @@ paper's figures are apples-to-apples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Any
+from functools import cached_property, partial
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -34,9 +34,9 @@ from repro.network.sensing import GroupSampler
 from repro.rf.channel import RssChannel
 from repro.rf.noise import GaussianNoise
 from repro.rf.pathloss import LogDistancePathLoss
-from repro.rng import ensure_rng
+from repro.rng import ensure_rng, spawn_rngs
 
-__all__ = ["Scenario", "make_scenario", "replication_scenarios", "TRACKER_NAMES"]
+__all__ = ["Scenario", "make_scenario", "replications", "replication_scenarios", "TRACKER_NAMES"]
 
 TRACKER_NAMES = (
     "fttt",
@@ -277,6 +277,26 @@ def make_scenario(
     )
 
 
+def replications(
+    config: SimulationConfig,
+    *,
+    n_reps: int,
+    seed: int,
+    make: Callable[..., Scenario] = make_scenario,
+) -> Iterator[tuple[Scenario, np.random.Generator]]:
+    """The replication protocol of every physical-channel sweep.
+
+    Spawns two independent streams per replication from *seed*: replication
+    ``r`` runs on the world ``make(config, seed=streams[2r])`` and draws its
+    observation noise from ``streams[2r + 1]``.  Yields ``(scenario,
+    noise_rng)`` pairs, building each world only when the caller asks for
+    it, so a loop over them holds one world at a time.
+    """
+    rngs = spawn_rngs(seed, 2 * n_reps)
+    for rep in range(n_reps):
+        yield make(config, seed=rngs[2 * rep]), rngs[2 * rep + 1]
+
+
 def replication_scenarios(
     config: SimulationConfig,
     *,
@@ -284,17 +304,12 @@ def replication_scenarios(
     seed: int,
     deployment: str = "random",
 ) -> list[Scenario]:
-    """The exact worlds ``replicate_mean_error(config, seed=seed, ...)`` visits.
+    """The worlds ``replicate_mean_error(config, seed=seed, ...)`` visits.
 
-    Replicates its RNG protocol — ``spawn_rngs(seed, 2 * n_reps)`` with the
-    even streams driving the scenarios — so a sweep parent can prebuild the
-    face maps its pool tasks will need and publish them into shared memory.
-    Maps are *not* built here; access ``scenario.face_map`` to build.
+    A list view of :func:`replications`, so a sweep parent can prebuild
+    the face maps its pool tasks will need and publish them into shared
+    memory.  Maps are *not* built here; access ``scenario.face_map`` to
+    build.
     """
-    from repro.rng import spawn_rngs
-
-    rngs = spawn_rngs(seed, 2 * n_reps)
-    return [
-        make_scenario(config, deployment=deployment, seed=rngs[2 * rep])
-        for rep in range(n_reps)
-    ]
+    make = partial(make_scenario, deployment=deployment)
+    return [scenario for scenario, _ in replications(config, n_reps=n_reps, seed=seed, make=make)]

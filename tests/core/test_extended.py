@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import extended
 from repro.core.extended import attach_soft_signatures, expected_extended_signatures
 from repro.core.tracker import FTTTracker
 
@@ -54,13 +55,11 @@ class TestExpectedSignatures:
         )
         assert np.all(np.abs(soft) <= 1.0)
 
-    def test_chunking_invariant(self, face_map):
-        a = expected_extended_signatures(
-            face_map, path_loss_exponent=4.0, noise_sigma_dbm=6.0, chunk_pairs=1
-        )
-        b = expected_extended_signatures(
-            face_map, path_loss_exponent=4.0, noise_sigma_dbm=6.0, chunk_pairs=512
-        )
+    def test_chunking_invariant(self, face_map, monkeypatch):
+        monkeypatch.setattr(extended, "CHUNK_PAIRS", 1)
+        a = expected_extended_signatures(face_map, path_loss_exponent=4.0, noise_sigma_dbm=6.0)
+        monkeypatch.setattr(extended, "CHUNK_PAIRS", 512)
+        b = expected_extended_signatures(face_map, path_loss_exponent=4.0, noise_sigma_dbm=6.0)
         assert np.allclose(a, b)
 
     def test_validation(self, face_map):

@@ -1,7 +1,6 @@
 """Tests for repro.core.matching — exhaustive maximum-likelihood matching."""
 
 import numpy as np
-import pytest
 
 from repro.core.matching import ExhaustiveMatcher, MatchResult
 
@@ -13,7 +12,6 @@ class TestExhaustiveMatcher:
         res = m.match(face_map.signatures[fid].astype(float))
         assert fid in res.face_ids
         assert res.sq_distance == 0.0
-        assert res.similarity == float("inf")
 
     def test_visits_all_faces(self, face_map):
         m = ExhaustiveMatcher(face_map)
@@ -50,7 +48,3 @@ class TestExhaustiveMatcher:
     def test_reset_is_noop(self, face_map):
         m = ExhaustiveMatcher(face_map)
         m.reset()  # must not raise
-
-    def test_similarity_finite_for_nonzero_distance(self):
-        res = MatchResult(np.array([0]), 4.0, np.zeros(2), 1)
-        assert res.similarity == pytest.approx(0.5)

@@ -1,26 +1,22 @@
 """Definition 7 similarity and the Eq. 7 masked distance.
 
 The masked squared distance has one reference implementation, the oracle
-tier's :func:`repro.oracle.oracle_masked_sq_distance`; the similarity is
-the ``similarity`` property of :class:`~repro.core.matching.MatchResult`
-and :class:`~repro.core.tracker.TrackEstimate`.  These tests pin both to
-the paper's definitions and to the production kernel.
+tier's :func:`repro.oracle.oracle_masked_sq_distance`.  Matching only ever
+minimizes that distance, so the similarity (its reciprocal norm) is
+stated here, and these tests pin both to the paper's definitions and to
+the production kernel.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.matching import MatchResult
-from repro.core.tracker import TrackEstimate
 from repro.oracle import oracle_masked_sq_distance
 
 
 def similarity(vector: np.ndarray, signature: np.ndarray) -> float:
-    """Definition 7 similarity of a match at the oracle's masked distance."""
+    """Definition 7 similarity: the reciprocal of the masked distance."""
     d2 = oracle_masked_sq_distance(vector, signature)
-    return MatchResult(
-        face_ids=np.array([0]), sq_distance=d2, position=np.zeros(2), visited=1
-    ).similarity
+    return float("inf") if d2 == 0.0 else 1.0 / float(np.sqrt(d2))
 
 
 class TestVectorDifference:
@@ -53,15 +49,6 @@ class TestSimilarity:
     def test_exact_match_is_infinite(self):
         v = np.array([1.0, -1.0, 0.0])
         assert similarity(v, v) == float("inf")
-        est = TrackEstimate(
-            t=0.0,
-            position=np.zeros(2),
-            face_ids=np.array([0]),
-            sq_distance=oracle_masked_sq_distance(v, v),
-            n_reporting=3,
-            visited_faces=1,
-        )
-        assert est.similarity == float("inf")
 
     def test_paper_fault_example_value(self):
         """§4.4-3 example: V_d = [1,1,1,-1,*,1] vs V_s(f8) = [1,1,1,0,0,0].

@@ -64,14 +64,6 @@ class TestLocalize:
         est = tracker.localize_batch(batch_at(four_nodes, [50.0, 50.0], t0=3.25))
         assert est.t == pytest.approx(3.25)
 
-    def test_similarity_property(self, face_map, four_nodes):
-        tracker = FTTTracker(face_map, matcher="exhaustive")
-        est = tracker.localize_batch(batch_at(four_nodes, [47.0, 52.0]))
-        if est.sq_distance == 0:
-            assert est.similarity == float("inf")
-        else:
-            assert est.similarity == pytest.approx(1 / np.sqrt(est.sq_distance))
-
 
 class TestModesAndMatchers:
     def test_invalid_mode(self, face_map):

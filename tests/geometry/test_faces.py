@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.matching import ExhaustiveMatcher
+from repro.geometry.apollonius import classify_points_pairwise
 from repro.geometry.faces import build_certain_face_map, build_face_map
 from repro.geometry.grid import Grid
 
@@ -58,12 +59,9 @@ class TestFaceAccess:
         for _ in range(20):
             p = rng.uniform(0, 100, 2)
             fid = face_map.face_of_point(p)
-            assert np.array_equal(face_map.signature_of_point(p), face_map.signatures[fid])
-
-    def test_n_uncertain_pairs_counts_zeros(self, face_map):
-        for fid in range(min(10, face_map.n_faces)):
-            f = face_map.face(fid)
-            assert f.n_uncertain_pairs == int((f.signature == 0).sum())
+            cell = face_map.grid.cell_centers[face_map.grid.cell_of(p)]
+            expected = classify_points_pairwise(cell, face_map.nodes, 1.5)[0]
+            assert np.array_equal(face_map.signatures[fid], expected)
 
 
 class TestAdjacency:

@@ -33,15 +33,6 @@ class TestCircle:
         assert point_in_circle(boundary, c)[0]
         assert not point_in_circle(boundary, c, strict=True)[0]
 
-    def test_circumference_points_lie_on_circle(self):
-        c = Circle(2.0, -1.0, 3.0)
-        pts = c.circumference_points(64)
-        r = np.hypot(pts[:, 0] - 2.0, pts[:, 1] + 1.0)
-        assert np.allclose(r, 3.0)
-
-    def test_circumference_point_count(self):
-        assert len(Circle(0, 0, 1).circumference_points(17)) == 17
-
     def test_zero_radius_allowed(self):
         c = Circle(1.0, 1.0, 0.0)
         assert point_in_circle(np.array([[1.0, 1.0]]), c)[0]

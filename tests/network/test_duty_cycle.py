@@ -42,8 +42,9 @@ class TestLinearPredictor:
     def test_reset(self):
         p = LinearPredictor()
         p.observe(0.0, np.zeros(2))
+        p.observe(1.0, np.ones(2))
         p.reset()
-        assert p.n_observations == 0
+        assert p.velocity() is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -95,7 +96,7 @@ class TestDutyCycleController:
         ctrl.sleep_mask(1.0)
         ctrl.reset()
         assert ctrl.duty_cycle == 1.0
-        assert ctrl.predictor.n_observations == 0
+        assert ctrl.predictor.velocity() is None
 
     def test_validation(self, nodes):
         with pytest.raises(ValueError):

@@ -23,7 +23,8 @@ def test_apollonius_circle_ratio_invariant(ax, ay, bx, by, ratio):
     b = np.array([bx, by])
     assume(np.hypot(*(a - b)) > 1e-3)
     circle = apollonius_circle(a, b, ratio)
-    pts = circle.circumference_points(16)
+    theta = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+    pts = circle.center + circle.r * np.column_stack([np.cos(theta), np.sin(theta)])
     da = np.hypot(pts[:, 0] - ax, pts[:, 1] - ay)
     db = np.hypot(pts[:, 0] - bx, pts[:, 1] - by)
     assert np.allclose(da / db, ratio, rtol=1e-6, atol=1e-9)
@@ -66,7 +67,7 @@ def test_grid_cell_roundtrip(seed, cell_size):
     g = Grid.square(50.0, float(cell_size))
     pts = rng.uniform(0, 50, (20, 2))
     idx = g.cell_of(pts)
-    centers = g.center_of(idx)
+    centers = g.cell_centers[idx]
     # every point is within half a cell diagonal of its cell centre
     d = np.hypot(pts[:, 0] - centers[:, 0], pts[:, 1] - centers[:, 1])
-    assert np.all(d <= g.max_quantization_error + 1e-9)
+    assert np.all(d <= g.cell_size * np.sqrt(2.0) / 2.0 + 1e-9)

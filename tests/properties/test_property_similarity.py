@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.matching import MatchResult
 from repro.oracle import oracle_masked_sq_distance
 
 trit_vectors = hnp.arrays(
@@ -42,13 +41,9 @@ def test_symmetry(pair):
 @given(trit_vectors)
 @settings(max_examples=100, deadline=None)
 def test_self_similarity_infinite(v):
-    match = MatchResult(
-        face_ids=np.array([0]),
-        sq_distance=oracle_masked_sq_distance(v, v),
-        position=np.zeros(2),
-        visited=1,
-    )
-    assert match.similarity == float("inf")
+    """A vector is at masked distance 0 from itself: infinite Definition 7
+    similarity."""
+    assert oracle_masked_sq_distance(v, v) == 0.0
 
 
 @given(vector_pairs())

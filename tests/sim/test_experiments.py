@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import repro.obs as obs
 from repro.config import GridConfig, SimulationConfig
+from repro.geometry.cache import configure_face_map_cache
 from repro.sim.experiments import (
     replicate_mean_error,
     sweep_basic_vs_extended,
@@ -11,6 +13,7 @@ from repro.sim.experiments import (
     sweep_resolution,
     sweep_sampling_times,
 )
+from repro.sim.scenario import replication_scenarios
 
 
 @pytest.fixture
@@ -46,6 +49,26 @@ class TestReplicate:
     def test_rejects_zero_reps(self, tiny):
         with pytest.raises(ValueError):
             replicate_mean_error(tiny, ["fttt"], n_reps=0)
+
+
+class TestReplicationProtocol:
+    def test_replicate_runs_on_the_listed_worlds(self, tiny, monkeypatch):
+        """Once the maps of ``replication_scenarios`` are built,
+        ``replicate_mean_error`` with the same seed builds none: it visits
+        exactly those worlds."""
+        monkeypatch.delenv("REPRO_FACE_CACHE", raising=False)
+        monkeypatch.delenv("REPRO_FACE_CACHE_DIR", raising=False)
+        configure_face_map_cache(maxsize=64, disk_dir=None, enabled=None)
+        try:
+            for scenario in replication_scenarios(tiny, n_reps=3, seed=11):
+                scenario.face_map
+            with obs.observe() as reg:
+                replicate_mean_error(tiny, ["fttt"], n_reps=3, seed=11)
+            snap = reg.snapshot()
+        finally:
+            configure_face_map_cache(maxsize=64, disk_dir=None, enabled=None)
+        assert snap.get("geometry.cache.misses", {"value": 0})["value"] == 0
+        assert snap["geometry.cache.hits"]["value"] == 3
 
 
 class TestSweeps:

@@ -18,7 +18,7 @@ class TestModelSampler:
         p = np.array([45.0, 45.0])
         # exact-point signature equals the rasterized one away from boundaries
         assert np.array_equal(
-            sampler.true_signature(p), fm.signature_of_point(p).astype(float)
+            sampler.true_signature(p), fm.signatures[fm.face_of_point(p)].astype(float)
         )
 
     def test_certain_pairs_read_exactly(self, sampler, rng):

@@ -36,6 +36,32 @@ class TestParser:
         } <= names
 
 
+# options each of these commands used to accept and ignore
+_UNREAD_OPTIONS = [
+    ("fig3", "--reps", "1"),
+    ("fig3", "--seed", "1"),
+    ("fig3", "--out", "csv"),
+    ("fig13", "--reps", "1"),
+    ("fig13", "--quick"),
+    ("fig13", "--out", "csv"),
+    ("fig10", "--reps", "1"),
+    ("fig10", "--out", "csv"),
+    ("fig12a", "--out", "csv"),
+    ("ablations", "--out", "csv"),
+    ("density", "--reps", "1"),
+    ("density", "--quick"),
+    ("density", "--out", "csv"),
+]
+
+
+@pytest.mark.parametrize("argv", _UNREAD_OPTIONS, ids=lambda a: f"{a[0]}{a[1]}")
+def test_command_rejects_options_it_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
 class TestListAndInfo:
     def test_list(self, capsys):
         assert main(["list"]) == 0
@@ -81,7 +107,7 @@ class TestFigureCommands:
         assert "basic" in out and "extended" in out
 
     def test_fig10_quick(self, capsys):
-        assert main(["fig10", "--quick", "--reps", "1"]) == 0
+        assert main(["fig10", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "deployment = grid" in out and "deployment = random" in out
 

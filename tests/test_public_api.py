@@ -88,8 +88,11 @@ _EXEMPT_NAMES = {
     "NoNoise": "the noiseless channel the channel and sensing tests run on",
     "set_tracer": "how tests install a tracer and flush it",
     "Schedule": "the outage schedule the faulty golden trace is built with",
+    "effective_pairwise_sigma": "the common-mode pairwise sigma the shadowing tests compare with",
+    "point_in_circle": "the disk-membership test the Apollonius circle tests are stated in",
 }
-_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFS = (*_FUNCS, ast.ClassDef)
 
 
 def _python_files(top):
@@ -121,10 +124,11 @@ def _used_names(tree, is_init):
 
 
 def test_every_public_name_has_a_caller():
-    """A public top-level function or class of ``src/repro`` that only its
-    own unit tests use is dead weight: delete it, or give it a caller."""
+    """A public top-level function or class of ``src/repro``, or a public
+    method or property of one of its classes, that only its own unit tests
+    use is dead weight: delete it, or give it a caller."""
     src = os.path.join(_ROOT, "src")
-    defined = []  # (module, name)
+    defined = []  # (module, name), name "Class.member" for class members
     used = set()
     for top in _CALLER_DIRS:
         for path in _python_files(os.path.join(_ROOT, top)):
@@ -135,18 +139,24 @@ def test_every_public_name_has_a_caller():
             if top == "src":
                 module = os.path.relpath(path, src)[: -len(".py")].replace(os.sep, ".")
                 module = module.removesuffix(".__init__")
-                defined += [(module, n.name) for n in tree.body if isinstance(n, _DEFS)]
+                for n in tree.body:
+                    if isinstance(n, _DEFS):
+                        defined.append((module, n.name))
+                    if isinstance(n, ast.ClassDef):
+                        defined += [
+                            (module, f"{n.name}.{m.name}") for m in n.body if isinstance(m, _FUNCS)
+                        ]
 
     def exempt(module, name):
         return name in _EXEMPT_NAMES or any(
             module == m or module.startswith(m + ".") for m in _EXEMPT_MODULES
         )
 
-    orphans = sorted(
-        f"{module}.{name}"
-        for module, name in defined
-        if not name.startswith("_") and name not in used and not exempt(module, name)
-    )
+    def orphan(module, name):
+        leaf = name.rsplit(".", 1)[-1]
+        return not leaf.startswith("_") and leaf not in used and not exempt(module, leaf)
+
+    orphans = sorted(f"{module}.{name}" for module, name in defined if orphan(module, name))
     assert not orphans, "public names with no caller outside tests/:\n  " + "\n  ".join(orphans)
     stale = sorted(name for name in _EXEMPT_NAMES if name in used)
     assert not stale, f"exempt names that now have a caller; drop their exemption: {stale}"
