@@ -335,9 +335,20 @@ def cmd_sampling_times(args: argparse.Namespace) -> int:
     return 0
 
 
+def _replication_count(text: str) -> int:
+    """``--reps``: a whole number of replications, at least one."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 # the options a figure command may take; each command registers only the ones it reads
 _FIGURE_OPTIONS = {
-    "reps": dict(type=int, default=3, help="replications per point"),
+    "reps": dict(type=_replication_count, default=3, help="replications per point"),
     "seed": dict(type=int, default=0),
     "quick": dict(action="store_true", help="coarse grid, short runs"),
     "out": dict(type=str, default=None, help="directory for CSV output"),
@@ -385,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated intensity grid (0 = clean anchor)",
     )
     pfl.add_argument("--trackers", type=str, default="fttt,fttt-robust,fttt-zero")
-    pfl.add_argument("--reps", type=int, default=2, help="replications per cell")
+    pfl.add_argument("--reps", type=_replication_count, default=2, help="replications per cell")
     pfl.add_argument("--seed", type=int, default=0)
     pfl.add_argument("--quick", action="store_true", help="coarse grid, short runs")
     pfl.add_argument(

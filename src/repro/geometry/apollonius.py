@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from repro.geometry.primitives import Circle
+from repro.geometry.primitives import Circle, pair_row_blocks
 
 __all__ = [
     "uncertainty_constant",
@@ -25,11 +25,12 @@ __all__ = [
     "apollonius_circle",
     "uncertain_boundary_circles",
     "classify_points_pairwise",
-    "classify_distances_pairwise",
     "uncertain_band_halfwidth",
 ]
 
-CHUNK_PAIRS = 256  # pairs classified per block of classify_points_pairwise
+#: Stand-in distance of a node out of sensing range; finite, so that
+#: ``2 * _FAR`` still compares above it (see classify_points_pairwise).
+_FAR = 1e300
 
 
 def uncertainty_constant(resolution_dbm: float, path_loss_exponent: float, noise_sigma_dbm: float) -> float:
@@ -138,44 +139,25 @@ def uncertain_boundary_circles(p_i: np.ndarray, p_j: np.ndarray, c: float) -> tu
     return near_i, near_j
 
 
-def classify_distances_pairwise(
-    d_i: np.ndarray, d_j: np.ndarray, c: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Signature values from pre-computed distances.
-
-    +1 where ``C*d_i <= d_j`` (certainly nearer the lower-ID node),
-    -1 where ``d_i >= C*d_j`` (certainly nearer the higher-ID node),
-     0 inside the uncertain band.
-    """
-    if c < 1.0:
-        raise ValueError(f"uncertainty constant must be >= 1, got {c}")
-    d_i = np.asarray(d_i, dtype=float)
-    d_j = np.asarray(d_j, dtype=float)
-    if out is None:
-        out = np.zeros(np.broadcast_shapes(d_i.shape, d_j.shape), dtype=np.int8)
-    else:
-        out[...] = 0
-    out[c * d_i <= d_j] = 1
-    out[d_i >= c * d_j] = -1
-    return out
-
-
 def classify_points_pairwise(
     points: np.ndarray,
     nodes: np.ndarray,
     c: float,
-    pairs: tuple[np.ndarray, np.ndarray] | None = None,
     *,
     sensing_range: float | None = None,
 ) -> np.ndarray:
     """Signature matrix for *points* against all node pairs.
+
+    +1 where ``C*d_i <= d_j`` (certainly nearer the lower-ID node),
+    -1 where ``d_i >= C*d_j`` (certainly nearer the higher-ID node; this
+    wins when both hold, which needs ``d_i == d_j`` at ``C == 1`` or a
+    point on two coincident nodes), 0 inside the uncertain band.
 
     Parameters
     ----------
     points : (M, 2)
     nodes : (n, 2)
     c : uncertainty constant (>= 1)
-    pairs : optional pre-computed ``(i_idx, j_idx)`` in canonical order
     sensing_range : when given, the signature uses the same semantics as
         the Eq. 6 fault fill — a node farther than the range from the
         point does not hear the target, so a pair with exactly one
@@ -183,35 +165,40 @@ def classify_points_pairwise(
         uncertain band, and a pair with neither node in range is 0 (its
         sampling value is ``*`` and masked at match time anyway).
 
-    Pairs are processed :data:`CHUNK_PAIRS` at a time, bounding peak
-    memory at roughly ``M * CHUNK_PAIRS`` bytes.
+    The matrix is filled by :func:`~repro.geometry.primitives.pair_row_blocks`:
+    per block of cells and first node ``i``, pairs ``(i, j > i)`` are one
+    contiguous column slice, classified from column slices of the
+    distance block, so peak memory beyond the result is a few
+    ``(CELL_BLOCK, n)`` arrays.
 
     Returns
     -------
     (M, P) int8 matrix of {-1, 0, +1}, P = C(n, 2).
     """
-    from repro.geometry.primitives import enumerate_pairs, pairwise_distances
-
+    if c < 1.0:
+        raise ValueError(f"uncertainty constant must be >= 1, got {c}")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    if pairs is None:
-        pairs = enumerate_pairs(len(nodes))
-    i_idx, j_idx = pairs
-    dist = pairwise_distances(points, nodes)  # (M, n)
-    n_pairs = len(i_idx)
-    sig = np.empty((len(points), n_pairs), dtype=np.int8)
-    for start in range(0, n_pairs, CHUNK_PAIRS):
-        stop = min(start + CHUNK_PAIRS, n_pairs)
-        di = dist[:, i_idx[start:stop]]
-        dj = dist[:, j_idx[start:stop]]
-        block = sig[:, start:stop]
-        classify_distances_pairwise(di, dj, c, out=block)
+    n = len(nodes)
+    sig = np.empty((len(points), n * (n - 1) // 2), dtype=np.int8)
+    for d, rows in pair_row_blocks(points, nodes, sig):
+        cd = c * d
         if sensing_range is not None:
-            in_i = di <= sensing_range
-            in_j = dj <= sensing_range
-            block[in_i & ~in_j] = 1
-            block[~in_i & in_j] = -1
-            block[~in_i & ~in_j] = 0
+            # A node that does not hear the point stands at distance FAR and
+            # scaled distance 2*FAR.  For every c >= 1 the two band tests
+            # below then give the Eq. 6 override by themselves: only i hears
+            # -> d_i >= 2*FAR fails, c*d_i <= FAR holds: +1; only j hears ->
+            # FAR >= c*d_j holds: -1; neither -> FAR >= 2*FAR and
+            # 2*FAR <= FAR both fail: 0.  Pairs both nodes hear keep their
+            # own distances, so the -1-over-+1 precedence is unchanged.
+            heard = d <= sensing_range
+            d = np.where(heard, d, _FAR)
+            cd = np.where(heard, cd, 2.0 * _FAR)
+        for i, row in enumerate(rows):
+            nearer_j = d[:, i : i + 1] >= cd[:, i + 1 :]
+            nearer_i = cd[:, i : i + 1] <= d[:, i + 1 :]
+            # where(nearer_j, -1, nearer_i), written once into the slice
+            np.subtract(nearer_i > nearer_j, nearer_j, out=row, dtype=np.int8)
     return sig
 
 

@@ -10,18 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.geometry.primitives import enumerate_pairs, pairwise_distances
+from repro.geometry.primitives import pair_row_blocks
 
 __all__ = ["certain_signatures"]
 
-CHUNK_PAIRS = 256  # pairs classified per block of certain_signatures
 
-
-def certain_signatures(
-    points: np.ndarray,
-    nodes: np.ndarray,
-    pairs: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
+def certain_signatures(points: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Signature matrix under the *certain* (no-uncertainty) assumption.
 
     Identical layout to
@@ -31,15 +25,11 @@ def certain_signatures(
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    if pairs is None:
-        pairs = enumerate_pairs(len(nodes))
-    i_idx, j_idx = pairs
-    dist = pairwise_distances(points, nodes)
-    n_pairs = len(i_idx)
-    sig = np.empty((len(points), n_pairs), dtype=np.int8)
-    for start in range(0, n_pairs, CHUNK_PAIRS):
-        stop = min(start + CHUNK_PAIRS, n_pairs)
-        di = dist[:, i_idx[start:stop]]
-        dj = dist[:, j_idx[start:stop]]
-        sig[:, start:stop] = np.sign(dj - di)
+    n = len(nodes)
+    sig = np.empty((len(points), n * (n - 1) // 2), dtype=np.int8)
+    for d, rows in pair_row_blocks(points, nodes, sig):
+        for i, row in enumerate(rows):
+            d_i, d_j = d[:, i : i + 1], d[:, i + 1 :]
+            # sign(d_j - d_i): a float difference is 0 only for equal operands
+            np.subtract(d_j > d_i, d_j < d_i, out=row, dtype=np.int8)
     return sig

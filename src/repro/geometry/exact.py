@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.geometry.apollonius import classify_points_pairwise
 from repro.geometry.faces import FaceMap
-from repro.geometry.primitives import Circle, enumerate_pairs
+from repro.geometry.primitives import Circle
 
 __all__ = [
     "circle_intersections",
@@ -88,11 +88,10 @@ def refine_face(face_map: FaceMap, face_id: int, *, factor: int = 4) -> RefinedF
     pts = np.column_stack([gx.ravel(), gy.ravel()])
 
     sig = face_map.signatures[face_id]
-    pairs = enumerate_pairs(face_map.n_nodes)
     # sensing-range semantics were baked into the signatures at build time;
     # refinement reuses the plain band classification, which matches except
     # for the range-gated overrides — restrict to cells already in the face
-    fine_sigs = classify_points_pairwise(pts, face_map.nodes, face_map.c, pairs)
+    fine_sigs = classify_points_pairwise(pts, face_map.nodes, face_map.c)
     member = np.all(fine_sigs == sig[None, :], axis=1)
     # also require the fine point to fall in a cell of this face, which
     # keeps range-gated faces correct without re-deriving the gating
@@ -129,13 +128,12 @@ def boundary_cell_fraction(face_map: FaceMap) -> float:
     certified error mass of the raster division (drives cell-size choice).
     """
     grid = face_map.grid
-    pairs = enumerate_pairs(face_map.n_nodes)
     centers = grid.cell_centers
     half = grid.cell_size / 2.0
     agree = np.ones(grid.n_cells, dtype=bool)
     center_sig = face_map.signatures[face_map.cell_face]
     for dx, dy in ((-half, -half), (-half, half), (half, -half), (half, half)):
         corners = centers + np.array([dx, dy])
-        corner_sig = classify_points_pairwise(corners, face_map.nodes, face_map.c, pairs)
+        corner_sig = classify_points_pairwise(corners, face_map.nodes, face_map.c)
         agree &= np.all(corner_sig == center_sig, axis=1)
     return float((~agree).mean())

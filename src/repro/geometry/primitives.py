@@ -6,6 +6,7 @@ in metres.  Functions are vectorized over leading dimensions.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ __all__ = [
     "point_in_circle",
     "enumerate_pairs",
     "pair_index",
+    "pair_row_blocks",
     "polyline_length",
 ]
 
@@ -83,6 +85,35 @@ def pair_index(i: int, j: int, n: int) -> int:
         raise ValueError(f"invalid pair ({i}, {j}) for n={n}")
     # pairs before row i: n-1 + n-2 + ... + n-i, then offset within row i
     return i * n - i * (i + 1) // 2 + (j - i - 1)
+
+
+#: Points per block of :func:`pair_row_blocks`: bounds the (block, n)
+#: distance temporaries and each row's (block, n-1-i) comparisons.
+CELL_BLOCK = 1024
+
+
+def pair_row_blocks(
+    points: np.ndarray, nodes: np.ndarray, out: np.ndarray
+) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
+    """Walk the ``(M, P)`` pair matrix *out* in gather-free row blocks.
+
+    In the canonical order (Definition 5) the pairs ``(i, j > i)`` of one
+    first node are contiguous columns.  For each block of
+    :data:`CELL_BLOCK` points this yields the ``(B, n)`` point-node
+    distances and, for every first node ``i``, the ``(B, n-1-i)`` view of
+    *out* holding pairs ``(i, i+1) ... (i, n-1)``.  A classifier fills that
+    view by comparing ``dist[:, i:i+1]`` with ``dist[:, i+1:]``: two column
+    slices, where a per-pair walk gathers ``dist[:, i_idx]`` and
+    ``dist[:, j_idx]``.
+    """
+    n = len(nodes)
+    if n < 2:
+        raise ValueError(f"need at least two nodes to enumerate pairs, got n={n}")
+    ends = np.cumsum(np.arange(n - 1, 0, -1))
+    for lo in range(0, len(points), CELL_BLOCK):
+        block = out[lo : lo + CELL_BLOCK]
+        rows = [block[:, end - (n - 1 - i) : end] for i, end in enumerate(ends)]
+        yield pairwise_distances(points[lo : lo + CELL_BLOCK], nodes), rows
 
 
 def polyline_length(vertices: np.ndarray) -> float:

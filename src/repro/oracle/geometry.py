@@ -2,7 +2,7 @@
 
 The production classifier (:func:`repro.geometry.apollonius.
 classify_points_pairwise`) never constructs a circle — it compares
-``C*d_i <= d_j`` on chunked distance matrices.  This oracle takes the
+``C*d_i <= d_j`` on row blocks of a distance matrix.  This oracle takes the
 other road the paper describes (Eq. 4, Definition 2): build the two
 axisymmetric Apollonius boundary circles of every pair explicitly and
 classify each point by which circle contains it.  The two derivations

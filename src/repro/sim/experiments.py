@@ -84,8 +84,6 @@ def replicate_mean_error(
     batch stream (the Eq. 6-7 masking then shows up in the per-round
     observability metrics).
     """
-    if n_reps < 1:
-        raise ValueError(f"need at least one replication, got {n_reps}")
     if lost_track_threshold_m is None:
         lost_track_threshold_m = config.field_size_m / 4.0
     params = dict(params or {})

@@ -25,7 +25,6 @@ from repro.analysis.sampling_times import miss_probability
 from repro.core.tracker import TrackEstimate, TrackResult
 from repro.geometry.apollonius import classify_points_pairwise
 from repro.geometry.faces import FaceMap
-from repro.geometry.primitives import enumerate_pairs
 from repro.rng import ensure_rng
 
 __all__ = ["ModelSampler", "run_model_tracking"]
@@ -54,48 +53,53 @@ class ModelSampler:
             raise ValueError(f"uncertainty constant must be >= 1, got {self.c}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        self._pairs = enumerate_pairs(len(self.nodes))
+        if len(self.nodes) < 2:
+            raise ValueError(f"need at least two nodes, got {len(self.nodes)}")
 
     @property
     def miss_prob(self) -> float:
         return miss_probability(self.k)
 
     def true_signature(self, position: np.ndarray) -> np.ndarray:
-        """Exact (non-rasterized) signature of the target position."""
-        return classify_points_pairwise(
-            np.asarray(position, dtype=float).reshape(1, 2),
-            self.nodes,
-            self.c,
-            self._pairs,
-            sensing_range=self.sensing_range,
-        )[0].astype(float)
+        """Exact (non-rasterized) signature of the target position.
+
+        Vectorized over leading dimensions: ``(..., 2)`` positions give
+        ``(..., P)`` signatures from one classifier call.
+        """
+        position = np.asarray(position, dtype=float)
+        sig = classify_points_pairwise(
+            position.reshape(-1, 2), self.nodes, self.c, sensing_range=self.sensing_range
+        )
+        return sig.reshape(position.shape[:-1] + sig.shape[-1:]).astype(float)
 
     def sample_group_vector(self, position: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """FTTT grouping-sampling vector under the model.
 
         Certain pairs read correctly; uncertain pairs are captured as
         flipped (0) with probability ``1 - f`` and otherwise appear ordinal
-        in a uniformly random direction (§5.1's miss event).
+        in a uniformly random direction (§5.1's miss event).  Vectorized
+        like :meth:`true_signature`; vectors draw from *rng* in order.
         """
-        sig = self.true_signature(position)
-        out = sig.copy()
-        uncertain = sig == 0.0
-        n_unc = int(uncertain.sum())
-        if n_unc:
-            missed = rng.random(n_unc) < self.miss_prob
-            directions = rng.choice([-1.0, 1.0], size=n_unc)
-            out[uncertain] = np.where(missed, directions, 0.0)
+        out = self.true_signature(position)
+        for vec in out.reshape(-1, out.shape[-1]):
+            uncertain = vec == 0.0
+            n_unc = int(uncertain.sum())
+            if n_unc:
+                missed = rng.random(n_unc) < self.miss_prob
+                directions = rng.choice([-1.0, 1.0], size=n_unc)
+                vec[uncertain] = np.where(missed, directions, 0.0)
         return out
 
     def sample_oneshot_vector(self, position: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One-shot detection-sequence vector (what the certain-sequence
-        baselines observe): uncertain pairs are a fair coin every time."""
-        sig = self.true_signature(position)
-        out = sig.copy()
-        uncertain = sig == 0.0
-        n_unc = int(uncertain.sum())
-        if n_unc:
-            out[uncertain] = rng.choice([-1.0, 1.0], size=n_unc)
+        baselines observe): uncertain pairs are a fair coin every time.
+        Vectorized like :meth:`true_signature`."""
+        out = self.true_signature(position)
+        for vec in out.reshape(-1, out.shape[-1]):
+            uncertain = vec == 0.0
+            n_unc = int(uncertain.sum())
+            if n_unc:
+                vec[uncertain] = rng.choice([-1.0, 1.0], size=n_unc)
         return out
 
 
@@ -138,12 +142,14 @@ def run_model_tracking(
     else:
         raise ValueError(f"unknown matcher {matcher!r}")
 
+    # one classifier call for the whole trace; the matcher draws no randomness,
+    # so drawing every vector first keeps each round's draws
+    if observation == "group":
+        vectors = sampler.sample_group_vector(positions, rng)
+    else:
+        vectors = sampler.sample_oneshot_vector(positions, rng)
     result = TrackResult()
-    for t, p in zip(times, positions):
-        if observation == "group":
-            v = sampler.sample_group_vector(p, rng)
-        else:
-            v = sampler.sample_oneshot_vector(p, rng)
+    for t, p, v in zip(times, positions, vectors):
         match = m.match(v)
         result.append(
             TrackEstimate(

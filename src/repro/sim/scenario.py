@@ -288,13 +288,16 @@ def replications(
 
     Spawns two independent streams per replication from *seed*: replication
     ``r`` runs on the world ``make(config, seed=streams[2r])`` and draws its
-    observation noise from ``streams[2r + 1]``.  Yields ``(scenario,
-    noise_rng)`` pairs, building each world only when the caller asks for
-    it, so a loop over them holds one world at a time.
+    observation noise from ``streams[2r + 1]``.  Returns an iterator of
+    ``(scenario, noise_rng)`` pairs that builds each world only when the
+    caller asks for it, so a loop over them holds one world at a time.
+    ``n_reps < 1`` raises ``ValueError`` at the call, before any world is
+    built: a mean over no replications is no result.
     """
+    if n_reps < 1:
+        raise ValueError(f"n_reps must be >= 1, got {n_reps}")
     rngs = spawn_rngs(seed, 2 * n_reps)
-    for rep in range(n_reps):
-        yield make(config, seed=rngs[2 * rep]), rngs[2 * rep + 1]
+    return ((make(config, seed=rngs[2 * rep]), rngs[2 * rep + 1]) for rep in range(n_reps))
 
 
 def replication_scenarios(

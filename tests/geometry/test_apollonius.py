@@ -5,17 +5,39 @@ import math
 import numpy as np
 import pytest
 
-from repro.geometry import apollonius
+from repro.geometry import primitives
 from repro.geometry.apollonius import (
     apollonius_circle,
-    classify_distances_pairwise,
     classify_points_pairwise,
     effective_uncertainty_constant,
     uncertain_band_halfwidth,
     uncertain_boundary_circles,
     uncertainty_constant,
 )
-from repro.geometry.primitives import point_in_circle
+from repro.geometry.primitives import enumerate_pairs, point_in_circle
+
+
+def eq6_value(d_i, d_j, c, sensing_range=None):
+    """One pair's signature value, straight from the Eq. 6 rule."""
+    if sensing_range is not None:
+        in_i, in_j = d_i <= sensing_range, d_j <= sensing_range
+        if in_i != in_j:
+            return 1 if in_i else -1
+        if not in_i:
+            return 0
+    if d_i >= c * d_j:
+        return -1
+    return 1 if c * d_i <= d_j else 0
+
+
+def eq6_signatures(points, nodes, c, sensing_range=None):
+    i_idx, j_idx = enumerate_pairs(len(nodes))
+    out = np.zeros((len(points), len(i_idx)), dtype=np.int8)
+    for m, p in enumerate(points):
+        d = np.hypot(nodes[:, 0] - p[0], nodes[:, 1] - p[1])
+        for k, (i, j) in enumerate(zip(i_idx, j_idx)):
+            out[m, k] = eq6_value(d[i], d[j], c, sensing_range)
+    return out
 
 
 class TestUncertaintyConstant:
@@ -151,11 +173,12 @@ class TestClassification:
 
     def test_chunking_invariant(self, four_nodes, rng, monkeypatch):
         pts = rng.uniform(0, 100, (50, 2))
-        monkeypatch.setattr(apollonius, "CHUNK_PAIRS", 1)
-        a = classify_points_pairwise(pts, four_nodes, 1.4)
-        monkeypatch.setattr(apollonius, "CHUNK_PAIRS", 1000)
-        b = classify_points_pairwise(pts, four_nodes, 1.4)
-        assert np.array_equal(a, b)
+        for sensing_range in (None, 30.0):
+            monkeypatch.setattr(primitives, "CELL_BLOCK", 1)
+            a = classify_points_pairwise(pts, four_nodes, 1.4, sensing_range=sensing_range)
+            monkeypatch.setattr(primitives, "CELL_BLOCK", 1000)
+            b = classify_points_pairwise(pts, four_nodes, 1.4, sensing_range=sensing_range)
+            assert np.array_equal(a, b)
 
     def test_sensing_range_overrides_band(self):
         # node j is out of range from the point: pair forced to +1 even though
@@ -173,9 +196,74 @@ class TestClassification:
         sig = classify_points_pairwise(pt, nodes, 1.5, sensing_range=25.0)
         assert sig[0, 0] == 0
 
-    def test_classify_distances_rejects_c_below_one(self):
-        with pytest.raises(ValueError):
-            classify_distances_pairwise(np.ones(3), np.ones(3), 0.9)
+    def test_rejects_c_below_one(self, four_nodes):
+        with pytest.raises(ValueError, match=">= 1"):
+            classify_points_pairwise(np.zeros((3, 2)), four_nodes, 0.9)
+
+
+class TestClassificationEdgeCases:
+    """Inputs where the range sentinels or the row-block walk could drift
+    from the Eq. 6 rule; every expected value is derived by hand."""
+
+    nodes = np.array([[0.0, 0.0], [10.0, 0.0]])
+
+    def test_point_exactly_at_range_is_heard(self):
+        # d = (4.5, 5.5): inside the C=1.5 band, so only the range decides
+        pts = np.array([[4.5, 0.0], [5.5, 0.0]])
+        assert classify_points_pairwise(pts, self.nodes, 1.5)[:, 0].tolist() == [0, 0]
+        at_range = classify_points_pairwise(pts, self.nodes, 1.5, sensing_range=4.5)
+        assert at_range[:, 0].tolist() == [1, -1]
+        below = classify_points_pairwise(pts, self.nodes, 1.5, sensing_range=4.49)
+        assert below[:, 0].tolist() == [0, 0]
+
+    def test_both_out_of_range_at_c_one_is_zero(self):
+        # equidistant and unheard: the band alone would say -1 at C=1
+        pts = np.array([[5.0, 100.0], [3.0, 100.0], [7.0, 100.0]])
+        sig = classify_points_pairwise(pts, self.nodes, 1.0, sensing_range=5.0)
+        assert sig[:, 0].tolist() == [0, 0, 0]
+
+    def test_one_heard_node_wins_at_c_one(self):
+        # d = (6, 4) with only node j in range 5: -1 toward j; mirrored +1
+        pts = np.array([[6.0, 0.0], [4.0, 0.0]])
+        sig = classify_points_pairwise(pts, self.nodes, 1.0, sensing_range=5.0)
+        assert sig[:, 0].tolist() == [-1, 1]
+
+    def test_equidistant_at_c_one_is_minus_one(self):
+        # d_i == d_j: both C*d_i <= d_j and d_i >= C*d_j hold; -1 wins
+        pt = np.array([[5.0, 3.0]])
+        assert classify_points_pairwise(pt, self.nodes, 1.0)[0, 0] == -1
+        assert classify_points_pairwise(pt, self.nodes, 1.0, sensing_range=10.0)[0, 0] == -1
+
+    def test_coincident_nodes(self):
+        nodes = np.array([[2.0, 2.0], [2.0, 2.0], [8.0, 2.0]])
+        pts = np.array([[0.0, 2.0], [2.0, 2.0]])
+        # d = (2, 2, 8): the coincident pair is in its band; d = (0, 0, 6):
+        # 0 >= C*0 and C*0 <= 0 both hold, so -1
+        assert classify_points_pairwise(pts, nodes, 1.5).tolist() == [[0, 1, 1], [-1, 1, 1]]
+        gated = classify_points_pairwise(pts, nodes, 1.5, sensing_range=1.0)
+        assert gated.tolist() == [[0, 0, 0], [-1, 1, 1]]
+
+    @pytest.mark.parametrize("sensing_range", [None, 4.0])
+    @pytest.mark.parametrize("c", [1.0, 1.5])
+    def test_two_nodes_and_a_partial_last_block(self, monkeypatch, c, sensing_range):
+        monkeypatch.setattr(primitives, "CELL_BLOCK", 4)
+        pts = np.column_stack([np.arange(10.0) + 0.5, np.zeros(10)])  # 10 = 4 + 4 + 2
+        sig = classify_points_pairwise(pts, self.nodes, c, sensing_range=sensing_range)
+        assert sig.shape == (10, 1)
+        assert np.array_equal(sig, eq6_signatures(pts, self.nodes, c, sensing_range))
+
+    @pytest.mark.parametrize("sensing_range", [None, 0.0, 1.0, 2.0**0.5, 2.0, 3.0])
+    @pytest.mark.parametrize("c", [1.0, 1.0 + 1e-12, 1.3, 2.0])
+    def test_lattice_layouts_match_the_rule(self, monkeypatch, c, sensing_range):
+        # integer lattice: coincident nodes, points on nodes, exact ties and
+        # points exactly at the range, across three cell blocks
+        monkeypatch.setattr(primitives, "CELL_BLOCK", 7)
+        gen = np.random.default_rng(3)
+        nodes = gen.integers(0, 4, (6, 2)).astype(float)
+        nodes[1] = nodes[0]
+        pts = np.array([[x, y] for x in range(4) for y in range(4)], dtype=float)
+        sig = classify_points_pairwise(pts, nodes, c, sensing_range=sensing_range)
+        assert np.array_equal(sig, eq6_signatures(pts, nodes, c, sensing_range))
 
 
 class TestUncertainBandHalfwidth:

@@ -1,7 +1,9 @@
 """Tests for repro.geometry.bisector (certain-world classification)."""
 
 import numpy as np
+import pytest
 
+from repro.geometry import primitives
 from repro.geometry.apollonius import classify_points_pairwise
 from repro.geometry.bisector import certain_signatures
 
@@ -40,3 +42,30 @@ class TestCertainSignatures:
                 expected = np.sign(d[j] - d[i])
                 assert sig[idx] == expected
                 idx += 1
+
+    def test_equidistant_is_zero_where_c_one_band_gives_minus_one(self):
+        nodes = np.array([[0.0, 0.0], [10.0, 0.0]])
+        pt = np.array([[5.0, 3.0]])
+        assert certain_signatures(pt, nodes)[0, 0] == 0
+        assert classify_points_pairwise(pt, nodes, 1.0)[0, 0] == -1
+
+    def test_coincident_nodes(self):
+        nodes = np.array([[2.0, 2.0], [2.0, 2.0], [8.0, 2.0]])
+        pts = np.array([[0.0, 2.0], [2.0, 2.0], [9.0, 2.0]])
+        # d = (2, 2, 8), (0, 0, 6), (7, 7, 1): the coincident pair is always 0
+        expected = [[0, 1, 1], [0, 1, 1], [0, -1, -1]]
+        assert certain_signatures(pts, nodes).tolist() == expected
+
+    def test_two_nodes_and_a_partial_last_block(self, monkeypatch):
+        monkeypatch.setattr(primitives, "CELL_BLOCK", 4)
+        nodes = np.array([[0.0, 0.0], [10.0, 0.0]])
+        xs = np.arange(11.0)  # 11 = 4 + 4 + 3; x = 5 is on the bisector
+        sig = certain_signatures(np.column_stack([xs, np.ones(11)]), nodes)
+        assert sig[:, 0].tolist() == [1] * 5 + [0] + [-1] * 5
+
+    @pytest.mark.parametrize("block", [1, 1000])
+    def test_chunking_invariant(self, four_nodes, rng, monkeypatch, block):
+        pts = rng.uniform(0, 100, (50, 2))
+        expected = certain_signatures(pts, four_nodes)
+        monkeypatch.setattr(primitives, "CELL_BLOCK", block)
+        assert np.array_equal(certain_signatures(pts, four_nodes), expected)

@@ -1,6 +1,7 @@
 """Tests for repro.sim.ablations."""
 
 import numpy as np
+import pytest
 
 from repro.config import GridConfig, SimulationConfig
 from repro.sim.ablations import (
@@ -23,6 +24,12 @@ class TestUncertaintyConstantAblation:
         a = ablate_uncertainty_constant(TINY, n_reps=1, seed=4)
         b = ablate_uncertainty_constant(TINY, n_reps=1, seed=4)
         assert a == b
+
+
+    @pytest.mark.parametrize("n_reps", [0, -1])
+    def test_rejects_no_replications(self, n_reps):
+        with pytest.raises(ValueError, match="n_reps"):
+            ablate_uncertainty_constant(TINY, n_reps=n_reps, seed=0)
 
 
 class TestMatcherHopsAblation:

@@ -21,6 +21,18 @@ class TestModelSampler:
             sampler.true_signature(p), fm.signatures[fm.face_of_point(p)].astype(float)
         )
 
+    @pytest.mark.parametrize("method", ["sample_group_vector", "sample_oneshot_vector"])
+    def test_a_trace_samples_like_one_position_at_a_time(self, sampler, method):
+        # run_model_tracking samples a whole trace in one call: same
+        # signatures and the same draws, in order, as per-round calls
+        positions = np.random.default_rng(2).uniform(0, 100, (30, 2))
+        batch = getattr(sampler, method)(positions, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        one_by_one = np.stack([getattr(sampler, method)(p, rng) for p in positions])
+        assert batch.shape == (30, 6)
+        assert np.array_equal(batch, one_by_one)
+        assert np.array_equal(sampler.true_signature(positions)[4], sampler.true_signature(positions[4]))
+
     def test_certain_pairs_read_exactly(self, sampler, rng):
         p = np.array([20.0, 20.0])
         sig = sampler.true_signature(p)

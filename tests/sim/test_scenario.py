@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import GridConfig, SimulationConfig
-from repro.sim.scenario import TRACKER_NAMES, make_scenario
+from repro.sim.scenario import TRACKER_NAMES, make_scenario, replications
 
 
 @pytest.fixture
@@ -84,3 +84,14 @@ class TestMakeTracker:
     def test_pm_inherits_vmax(self, cfg):
         s = make_scenario(cfg, seed=4)
         assert s.make_tracker("pm").vmax_mps == cfg.target_speed_max_mps
+
+
+class TestReplications:
+    @pytest.mark.parametrize("n_reps", [0, -1])
+    def test_rejects_no_replications_at_the_call(self, cfg, n_reps):
+        # raised before iteration, so no caller can average over nothing
+        with pytest.raises(ValueError, match="n_reps must be >= 1"):
+            replications(cfg, n_reps=n_reps, seed=0)
+
+    def test_yields_one_world_per_replication(self, cfg):
+        assert len(list(replications(cfg, n_reps=2, seed=0))) == 2

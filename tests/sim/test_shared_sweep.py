@@ -109,18 +109,6 @@ class TestSharedSweep:
 
 
 class TestReplicationScenarios:
-    def test_matches_replicate_worlds(self):
-        # the prebuild must walk the exact worlds replicate_mean_error makes
-        from repro.sim.experiments import replicate_mean_error
-
-        cfg = TINY.with_(n_sensors=6)
-        scenarios = replication_scenarios(cfg, n_reps=2, seed=11)
-        assert len(scenarios) == 2
-        recs = replicate_mean_error(cfg, ["fttt"], n_reps=2, seed=11)
-        assert recs  # worlds built from the same seeds: smoke the protocol
-        keys = [s.face_map_key() for s in scenarios]
-        assert len(set(keys)) == len(keys)  # distinct deployments
-
     def test_face_map_key_matches_cache_key(self):
         from repro.geometry.cache import face_map_cache_key
 

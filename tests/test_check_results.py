@@ -1,8 +1,11 @@
-"""The committed-results check skips exactly its declared timing cells."""
+"""The committed-results check skips exactly its declared timing cells and
+keeps REPORT.md in step with the committed CSVs."""
 
 import csv
 import importlib.util
 import os
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -61,3 +64,40 @@ def test_declared_timing_cells_exist_in_the_committed_csvs():
             rows = list(csv.reader(fh))
         assert cells.get("columns", set()) <= set(rows[0]), name
         assert cells.get("rows", set()) <= {row[0] for row in rows[1:]}, name
+
+
+@pytest.fixture
+def results_copy(tmp_path):
+    """A copy of the committed CSVs and report, plus a scratch directory."""
+    results = tmp_path / "results"
+    shutil.copytree(Path(_ROOT) / "benchmarks" / "results", results)
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    return results, scratch
+
+
+def test_committed_report_matches_the_committed_csvs(results_copy):
+    assert check_results.report_problems(*results_copy) == []
+
+
+def test_stale_report_fails(results_copy):
+    results, scratch = results_copy
+    # a CSV fix without a regenerated report: the report still quotes the old value
+    rows = list(csv.reader((results / "ambiguity_ties.csv").read_text().splitlines()))
+    rows[1][-1] = "0.9999"
+    (results / "ambiguity_ties.csv").write_text("\n".join(",".join(r) for r in rows) + "\n")
+    problems = check_results.report_problems(results, scratch)
+    assert len(problems) == 1
+    assert problems[0].startswith("REPORT.md line ")
+    assert "0.9999" in problems[0]
+
+
+def test_report_whitespace_and_absence_reported(results_copy):
+    results, scratch = results_copy
+    report = results / "REPORT.md"
+    report.write_text(report.read_text().rstrip("\n"))
+    assert check_results.report_problems(results, scratch) == [
+        "REPORT.md: differs from write_report in whitespace or line endings"
+    ]
+    report.unlink()
+    assert check_results.report_problems(results, scratch) == ["REPORT.md: not committed"]

@@ -62,6 +62,15 @@ def test_command_rejects_options_it_does_not_read(argv, capsys):
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("reps", ["0", "-1", "two"])
+@pytest.mark.parametrize("command", ["fig11", "fig12a", "fig12b", "fig12cd", "ablations", "faultlab"])
+def test_reps_below_one_is_a_usage_error(command, reps, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--reps", reps])
+    assert exc.value.code == 2
+    assert "argument --reps" in capsys.readouterr().err
+
+
 class TestListAndInfo:
     def test_list(self, capsys):
         assert main(["list"]) == 0

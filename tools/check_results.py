@@ -10,10 +10,12 @@ there except the microbenchmarks of ``test_perf_kernels.py`` (the copy
 writes its own ``results/``, so the working tree is left as it is), and
 compares each regenerated CSV with the committed one.  Cells that time
 the machine rather than the model are declared in :data:`TIMING_CELLS`
-and skipped; every other cell must match byte for byte.  Exits non-zero
+and skipped; every other cell must match byte for byte.  It also renders
+``REPORT.md`` with :func:`repro.analysis.report.write_report` from the
+committed CSVs and compares it with the committed report.  Exits non-zero
 when a benchmark fails its own asserts, a committed CSV is missing from
-the rerun or differs from it, or the rerun writes a CSV that is not
-committed.
+the rerun or differs from it, the rerun writes a CSV that is not
+committed, or the committed report is not what the CSVs render to.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from repro.analysis.report import write_report
 
 REPO = Path(__file__).resolve().parent.parent
 BENCHMARKS = REPO / "benchmarks"
@@ -72,6 +76,27 @@ def compare(committed: Path, rerun: Path) -> list[str]:
     return problems
 
 
+def report_problems(results: Path, scratch: Path) -> list[str]:
+    """The committed ``REPORT.md`` against ``write_report`` on the committed CSVs.
+
+    *scratch* is a directory the fresh report may be written to.
+    """
+    committed = results / "REPORT.md"
+    if not committed.exists():
+        return ["REPORT.md: not committed"]
+    old_text = committed.read_text()
+    new_text = write_report(results, scratch / "REPORT.md").read_text()
+    if old_text == new_text:
+        return []
+    old, new = old_text.splitlines(), new_text.splitlines()
+    if old == new:
+        return ["REPORT.md: differs from write_report in whitespace or line endings"]
+    line = next((i for i, (a, b) in enumerate(zip(old, new)) if a != b), min(len(old), len(new)))
+    a = repr(old[line]) if line < len(old) else "<end of file>"
+    b = repr(new[line]) if line < len(new) else "<end of file>"
+    return [f"REPORT.md line {line + 1}: committed {a} != write_report {b}"]
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="check-results-") as tmp:
         work = Path(tmp) / "benchmarks"
@@ -87,6 +112,7 @@ def main() -> int:
         cmd.append("--benchmark-disable")
         status = subprocess.run([*cmd, *tests], cwd=work, env=env).returncode
         problems = compare(BENCHMARKS / "results", work / "results")
+        problems += report_problems(BENCHMARKS / "results", Path(tmp))
     for line in problems:
         print(f"STALE {line}")
     if status != 0:
