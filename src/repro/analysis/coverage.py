@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.energy import EnergyModel
 from repro.geometry.grid import Grid
 from repro.geometry.primitives import pairwise_distances
 
@@ -46,14 +45,9 @@ def coverage_field(nodes: np.ndarray, grid: Grid, sensing_range: float) -> np.nd
     return (dist <= sensing_range).sum(axis=1)
 
 
-def coverage_report(
-    nodes: np.ndarray,
-    grid: Grid,
-    sensing_range: float,
-    *,
-    k_levels: tuple[int, ...] = (1, 2, 3, 5),
-) -> CoverageReport:
-    """Full coverage summary for a deployment over a rasterized field."""
+def coverage_report(nodes: np.ndarray, grid: Grid, sensing_range: float) -> CoverageReport:
+    """Full coverage summary for a deployment over a rasterized field, with
+    k-coverage fractions at ``k`` in 1, 2, 3 and 5."""
     counts = coverage_field(nodes, grid, sensing_range)
     return CoverageReport(
         n_sensors=len(np.atleast_2d(nodes)),
@@ -61,7 +55,7 @@ def coverage_report(
         mean_hearing_count=float(counts.mean()),
         min_hearing_count=int(counts.min()),
         max_hearing_count=int(counts.max()),
-        k_coverage_fraction={k: float((counts >= k).mean()) for k in k_levels},
+        k_coverage_fraction={k: float((counts >= k).mean()) for k in (1, 2, 3, 5)},
         uncovered_fraction=float((counts == 0).mean()),
     )
 
@@ -72,9 +66,7 @@ def density_tradeoff(
     sensing_range: float,
     *,
     radio_range: float = 30.0,
-    model: "EnergyModel | None" = None,
     seed: int = 0,
-    cell_size: float = 4.0,
 ) -> list[dict]:
     """The §5.2 trade-off, quantified: accuracy-side coverage vs
     communication-side relay load as density grows.
@@ -82,13 +74,13 @@ def density_tradeoff(
     For each n: deploy randomly, report mean hearing count (more = finer
     faces = better accuracy per Eq. 10) and the routing tree's bottleneck
     relay load / first-death lifetime (more sensors = more traffic through
-    the nodes near the base station), with report and relay costs and
-    the battery budget taken from *model* (``EnergyModel()`` by default).
+    the nodes near the base station), priced by ``EnergyModel()``.  Coverage
+    is counted on a 4 m raster.
     """
     from repro.network.deployment import random_deployment
     from repro.network.routing import build_routing_topology
 
-    grid = Grid.square(field_size, cell_size)
+    grid = Grid.square(field_size, 4.0)
     rows = []
     for i, n in enumerate(n_values):
         nodes = random_deployment(int(n), field_size, seed + i, min_separation=2.0)
@@ -100,7 +92,7 @@ def density_tradeoff(
                 "mean_hearing": report.mean_hearing_count,
                 "two_coverage": report.k_coverage_fraction[2],
                 "max_relay_load": int(topo.relay_counts.max()),
-                "lifetime_rounds": topo.network_lifetime_rounds(model),
+                "lifetime_rounds": topo.network_lifetime_rounds(),
                 "disconnected": int((~topo.connected).sum()),
             }
         )

@@ -40,21 +40,17 @@ def worst_case_error_bound(
     k: int,
     density_per_m2: float,
     sensing_range_m: float,
-    *,
-    xi: float = 1.0,
 ) -> float:
     """Worst-case tracking error shape of Eq. 10.
 
     ``E < sqrt( C(n,2) * f * pi R^2 / (xi * n^4) )`` with
     ``n = pi R^2 rho`` sensors hearing the target.  The constant ``xi``
-    absorbs face-geometry factors; only the scaling
+    absorbs face-geometry factors and is taken as 1; only the scaling
     ``1 / (2^((k-1)/2) * rho * R)`` is meaningful, which is what the
     reproduction checks.
     """
     if density_per_m2 <= 0 or sensing_range_m <= 0:
         raise ValueError("density and sensing range must be positive")
-    if xi <= 0:
-        raise ValueError(f"xi must be positive, got {xi}")
     n = math.pi * sensing_range_m**2 * density_per_m2
     if n < 2:
         raise ValueError(
@@ -64,7 +60,7 @@ def worst_case_error_bound(
     n_pairs = n * (n - 1) / 2.0
     f = miss_probability(k)
     area = math.pi * sensing_range_m**2
-    return math.sqrt(n_pairs * f * area / (xi * n**4))
+    return math.sqrt(n_pairs * f * area / n**4)
 
 
 def simulate_interface_error(

@@ -24,20 +24,17 @@ __all__ = [
 def bootstrap_mean_ci(
     values: np.ndarray,
     *,
-    confidence: float = 0.95,
-    n_boot: int = 5000,
     rng: "np.random.Generator | int | None" = 0,
 ) -> tuple[float, float, float]:
-    """(mean, lo, hi) percentile-bootstrap CI for the mean of *values*."""
+    """(mean, lo, hi) 95 % percentile-bootstrap CI for the mean of *values*,
+    from 5000 resamples."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or len(values) < 2:
         raise ValueError("need a 1-D sample of at least two values")
-    if not (0.0 < confidence < 1.0):
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     rng = ensure_rng(rng)
-    idx = rng.integers(0, len(values), size=(n_boot, len(values)))
+    idx = rng.integers(0, len(values), size=(5000, len(values)))
     boot_means = values[idx].mean(axis=1)
-    alpha = (1.0 - confidence) / 2.0
+    alpha = (1.0 - 0.95) / 2.0
     lo, hi = np.quantile(boot_means, [alpha, 1.0 - alpha])
     return float(values.mean()), float(lo), float(hi)
 
@@ -58,7 +55,6 @@ def paired_comparison(
     errors_a: np.ndarray,
     errors_b: np.ndarray,
     *,
-    confidence: float = 0.95,
     rng: "np.random.Generator | int | None" = 0,
 ) -> PairedComparison:
     """Compare per-world mean errors of two trackers on *shared* worlds.
@@ -72,7 +68,7 @@ def paired_comparison(
     if len(a) < 2:
         raise ValueError("need at least two paired worlds")
     diff = b - a
-    _, lo, hi = bootstrap_mean_ci(diff, confidence=confidence, rng=rng)
+    _, lo, hi = bootstrap_mean_ci(diff, rng=rng)
     from scipy import stats as sps
 
     t = sps.ttest_rel(b, a)

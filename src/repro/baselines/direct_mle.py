@@ -32,29 +32,26 @@ class DirectMLETracker(Tracker):
     ----------
     face_map : a *certain* face map
         (:func:`repro.geometry.faces.build_certain_face_map`).
-    reduce : how the grouping sampling collapses to one detection sequence;
-        ``"mean"`` (default) averages the group — the strongest fair
-        reading — while ``"last"`` replicates literal one-shot sensing.
+
+    Each grouping sampling collapses to one detection sequence by averaging
+    the group: the strongest fair reading of the data FTTT sees.
     """
 
     _rounds_counter = "baselines.direct_mle.rounds"
 
-    def __init__(self, face_map: FaceMap, *, reduce: str = "mean") -> None:
-        if reduce not in ("mean", "last"):
-            raise ValueError(f"unknown reduce {reduce!r}")
+    def __init__(self, face_map: FaceMap) -> None:
         self.face_map = face_map
         self.n_sensors = face_map.n_nodes
-        self.reduce = reduce
         self._pairs = enumerate_pairs(face_map.n_nodes)
         self._matcher = ExhaustiveMatcher(face_map)
 
     def build_vector(self, rss: np.ndarray) -> np.ndarray:
         """Pairwise sign vector of one round (``(k, n)`` group or ``(n,)`` row)."""
-        return sign_vector_from_rss(rss, self._pairs, reduce=self.reduce)
+        return sign_vector_from_rss(rss, self._pairs)
 
     def build_vectors(self, rss_stack: np.ndarray) -> np.ndarray:
         """``(T, k, n)`` round stack -> ``(T, P)`` pairwise sign vectors."""
-        return sign_vectors_from_rss(rss_stack, self._pairs, reduce=self.reduce)
+        return sign_vectors_from_rss(rss_stack, self._pairs)
 
     def _estimate(self, t: float, rss: np.ndarray, match: MatchResult) -> TrackEstimate:
         return TrackEstimate(

@@ -31,26 +31,20 @@ class KalmanTracker(Tracker):
     measurement_tracker : any :class:`~repro.core.tracker.Tracker` — its
         ``localize`` produces the position fixes the filter smooths (e.g.
         ``RangeMLETracker``) and checks the RSS width.
-    process_sigma : accel-noise scale (m/s^2); larger trusts measurements
-        more during manoeuvres.
-    measurement_sigma : assumed std of the position fixes (metres).
     field_size : state clipped into the field after each update.
     """
+
+    process_sigma = 1.0  # accel-noise scale (m/s^2)
+    measurement_sigma = 5.0  # assumed std of the position fixes (metres)
 
     def __init__(
         self,
         measurement_tracker,
         *,
-        process_sigma: float = 1.0,
-        measurement_sigma: float = 5.0,
         field_size: float = 100.0,
     ) -> None:
-        if process_sigma <= 0 or measurement_sigma <= 0:
-            raise ValueError("noise scales must be positive")
         self.inner = measurement_tracker
         self.n_sensors = measurement_tracker.n_sensors
-        self.process_sigma = process_sigma
-        self.measurement_sigma = measurement_sigma
         self.field_size = field_size
         self._state: np.ndarray | None = None
         self._cov: np.ndarray | None = None

@@ -29,14 +29,17 @@ class ParticleFilterTracker(Tracker):
     nodes : (n, 2) sensor positions.
     pathloss : propagation model used in the likelihood (assumed known).
     noise_sigma_dbm : per-sample RSS noise std used in the likelihood.
-    n_particles : particle count.
-    velocity_sigma : per-round velocity diffusion (m/s).
     field_size : particles reflected into the field.
     sensing_range_m : sensors that heard nothing contribute a
         censored-likelihood term (target probably outside their range).
-    resample_threshold : effective-sample-size fraction triggering resampling.
-    seed : RNG for propagation/resampling (private stream, reproducible).
+
+    Propagation and resampling draw from a private stream seeded with 0,
+    so runs are reproducible.
     """
+
+    n_particles = 500
+    velocity_sigma = 1.5  # per-round velocity diffusion (m/s)
+    resample_threshold = 0.5  # effective-sample-size fraction triggering resampling
 
     def __init__(
         self,
@@ -44,29 +47,18 @@ class ParticleFilterTracker(Tracker):
         pathloss: LogDistancePathLoss,
         *,
         noise_sigma_dbm: float = 6.0,
-        n_particles: int = 500,
-        velocity_sigma: float = 1.5,
         field_size: float = 100.0,
         sensing_range_m: "float | None" = 40.0,
-        resample_threshold: float = 0.5,
-        seed: "int | np.random.Generator | None" = 0,
     ) -> None:
         self.nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
         self.n_sensors = len(self.nodes)
         self.pathloss = pathloss
         if noise_sigma_dbm <= 0:
             raise ValueError(f"noise sigma must be positive, got {noise_sigma_dbm}")
-        if n_particles < 10:
-            raise ValueError(f"need at least 10 particles, got {n_particles}")
-        if not (0.0 < resample_threshold <= 1.0):
-            raise ValueError(f"resample threshold must be in (0, 1], got {resample_threshold}")
         self.noise_sigma = noise_sigma_dbm
-        self.n_particles = n_particles
-        self.velocity_sigma = velocity_sigma
         self.field_size = field_size
         self.sensing_range_m = sensing_range_m
-        self.resample_threshold = resample_threshold
-        self._rng = ensure_rng(seed)
+        self._rng = ensure_rng(0)
         self._pos: np.ndarray | None = None  # (P, 2)
         self._vel: np.ndarray | None = None  # (P, 2)
         self._weights: np.ndarray | None = None

@@ -7,7 +7,7 @@ reachability constraint — a Viterbi decoding over the face graph.
 
 The full DP over all O(n^4) faces is quadratic in the face count per step;
 like the original system, we restrict each step to a beam of the top-B
-faces by emission score (documented approximation; B is a parameter).
+faces by emission score (documented approximation; B = 48).
 The max-velocity assumption is exactly the "extra imposed condition" the
 paper criticizes PM for needing.
 """
@@ -37,37 +37,20 @@ class PathMatchingTracker(DirectMLETracker):
     ----------
     face_map : a certain (bisector) face map.
     vmax_mps : assumed maximum target speed (the constraint PM requires).
-    beam_width : candidate faces kept per round.
-    reduce : group-to-sequence reduction (see
-        :class:`~repro.baselines.direct_mle.DirectMLETracker`).
-    penalty_per_m : score penalty per metre of transition distance beyond
-        the reachable radius (soft constraint; decoding never dead-ends).
-    unreachable_penalty : cap on the per-transition penalty.
     """
 
     _rounds_counter = "baselines.pm.rounds"
+    beam_width = 48  # candidate faces kept per round
+    # score penalty per metre of transition distance beyond the reachable
+    # radius (soft constraint; decoding never dead-ends), and its cap
+    penalty_per_m = 1.0
+    unreachable_penalty = 50.0
 
-    def __init__(
-        self,
-        face_map: FaceMap,
-        *,
-        vmax_mps: float = 5.0,
-        beam_width: int = 48,
-        reduce: str = "mean",
-        penalty_per_m: float = 1.0,
-        unreachable_penalty: float = 50.0,
-    ) -> None:
+    def __init__(self, face_map: FaceMap, *, vmax_mps: float = 5.0) -> None:
         if vmax_mps <= 0:
             raise ValueError(f"vmax must be positive, got {vmax_mps}")
-        if beam_width < 1:
-            raise ValueError(f"beam width must be >= 1, got {beam_width}")
-        if penalty_per_m < 0 or unreachable_penalty < 0:
-            raise ValueError("penalties must be non-negative")
-        super().__init__(face_map, reduce=reduce)
+        super().__init__(face_map)
         self.vmax_mps = vmax_mps
-        self.beam_width = beam_width
-        self.penalty_per_m = penalty_per_m
-        self.unreachable_penalty = unreachable_penalty
         # equivalent face radius: how far inside a face the target may sit
         areas = face_map.cell_counts * face_map.grid.cell_size**2
         self._face_radius = np.sqrt(areas / np.pi)

@@ -24,19 +24,18 @@ class PkNNTracker(Tracker):
     Parameters
     ----------
     nodes : (n, 2) sensor positions.
-    k_neighbors : how many nearest sensors to aggregate over.
-    min_prob : candidates below this inclusion probability are dropped.
+
+    It aggregates over the ``k_neighbors`` = 4 loudest sensors (all of them
+    when there are fewer) and drops candidates whose inclusion probability
+    is at most 0.05.
     """
 
-    def __init__(self, nodes: np.ndarray, *, k_neighbors: int = 4, min_prob: float = 0.05) -> None:
+    min_prob = 0.05
+
+    def __init__(self, nodes: np.ndarray) -> None:
         self.nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
         self.n_sensors = len(self.nodes)
-        if k_neighbors < 1:
-            raise ValueError(f"k_neighbors must be >= 1, got {k_neighbors}")
-        if not (0.0 <= min_prob < 1.0):
-            raise ValueError(f"min_prob must be in [0, 1), got {min_prob}")
-        self.k_neighbors = min(k_neighbors, len(self.nodes))
-        self.min_prob = min_prob
+        self.k_neighbors = min(4, len(self.nodes))
 
     def membership_probabilities(self, rss: np.ndarray) -> np.ndarray:
         """P(sensor is among the k loudest), estimated by per-sample votes."""

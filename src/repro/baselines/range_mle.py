@@ -28,9 +28,12 @@ class RangeMLETracker(Tracker):
     pathloss : the propagation model to invert (assumed perfectly known —
         an *optimistic* assumption real deployments cannot make).
     field_size : estimates are clipped into the field.
-    min_sensors : rounds with fewer reporting sensors fall back to the
-        weighted sensor centroid.
+
+    Rounds with fewer than ``min_sensors`` = 3 reporting sensors fall back
+    to the weighted sensor centroid.
     """
+
+    min_sensors = 3
 
     def __init__(
         self,
@@ -38,15 +41,11 @@ class RangeMLETracker(Tracker):
         pathloss: LogDistancePathLoss,
         *,
         field_size: float = 100.0,
-        min_sensors: int = 3,
     ) -> None:
         self.nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
         self.n_sensors = len(self.nodes)
         self.pathloss = pathloss
         self.field_size = field_size
-        if min_sensors < 1:
-            raise ValueError(f"min_sensors must be >= 1, got {min_sensors}")
-        self.min_sensors = min_sensors
 
     def _estimate(self, means: np.ndarray) -> np.ndarray:
         ok = ~np.isnan(means)

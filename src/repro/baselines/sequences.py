@@ -21,8 +21,6 @@ __all__ = ["mean_rss", "sign_vector_from_rss", "sign_vectors_from_rss"]
 def sign_vector_from_rss(
     rss: np.ndarray,
     pairs: "tuple[np.ndarray, np.ndarray] | None" = None,
-    *,
-    reduce: str = "mean",
 ) -> np.ndarray:
     """Pairwise sign vector of one detection outcome: the ``T = 1`` case of
     :func:`sign_vectors_from_rss`.
@@ -32,24 +30,21 @@ def sign_vector_from_rss(
     rss = np.asarray(rss, dtype=float)
     if rss.ndim not in (1, 2):
         raise ValueError(f"rss must be 1-D or 2-D, got shape {rss.shape}")
-    return sign_vectors_from_rss(np.atleast_2d(rss)[None], pairs, reduce=reduce)[0]
+    return sign_vectors_from_rss(np.atleast_2d(rss)[None], pairs)[0]
 
 
 def sign_vectors_from_rss(
     rss: np.ndarray,
     pairs: "tuple[np.ndarray, np.ndarray] | None" = None,
-    *,
-    reduce: str = "mean",
 ) -> np.ndarray:
     """Pairwise sign vectors of a ``(T, k, n)`` stack of detection outcomes.
 
     Parameters
     ----------
-    rss : one ``(k, n)`` group per round, reduced per *reduce*.
-    reduce : ``"mean"`` averages the group before comparing (the strongest
-        fair reading a certain-sequence method can get from the same data
-        FTTT sees); ``"last"`` uses the final sample only (literal one-shot
-        sensing).
+    rss : one ``(k, n)`` group per round, averaged before comparing (the
+        strongest fair reading a certain-sequence method can get from the
+        same data FTTT sees; pass a ``(T, 1, n)`` stack of single samples
+        for literal one-shot sensing).
 
     Returns
     -------
@@ -59,12 +54,7 @@ def sign_vectors_from_rss(
     rss = np.asarray(rss, dtype=float)
     if rss.ndim != 3:
         raise ValueError(f"rss must be a (T, k, n) stack, got shape {rss.shape}")
-    if reduce == "mean":
-        rows = mean_rss(rss)
-    elif reduce == "last":
-        rows = rss[:, -1]
-    else:
-        raise ValueError(f"unknown reduce {reduce!r}")
+    rows = mean_rss(rss)
     n = rows.shape[1]
     if pairs is None:
         pairs = enumerate_pairs(n)

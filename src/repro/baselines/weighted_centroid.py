@@ -1,8 +1,8 @@
 """Weighted-centroid localization (WCL) baseline.
 
 The classic cheap range-free estimator: the position estimate is the
-centroid of the hearing sensors, weighted by a power of their (linearized)
-received signal.  No model inversion, no faces — a robustness yardstick
+centroid of the hearing sensors, weighted by their linearized received
+power.  No model inversion, no faces — a robustness yardstick
 between nearest-node and the model-based trackers.
 """
 
@@ -17,21 +17,16 @@ __all__ = ["WeightedCentroidTracker"]
 
 
 class WeightedCentroidTracker(Tracker):
-    """Estimate = sum_i w_i x_i / sum_i w_i with w_i = linear-power^g.
+    """Estimate = sum_i w_i x_i / sum_i w_i with w_i = linear power.
 
     Parameters
     ----------
     nodes : (n, 2) sensor positions.
-    exponent : weighting exponent g; larger g trusts the loudest sensors
-        more (g -> inf degenerates to nearest-node).
     """
 
-    def __init__(self, nodes: np.ndarray, *, exponent: float = 1.0) -> None:
+    def __init__(self, nodes: np.ndarray) -> None:
         self.nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
         self.n_sensors = len(self.nodes)
-        if exponent <= 0:
-            raise ValueError(f"exponent must be positive, got {exponent}")
-        self.exponent = exponent
 
     def localize(self, rss: np.ndarray, t: float = 0.0) -> TrackEstimate:
         rss = self._as_rss(rss)
@@ -40,10 +35,9 @@ class WeightedCentroidTracker(Tracker):
         if not heard.any():
             position = self.nodes.mean(axis=0)
         else:
-            # linearize dBm relative to the loudest to avoid overflow,
-            # then weight by power^exponent
+            # linearize dBm relative to the loudest to avoid overflow
             rel = means[heard] - np.nanmax(means)
-            weights = (10.0 ** (rel / 10.0)) ** self.exponent
+            weights = 10.0 ** (rel / 10.0)
             weights = np.maximum(weights, 1e-12)
             position = (self.nodes[heard] * weights[:, None]).sum(axis=0) / weights.sum()
         return TrackEstimate(

@@ -236,7 +236,7 @@ def cmd_faultlab(args: argparse.Namespace) -> int:
             print(f"unknown fault family {f!r}; choose from {sorted(FAULT_FAMILIES)}")
             return 2
     intensities = [float(v) for v in args.intensities.split(",") if v.strip()]
-    trackers = [t.strip() for t in args.trackers.split(",") if t.strip()]
+    trackers = args.trackers
     out = Path(args.out)
     result = run_campaign(
         families,
@@ -335,20 +335,61 @@ def cmd_sampling_times(args: argparse.Namespace) -> int:
     return 0
 
 
-def _replication_count(text: str) -> int:
-    """``--reps``: a whole number of replications, at least one."""
+# Argument types: a bad value is a usage error (exit 2) at parse time,
+# before any world is built, not a traceback from deep in a run.
+
+
+def _int_at_least(minimum: int):
+    """A whole number no smaller than *minimum* (``--reps``, ``--rounds``, ...)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+def _probability(text: str, *, open_interval: bool = False) -> float:
+    """A number in [0, 1] (``--dropout``), or in (0, 1) when *open_interval*."""
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    inside = 0.0 < value < 1.0 if open_interval else 0.0 <= value <= 1.0
+    if not inside:
+        interval = "(0, 1)" if open_interval else "[0, 1]"
+        raise argparse.ArgumentTypeError(f"must be in {interval}, got {value}")
     return value
+
+
+def _confidence(text: str) -> float:
+    """``--confidence``: a probability strictly between 0 and 1."""
+    return _probability(text, open_interval=True)
+
+
+def _tracker_names(text: str) -> list[str]:
+    """``--trackers``: comma-separated names, each one of ``TRACKER_NAMES``."""
+    from repro.sim.scenario import TRACKER_NAMES
+
+    names = [t.strip() for t in text.split(",") if t.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError("need at least one tracker")
+    for name in names:
+        if name not in TRACKER_NAMES:
+            raise argparse.ArgumentTypeError(
+                f"unknown tracker {name!r}; choose from {', '.join(TRACKER_NAMES)}"
+            )
+    return names
 
 
 # the options a figure command may take; each command registers only the ones it reads
 _FIGURE_OPTIONS = {
-    "reps": dict(type=_replication_count, default=3, help="replications per point"),
+    "reps": dict(type=_int_at_least(1), default=3, help="replications per point"),
     "seed": dict(type=int, default=0),
     "quick": dict(action="store_true", help="coarse grid, short runs"),
     "out": dict(type=str, default=None, help="directory for CSV output"),
@@ -395,8 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="0.0,0.1,0.2,0.3",
         help="comma-separated intensity grid (0 = clean anchor)",
     )
-    pfl.add_argument("--trackers", type=str, default="fttt,fttt-robust,fttt-zero")
-    pfl.add_argument("--reps", type=_replication_count, default=2, help="replications per cell")
+    pfl.add_argument("--trackers", type=_tracker_names, default="fttt,fttt-robust,fttt-zero")
+    pfl.add_argument("--reps", type=_int_at_least(1), default=2, help="replications per cell")
     pfl.add_argument("--seed", type=int, default=0)
     pfl.add_argument("--quick", action="store_true", help="coarse grid, short runs")
     pfl.add_argument(
@@ -405,20 +446,22 @@ def build_parser() -> argparse.ArgumentParser:
         default="results/faultlab",
         help="directory for robustness.csv + metrics.json + trace.jsonl",
     )
-    pfl.add_argument("--workers", type=int, default=None, help="pool size (default: auto)")
+    pfl.add_argument(
+        "--workers", type=_int_at_least(1), default=None, help="pool size (default: auto)"
+    )
     pfl.set_defaults(func=cmd_faultlab)
 
     pfz = sub.add_parser("fuzz", help=EXPERIMENTS["fuzz"])
     pfz.add_argument(
         "--scenarios",
-        type=int,
+        type=_int_at_least(1),
         default=None,
         help="scenario budget (default: REPRO_FUZZ_BUDGET env, else 200)",
     )
     pfz.add_argument("--seed", type=int, default=0, help="campaign master seed")
     pfz.add_argument(
         "--workers",
-        type=int,
+        type=_int_at_least(1),
         default=None,
         help="pool size (default: REPRO_WORKERS env, else 1); results are identical either way",
     )
@@ -440,8 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
     prd.set_defaults(func=cmd_replay_divergence)
 
     pst = sub.add_parser("sampling-times", help=EXPERIMENTS["sampling-times"])
-    pst.add_argument("--sensors", type=int, default=20)
-    pst.add_argument("--confidence", type=float, default=0.99)
+    pst.add_argument("--sensors", type=_int_at_least(2), default=20)
+    pst.add_argument("--confidence", type=_confidence, default=0.99)
     pst.set_defaults(func=cmd_sampling_times)
 
     prep = sub.add_parser("report", help="collect benchmarks/results/*.csv into a markdown report")
@@ -451,9 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     prun = sub.add_parser("run", help="run a preset scenario through a set of trackers")
     prun.add_argument("preset", help="preset name, or 'list' to enumerate presets")
-    prun.add_argument("--trackers", type=str, default="fttt,fttt-extended,pm,direct-mle")
+    prun.add_argument("--trackers", type=_tracker_names, default="fttt,fttt-extended,pm,direct-mle")
     prun.add_argument("--seed", type=int, default=0)
-    prun.add_argument("--rounds", type=int, default=None)
+    prun.add_argument("--rounds", type=_int_at_least(1), default=None)
     _obs_options(prun)
     prun.set_defaults(func=cmd_run)
 
@@ -463,11 +506,11 @@ def build_parser() -> argparse.ArgumentParser:
     pstat.add_argument(
         "preset", nargs="?", default="paper-baseline", help="preset name (see 'run list')"
     )
-    pstat.add_argument("--trackers", type=str, default="fttt,fttt-exhaustive")
+    pstat.add_argument("--trackers", type=_tracker_names, default="fttt,fttt-exhaustive")
     pstat.add_argument("--seed", type=int, default=0)
-    pstat.add_argument("--rounds", type=int, default=20)
+    pstat.add_argument("--rounds", type=_int_at_least(1), default=20)
     pstat.add_argument(
-        "--dropout", type=float, default=0.0, help="per-round sensor dropout probability"
+        "--dropout", type=_probability, default=0.0, help="per-round sensor dropout probability"
     )
     pstat.add_argument(
         "--obs-out", type=str, default=None, help="directory for metrics.json + trace.jsonl"
@@ -509,10 +552,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"{name:18s} {desc}")
         return 0
     scenario = make_preset(args.preset, seed=args.seed)
-    trackers = args.trackers.split(",")
-    results = run_all_trackers(
-        scenario, trackers, args.seed + 1, n_rounds=args.rounds
-    )
+    results = run_all_trackers(scenario, args.trackers, args.seed + 1, n_rounds=args.rounds)
     print(
         f"preset {args.preset}: {scenario.n_sensors} sensors, "
         f"C = {scenario.uncertainty_c:.3f}, {scenario.face_map.n_faces} faces"
@@ -531,7 +571,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     scenario = make_preset(args.preset, seed=args.seed)
     faults = IndependentDropout(p=args.dropout) if args.dropout > 0 else None
     results = run_all_trackers(
-        scenario, args.trackers.split(","), args.seed + 1, faults=faults, n_rounds=args.rounds
+        scenario, args.trackers, args.seed + 1, faults=faults, n_rounds=args.rounds
     )
     print(
         f"preset {args.preset}: {scenario.n_sensors} sensors, "

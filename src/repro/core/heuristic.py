@@ -60,12 +60,14 @@ class HeuristicMatcher:
         visiting a tiny fraction of the face set.
     fallback : when True (default), a local optimum whose squared distance
         exceeds ``fallback_sq_distance`` triggers one exhaustive re-match.
+
+    Attributes
+    ----------
     fallback_sq_distance : quality gate for the fallback, in squared
-        vector-distance units.  ``None`` (default) takes
-        :func:`default_fallback_gate` for this map's P and ``soft``; an
-        explicit value is used as given.
-    max_steps : hard bound on hill-climb moves (defensive; the climb is
-        strictly improving so it always terminates anyway).
+        vector-distance units: :func:`default_fallback_gate` for this map's
+        P and ``soft``.
+    last_face : face of the previous localization (Algorithm 2's f0), or
+        None before the first match.
     """
 
     def __init__(
@@ -75,34 +77,20 @@ class HeuristicMatcher:
         soft: bool = False,
         hops: int = 2,
         fallback: bool = True,
-        fallback_sq_distance: "float | None" = None,
-        max_steps: int = 100_000,
     ) -> None:
         if hops not in (1, 2):
             raise ValueError(f"hops must be 1 or 2, got {hops}")
-        if fallback_sq_distance is None:
-            fallback_sq_distance = default_fallback_gate(face_map.n_pairs, soft=soft)
-        if fallback_sq_distance < 0:
-            raise ValueError(f"fallback gate must be non-negative, got {fallback_sq_distance}")
-        if max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {max_steps}")
         self.face_map = face_map
         self.soft = soft
         self.hops = hops
         self.fallback = fallback
-        self.fallback_sq_distance = fallback_sq_distance
-        self.max_steps = max_steps
+        self.fallback_sq_distance = default_fallback_gate(face_map.n_pairs, soft=soft)
         self._exhaustive = ExhaustiveMatcher(face_map, soft=soft)
-        self._last_face: int | None = None
-
-    @property
-    def last_face(self) -> "int | None":
-        """Face of the previous localization (Algorithm 2's f0)."""
-        return self._last_face
+        self.last_face: int | None = None
 
     def reset(self) -> None:
         """Forget the previous face; the next match seeds exhaustively."""
-        self._last_face = None
+        self.last_face = None
 
     def match(self, vector: np.ndarray, start_face: "int | None" = None) -> MatchResult:
         """Match *vector*, hill-climbing from ``start_face`` / the previous face.
@@ -113,12 +101,12 @@ class HeuristicMatcher:
         """
         fm = self.face_map
         record = obs.enabled()
-        start = start_face if start_face is not None else self._last_face
+        start = start_face if start_face is not None else self.last_face
         if start is None:
             if record:
                 obs.counter("core.heuristic.init_scans").inc()
             result = self._exhaustive.match(vector)
-            self._last_face = result.face_id
+            self.last_face = result.face_id
             return result
         if not (0 <= start < fm.n_faces):
             raise IndexError(f"start face {start} out of range [0, {fm.n_faces})")
@@ -128,7 +116,7 @@ class HeuristicMatcher:
         current_d2 = float(fm._sq_distances(query, np.array([current]))[0, 0])
         visited = 1
         steps = 0
-        for _ in range(self.max_steps):
+        while True:  # strictly improving, so it ends
             nbrs = fm.neighbors(current)
             if self.hops == 2 and len(nbrs):
                 # widen the step to the 2-hop neighborhood: single-face
@@ -163,7 +151,7 @@ class HeuristicMatcher:
             if record:
                 obs.counter("core.heuristic.fallbacks").inc()
             result = self._exhaustive.match(vector)
-            self._last_face = result.face_id
+            self.last_face = result.face_id
             return MatchResult(
                 face_ids=result.face_ids,
                 sq_distance=result.sq_distance,
@@ -171,7 +159,7 @@ class HeuristicMatcher:
                 visited=visited + result.visited,
             )
 
-        self._last_face = current
+        self.last_face = current
         return MatchResult(
             face_ids=np.array([current]),
             sq_distance=current_d2,

@@ -43,13 +43,14 @@ class TrackingSession:
     ----------
     tracker : the FTTT tracker to drive (its heuristic matcher state is
         exactly the consecutive-tracking accelerator of Algorithm 2).
-    expected_period_s : nominal round spacing; a gap of more than
-        ``gap_factor`` periods resets the matcher seed (the target may be
-        anywhere by then) and counts as a gap.
-    smoothing_alpha : exponential-smoothing weight for the output trace.
+    expected_period_s : nominal round spacing; a gap of more than three
+        periods resets the matcher seed (the target may be anywhere by
+        then) and counts as a gap.
     reorder_buffer : rounds arriving out of order are buffered this many
         deep and folded in sorted by timestamp.
-    history : how many recent states to retain.
+
+    The output trace is exponentially smoothed with weight 0.5 on the new
+    estimate, and the last 256 states are kept.
     """
 
     def __init__(
@@ -57,26 +58,17 @@ class TrackingSession:
         tracker: FTTTracker,
         *,
         expected_period_s: float = 0.5,
-        gap_factor: float = 3.0,
-        smoothing_alpha: float = 0.5,
         reorder_buffer: int = 4,
-        history: int = 256,
     ) -> None:
         if expected_period_s <= 0:
             raise ValueError(f"period must be positive, got {expected_period_s}")
-        if gap_factor < 1:
-            raise ValueError(f"gap factor must be >= 1, got {gap_factor}")
-        if not (0.0 < smoothing_alpha <= 1.0):
-            raise ValueError(f"alpha must be in (0, 1], got {smoothing_alpha}")
         if reorder_buffer < 1:
             raise ValueError(f"reorder buffer must be >= 1, got {reorder_buffer}")
         self.tracker = tracker
         self.expected_period_s = expected_period_s
-        self.gap_factor = gap_factor
-        self.smoothing_alpha = smoothing_alpha
         self.reorder_buffer = reorder_buffer
         self._pending: list[SampleBatch] = []
-        self._history: Deque[SessionState] = deque(maxlen=history)
+        self._history: Deque[SessionState] = deque(maxlen=256)
         self._last_t: float | None = None
         self._smoothed: np.ndarray | None = None
         self._gaps = 0
@@ -109,7 +101,7 @@ class TrackingSession:
             if t < self._last_t:
                 # arrived hopelessly late: fold in, but flag the gap logic off
                 t = self._last_t
-            elif t - self._last_t > self.gap_factor * self.expected_period_s:
+            elif t - self._last_t > 3.0 * self.expected_period_s:
                 self._gaps += 1
                 self.tracker.reset()  # stale matcher seed after a long gap
         est: TrackEstimate = self.tracker.localize_batch(batch)
@@ -118,9 +110,7 @@ class TrackingSession:
         if self._smoothed is None:
             self._smoothed = est.position.copy()
         else:
-            self._smoothed = (
-                self.smoothing_alpha * est.position + (1 - self.smoothing_alpha) * self._smoothed
-            )
+            self._smoothed = 0.5 * est.position + 0.5 * self._smoothed
         state = SessionState(
             t=t,
             position=est.position,

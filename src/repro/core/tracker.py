@@ -465,8 +465,8 @@ class FTTTracker(Tracker):
             return match  # the quantitative vector cannot separate them either
         face_ids = match.face_ids[keep]
         position = self.face_map.centroids[face_ids].mean(axis=0)
-        if hasattr(self.matcher, "_last_face"):
-            self.matcher._last_face = int(face_ids[0])
+        if isinstance(self.matcher, HeuristicMatcher):
+            self.matcher.last_face = int(face_ids[0])
         if obs.enabled():
             obs.counter("tracker.degradation.tie_breaks").inc()
             trace_event(

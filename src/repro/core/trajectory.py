@@ -75,8 +75,9 @@ def median_filter(positions: np.ndarray, window: int = 3) -> np.ndarray:
     return out
 
 
-def smooth_result(result: TrackResult, *, method: str = "median", window: int = 3, alpha: float = 0.5) -> TrackResult:
-    """Return a new TrackResult with smoothed estimate positions.
+def smooth_result(result: TrackResult, *, method: str = "median", window: int = 3) -> TrackResult:
+    """Return a new TrackResult with smoothed estimate positions
+    (``"exponential"`` smooths with weight 0.5 on each new estimate).
 
     Ground truth, timestamps and per-round metadata are preserved, so the
     error metrics of the smoothed result are directly comparable.
@@ -86,7 +87,7 @@ def smooth_result(result: TrackResult, *, method: str = "median", window: int = 
     elif method == "median":
         smoothed = median_filter(result.positions, window)
     elif method == "exponential":
-        smoothed = exponential_smoothing(result.positions, alpha)
+        smoothed = exponential_smoothing(result.positions, 0.5)
     else:
         raise ValueError(f"unknown method {method!r}")
     out = TrackResult()

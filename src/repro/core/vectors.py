@@ -65,18 +65,12 @@ def pair_win_counts(
     return wins_i[0], wins_j[0], valid[0]
 
 
-def sampling_vector(
-    rss: np.ndarray,
-    pairs: "tuple[np.ndarray, np.ndarray] | None" = None,
-    *,
-    comparator_eps: float = 0.0,
-) -> np.ndarray:
+def sampling_vector(rss: np.ndarray, *, comparator_eps: float = 0.0) -> np.ndarray:
     """Basic sampling vector (Algorithm 1 + the Eq. 6 fault fill).
 
     Parameters
     ----------
     rss : (k, n) grouping-sampling matrix, NaN for missing samples.
-    pairs : optional pre-computed canonical pair enumeration.
     comparator_eps : hardware comparator deadband in dB; RSS pairs within
         it are ties and force the pair value to 0 (flipped).
 
@@ -85,7 +79,7 @@ def sampling_vector(
     (P,) float vector with values in {-1, 0, +1} and NaN for ``*`` pairs.
     The one-round case of :func:`sampling_vectors`.
     """
-    return sampling_vectors(_one_round(rss), pairs, comparator_eps=comparator_eps)[0]
+    return sampling_vectors(_one_round(rss), comparator_eps=comparator_eps)[0]
 
 
 def extended_sampling_vector(

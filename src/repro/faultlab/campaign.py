@@ -145,9 +145,7 @@ def run_campaign(
     deployment: str = "random",
     out_dir: "str | os.PathLike | None" = None,
     n_workers: "int | None" = None,
-    cache_dir: "str | os.PathLike | None" = None,
     share_maps: bool = True,
-    chunksize: "int | None" = None,
 ) -> CampaignResult:
     """Sweep fault type × intensity and emit robustness curves.
 
@@ -160,7 +158,7 @@ def run_campaign(
     intensities : shared intensity grid (include 0.0 for the clean anchor).
     trackers : tracker names evaluated at every cell, over shared batches.
     config : campaign world (default :func:`campaign_config`).
-    n_reps / seed / deployment / n_workers / cache_dir : forwarded to
+    n_reps / seed / deployment / n_workers : forwarded to
         :func:`parallel_sweep`; all cells share the same base seed.
     out_dir : when given, writes ``robustness.csv`` and the sweep's
         ``metrics.json`` + ``trace.jsonl`` there.
@@ -168,7 +166,6 @@ def run_campaign(
         (``seed_stride=0``), so the campaign prebuilds the ``n_reps``
         face maps once and pool workers attach them zero-copy via shared
         memory instead of rebuilding per task.  Bit-identical either way.
-    chunksize : task chunking for the pool (see :func:`parallel_sweep`).
     """
     if families is None:
         families = tuple(FAULT_FAMILIES)
@@ -191,11 +188,9 @@ def run_campaign(
         deployment=deployment,
         n_workers=n_workers,
         seed_stride=0,  # matched worlds across every cell
-        cache_dir=cache_dir,
         faults=faults,
         obs_dir=out_dir,
         share_maps=share_maps,
-        chunksize=chunksize,
     )
     csv_path = metrics_path = None
     if out_dir is not None:

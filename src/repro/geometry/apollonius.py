@@ -65,8 +65,6 @@ def effective_uncertainty_constant(
     path_loss_exponent: float,
     noise_sigma_dbm: float,
     k: int,
-    *,
-    capture_prob: float = 0.5,
 ) -> float:
     """Sampling-statistics-calibrated uncertainty constant.
 
@@ -74,13 +72,12 @@ def effective_uncertainty_constant(
     comparison is ambiguous; a k-sample grouping sampling keeps flipping
     much farther out (one discordant sample out of k suffices).  This
     variant returns the distance ratio at which a k-sample group still
-    shows the pair as *flipped* with probability ``capture_prob``:
+    shows the pair as *flipped* with probability one half:
 
-        C_eff = 10^( (eps + sqrt(2)*sigma * Phi^-1(q^(1/k))) / (10*beta) ),
-        q = 1 - capture_prob,
+        C_eff = 10^( (eps + sqrt(2)*sigma * Phi^-1(0.5^(1/k))) / (10*beta) ),
 
     i.e. the ratio where the probability that all k samples agree (each
-    sample exceeding the comparator deadband eps) is ``1 - capture_prob``.
+    sample exceeding the comparator deadband eps) is one half.
     It preserves every qualitative dependency of Eq. 3 — grows with eps and
     sigma, shrinks with beta — adds the k-dependence real groups exhibit,
     and reduces to a hair above 1 in the noiseless fine-resolution limit.
@@ -97,10 +94,7 @@ def effective_uncertainty_constant(
         raise ValueError(f"noise sigma must be non-negative, got {noise_sigma_dbm}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not (0.0 < capture_prob < 1.0):
-        raise ValueError(f"capture_prob must be in (0, 1), got {capture_prob}")
-    q = 1.0 - capture_prob
-    z = float(ndtri(q ** (1.0 / k)))
+    z = float(ndtri(0.5 ** (1.0 / k)))
     delta_mu = resolution_dbm + math.sqrt(2.0) * noise_sigma_dbm * z
     c = 10.0 ** (max(delta_mu, 0.0) / (10.0 * path_loss_exponent))
     return max(c, 1.0 + 1e-9)

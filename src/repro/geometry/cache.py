@@ -286,19 +286,7 @@ def default_face_map_cache() -> FaceMapCache:
     """The process-global cache (created lazily from the environment)."""
     global _default_cache
     if _default_cache is None:
-        raw = os.environ.get("REPRO_FACE_CACHE_SIZE", "64")
-        try:
-            maxsize = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_FACE_CACHE_SIZE must be an integer, got {raw!r}"
-            ) from None
-        if maxsize < 0:
-            raise ValueError(f"REPRO_FACE_CACHE_SIZE must be >= 0, got {maxsize}")
-        _default_cache = FaceMapCache(
-            maxsize=maxsize,
-            disk_dir=os.environ.get("REPRO_FACE_CACHE_DIR") or None,
-        )
+        _default_cache = FaceMapCache(disk_dir=os.environ.get("REPRO_FACE_CACHE_DIR") or None)
     return _default_cache
 
 

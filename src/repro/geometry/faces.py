@@ -62,19 +62,6 @@ class FaceMap:
     adjacency : CSR-style neighbor-face links (``adj_indptr``/``adj_indices``).
     """
 
-    _FIELDS = (
-        "nodes",
-        "grid",
-        "c",
-        "signatures",
-        "centroids",
-        "cell_face",
-        "cell_counts",
-        "adj_indptr",
-        "adj_indices",
-        "soft_signatures",
-    )
-
     def __init__(
         self,
         nodes: np.ndarray,
@@ -116,12 +103,6 @@ class FaceMap:
         clone.__dict__.update(self.__dict__)
         clone.soft_signatures = None
         return clone
-
-    def replace(self, **changes: object) -> "FaceMap":
-        """A new ``FaceMap`` with *changes* applied (dataclasses.replace spirit)."""
-        kwargs = {name: getattr(self, name) for name in self._FIELDS}
-        kwargs.update(changes)
-        return FaceMap(**kwargs)
 
     # -- basic queries ----------------------------------------------------
 
@@ -257,16 +238,17 @@ class FaceMap:
         temporaries by ``_GEMM_TEMP_BYTES``."""
         return max(1, _GEMM_TEMP_BYTES // (4 * max(1, self.n_faces)))
 
-    def distances_to(self, vector: np.ndarray, *, soft: bool = False) -> np.ndarray:
-        """Squared vector distance from *vector* to every face signature.
+    def distances_to(self, vector: np.ndarray) -> np.ndarray:
+        """Squared vector distance from *vector* to every (hard) face signature.
 
         NaN components of *vector* are the ``*`` fault values of Eq. 7 and
         contribute zero difference.
         """
-        return self._sq_distances(self._query(self._as_row(vector), soft))[0]
+        return self._sq_distances(self._query(self._as_row(vector), False))[0]
 
-    def distances_to_many(self, vectors: np.ndarray, *, soft: bool = False) -> np.ndarray:
-        """Squared vector distance from each of ``(B, P)`` *vectors* to every face.
+    def distances_to_many(self, vectors: np.ndarray) -> np.ndarray:
+        """Squared vector distance from each of ``(B, P)`` *vectors* to every
+        (hard) face signature.
 
         Row ``b`` is bit-identical to ``distances_to(vectors[b])`` (see
         :meth:`_sq_distances` for why).  The batch is processed in blocks
@@ -276,10 +258,10 @@ class FaceMap:
         V = self._as_rows(vectors)
         step = self._block_rows()
         if len(V) <= step:
-            return self._sq_distances(self._query(V, soft))
+            return self._sq_distances(self._query(V, False))
         out = np.empty((len(V), self.n_faces), dtype=np.float32)
         for start in range(0, len(V), step):
-            block = self._query(V[start : start + step], soft)
+            block = self._query(V[start : start + step], False)
             out[start : start + step] = self._sq_distances(block)
         return out
 
@@ -390,17 +372,10 @@ def _faces_from_signatures(
     if split_components:
         a, b = grid.neighbor_pairs()
         face_ids = label_equal_regions(sig_ids, a, b)
-        n_faces = int(face_ids.max()) + 1 if len(face_ids) else 0
-        # representative signature per face
-        first_cell = np.full(n_faces, -1, dtype=np.int64)
-        seen = np.zeros(n_faces, dtype=bool)
-        order = np.arange(len(face_ids))
-        # first occurrence of each face id
-        uniq, first_idx = np.unique(face_ids, return_index=True)
-        first_cell[uniq] = order[first_idx]
-        seen[uniq] = True
-        if not seen.all():
-            raise AssertionError("face labelling produced unused labels")
+        # labels run 0..F-1, so the first cell of each, in label order, gives
+        # every face its representative signature
+        first_cell = np.unique(face_ids, return_index=True)[1]
+        n_faces = len(first_cell)
         face_rows = cell_sigs[first_cell]
     else:
         face_ids = sig_ids

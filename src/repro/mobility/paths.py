@@ -67,18 +67,16 @@ class PiecewiseLinearPath:
 def l_shape_path(
     field_size: float,
     *,
-    inset_frac: float = 0.25,
-    speeds: "float | np.ndarray | None" = None,
     rng: "np.random.Generator | int | None" = None,
-    speed_range: tuple[float, float] = (1.0, 5.0),
 ) -> PiecewiseLinearPath:
-    """The outdoor "⌐" trace of Fig. 13: up one side, then across the top.
+    """The outdoor "⌐" trace of Fig. 13: up one side, then across the top,
+    inset a quarter of the field from its edges.
 
-    With ``speeds=None``, per-segment speeds are drawn uniformly from
-    *speed_range* — the paper's "changeable velocity in 1~5 m/s".  The two
-    legs are subdivided so the speed actually changes along each leg.
+    Per-segment speeds are drawn uniformly from 1-5 m/s — the paper's
+    "changeable velocity in 1~5 m/s".  The two legs are subdivided so the
+    speed actually changes along each leg.
     """
-    inset = inset_frac * field_size
+    inset = 0.25 * field_size
     # vertical leg (bottom-left, going up) then horizontal leg (going right)
     leg1 = np.column_stack(
         [np.full(4, inset), np.linspace(inset, field_size - inset, 4)]
@@ -87,7 +85,5 @@ def l_shape_path(
         [np.linspace(inset, field_size - inset, 4)[1:], np.full(3, field_size - inset)]
     )
     vertices = np.vstack([leg1, leg2])
-    if speeds is None:
-        gen = ensure_rng(rng)
-        speeds = gen.uniform(*speed_range, size=len(vertices) - 1)
+    speeds = ensure_rng(rng).uniform(1.0, 5.0, size=len(vertices) - 1)
     return PiecewiseLinearPath(vertices, speeds)

@@ -45,9 +45,10 @@ class ClusterAssignment:
         return np.flatnonzero(self.head_of == cluster)
 
 
-def assign_clusters(nodes: np.ndarray, n_clusters: int, *, seed: int = 0, iters: int = 20) -> ClusterAssignment:
-    """Geographic k-means clustering; the head is the member nearest the
-    cluster centre (it pays the aggregation energy, cf. routing relay load)."""
+def assign_clusters(nodes: np.ndarray, n_clusters: int, *, seed: int = 0) -> ClusterAssignment:
+    """Geographic k-means clustering (at most 20 Lloyd iterations); the head
+    is the member nearest the cluster centre (it pays the aggregation
+    energy, cf. routing relay load)."""
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
     n = len(nodes)
     if not (1 <= n_clusters <= n):
@@ -55,7 +56,7 @@ def assign_clusters(nodes: np.ndarray, n_clusters: int, *, seed: int = 0, iters:
     rng = np.random.default_rng(seed)
     centres = nodes[rng.choice(n, size=n_clusters, replace=False)].copy()
     assign = np.zeros(n, dtype=np.int64)
-    for _ in range(iters):
+    for _ in range(20):
         d = np.hypot(
             nodes[:, 0][:, None] - centres[:, 0][None, :],
             nodes[:, 1][:, None] - centres[:, 1][None, :],

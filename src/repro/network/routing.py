@@ -29,7 +29,7 @@ class RoutingTopology:
     Attributes
     ----------
     positions : (n, 2) sensor positions; the base station is a virtual
-        node at ``bs_position``.
+        node at ``bs_position``, the deployment's centroid.
     next_hop : (n,) index of each node's parent (-1 = delivers straight
         to the base station, -2 = disconnected).
     hop_depth : (n,) radio hops from node to base station (np.inf when
@@ -81,11 +81,12 @@ class RoutingTopology:
         u = rng.random(self.n_nodes)
         return u >= self.delivery_probability()
 
-    def network_lifetime_rounds(self, model: "EnergyModel | None" = None) -> float:
+    def network_lifetime_rounds(self) -> float:
         """Rounds until the busiest node exhausts its battery (classic
         first-node-death lifetime): every round each connected node sends
-        its own report and forwards ``relay_counts`` others."""
-        model = model or EnergyModel()
+        its own report and forwards ``relay_counts`` others, at the costs
+        of ``EnergyModel()``."""
+        model = EnergyModel()
         per_round = self.connected * model.report_tx_j + self.relay_counts * model.relay_tx_j
         busiest = per_round.max()
         if busiest <= 0:
@@ -96,16 +97,16 @@ class RoutingTopology:
 def build_routing_topology(
     positions: np.ndarray,
     *,
-    bs_position: "np.ndarray | None" = None,
     radio_range: float = 30.0,
-    per_hop_loss: float = 0.02,
 ) -> RoutingTopology:
-    """Shortest-hop routing tree toward the base station.
+    """Shortest-hop routing tree toward a base station at the deployment's
+    centroid.
 
     Nodes within ``radio_range`` of each other (or of the base station)
     share a link; each node's parent is its neighbour on a shortest hop
-    path.  Disconnected nodes never deliver (their reports become the
-    fault-tolerance path's problem).
+    path.  Every hop loses a report with probability 0.02.  Disconnected
+    nodes never deliver (their reports become the fault-tolerance path's
+    problem).
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     n = len(positions)
@@ -113,11 +114,7 @@ def build_routing_topology(
         raise ValueError("need at least one sensor")
     if radio_range <= 0:
         raise ValueError(f"radio range must be positive, got {radio_range}")
-    if not (0.0 <= per_hop_loss < 1.0):
-        raise ValueError(f"per-hop loss must be in [0, 1), got {per_hop_loss}")
-    if bs_position is None:
-        bs_position = positions.mean(axis=0)
-    bs_position = np.asarray(bs_position, dtype=float).reshape(2)
+    bs_position = positions.mean(axis=0)
 
     import networkx as nx
 
@@ -147,5 +144,5 @@ def build_routing_topology(
         bs_position=bs_position,
         next_hop=next_hop,
         hop_depth=hop_depth,
-        per_hop_loss=per_hop_loss,
+        per_hop_loss=0.02,
     )

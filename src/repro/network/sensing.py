@@ -90,18 +90,11 @@ class GroupSampler:
         rss = self.channel.observe_distances(dist, rng, drop_mask=drop_mask)
         return SampleBatch(rss=rss, times=base_times, positions=nominal_positions)
 
-    def sample_static(
-        self,
-        position: np.ndarray,
-        rng: np.random.Generator,
-        *,
-        t0: float = 0.0,
-        drop_mask: np.ndarray | None = None,
-    ) -> SampleBatch:
-        """Grouping sampling of a stationary target."""
+    def sample_static(self, position: np.ndarray, rng: np.random.Generator) -> SampleBatch:
+        """Grouping sampling of a stationary target, starting at t = 0."""
         position = np.asarray(position, dtype=float).reshape(2)
 
         def path_fn(times: np.ndarray) -> np.ndarray:
             return np.broadcast_to(position, (len(np.atleast_1d(times)), 2)).copy()
 
-        return self.sample_group(path_fn, t0, rng, drop_mask=drop_mask)
+        return self.sample_group(path_fn, 0.0, rng)

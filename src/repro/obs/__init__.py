@@ -71,12 +71,11 @@ __all__ = [
 
 
 @contextmanager
-def observe(*, trace_path: "str | None" = None, fresh: bool = True):
+def observe(*, trace_path: "str | None" = None):
     """Temporarily enable observability; yields the metrics registry.
 
-    ``fresh=True`` (default) resets the registry on entry so the yielded
-    metrics describe exactly the enclosed work.  Prior enabled/tracer
-    state is restored on exit.
+    The registry is reset on entry so the yielded metrics describe exactly
+    the enclosed work.  Prior enabled/tracer state is restored on exit.
     """
     from repro.obs import metrics as _metrics
     from repro.obs import tracing as _tracing
@@ -84,8 +83,7 @@ def observe(*, trace_path: "str | None" = None, fresh: bool = True):
     prev_override = _metrics._enabled_override
     prev_tracer = _tracing._tracer
     prev_checked = _tracing._env_tracer_checked
-    if fresh:
-        reset()
+    reset()
     set_enabled(True)
     if trace_path:
         # do not close the previous tracer: it is restored on exit

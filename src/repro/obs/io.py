@@ -36,8 +36,9 @@ def _fmt_num(v) -> str:
     return f"{f:.6g}"
 
 
-def format_metrics(snap: "dict[str, dict] | None" = None, *, title: str = "observability metrics") -> str:
+def format_metrics(snap: "dict[str, dict] | None" = None) -> str:
     """Aligned text rendering of a metrics snapshot."""
+    title = "observability metrics"
     if snap is None:
         snap = registry().snapshot()
     if not snap:

@@ -135,13 +135,12 @@ class RssChannel:
         rss = self.observe_distances(self.distances(positions), rng, drop_mask=drop_mask)
         return SampleBatch(rss=rss, times=times, positions=positions)
 
-    def observe_static(
-        self, position: np.ndarray, k: int, rng: np.random.Generator, *, t0: float = 0.0, dt: float = 0.1
-    ) -> SampleBatch:
-        """Grouping sampling of a stationary target (k samples at one point)."""
+    def observe_static(self, position: np.ndarray, k: int, rng: np.random.Generator) -> SampleBatch:
+        """Grouping sampling of a stationary target (k samples at one point,
+        0.1 s apart from t = 0)."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         position = np.asarray(position, dtype=float).reshape(2)
-        times = t0 + dt * np.arange(k)
+        times = 0.1 * np.arange(k)
         positions = np.broadcast_to(position, (k, 2)).copy()
         return self.observe(positions, times, rng)

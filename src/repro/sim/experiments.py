@@ -68,7 +68,6 @@ def replicate_mean_error(
     deployment: str = "random",
     params: "dict | None" = None,
     faults: "FaultModel | None" = None,
-    lost_track_threshold_m: "float | None" = None,
 ) -> list[SweepRecord]:
     """Run every tracker over *n_reps* independent worlds; aggregate errors.
 
@@ -77,15 +76,14 @@ def replicate_mean_error(
     errors across replications (the quantity of Figs. 11c / 12d);
     ``mean_of_std`` averages the per-run stds.  ``p95_error`` is the
     95th percentile of the pooled per-round errors, and
-    ``lost_track_rate`` the fraction of rounds whose error exceeds
-    ``lost_track_threshold_m`` (default: a quarter of the field side —
-    an estimate that far off is tracking a different part of the field).
+    ``lost_track_rate`` the fraction of rounds whose error exceeds a
+    quarter of the field side (an estimate that far off is tracking a
+    different part of the field).
     ``faults`` applies the given fault model to every replication's
     batch stream (the Eq. 6-7 masking then shows up in the per-round
     observability metrics).
     """
-    if lost_track_threshold_m is None:
-        lost_track_threshold_m = config.field_size_m / 4.0
+    lost_track_threshold_m = config.field_size_m / 4.0
     params = dict(params or {})
     per_tracker_means: dict[str, list[float]] = {n: [] for n in tracker_names}
     per_tracker_all_errors: dict[str, list[np.ndarray]] = {n: [] for n in tracker_names}
@@ -153,7 +151,6 @@ def sweep_resolution(
     base_config: "SimulationConfig | None" = None,
     n_reps: int = 3,
     seed: int = 0,
-    tracker: str = "fttt",
 ) -> list[SweepRecord]:
     """Fig. 12(a): FTTT error vs sensing resolution for several n (k=5)."""
     base = base_config or SimulationConfig()
@@ -165,7 +162,7 @@ def sweep_resolution(
             records.extend(
                 replicate_mean_error(
                     cfg,
-                    [tracker],
+                    ["fttt"],
                     n_reps=n_reps,
                     seed=seed + 1000 * i,
                     params={"n_sensors": int(n), "resolution_dbm": float(eps)},
@@ -181,7 +178,6 @@ def sweep_sampling_times(
     base_config: "SimulationConfig | None" = None,
     n_reps: int = 3,
     seed: int = 0,
-    tracker: str = "fttt",
 ) -> list[SweepRecord]:
     """Fig. 12(b): FTTT error vs n for several sampling times k (eps=1)."""
     base = base_config or SimulationConfig()
@@ -194,7 +190,7 @@ def sweep_sampling_times(
             records.extend(
                 replicate_mean_error(
                     cfg,
-                    [tracker],
+                    ["fttt"],
                     n_reps=n_reps,
                     seed=seed + 97 * j,
                     params={"sampling_times": int(k), "n_sensors": int(n)},

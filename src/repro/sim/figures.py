@@ -35,28 +35,24 @@ def model_mode_error(
     rep_seeds: Sequence[int],
     eps: float = 1.0,
     k: int = 5,
-    field_size: float = 100.0,
-    sensing_range: float = 40.0,
-    beta: float = 4.0,
-    sigma: float = 6.0,
-    duration_s: float = 30.0,
-    cell_size: float = 2.5,
 ) -> float:
     """Mean tracking error under the paper's flip-model semantics.
 
     One replication per entry of *rep_seeds*: with seed ``s``, a random
     deployment drawn from ``s``, a random-waypoint trace from ``s + 1`` and
     model-mode observations from ``s + 2``, matched against the Eq. 3 face
-    map built with the same epsilon.
+    map built with the same epsilon.  The world is Table 1's: a 100 m
+    field, R = 40 m, beta = 4, sigma = 6 dB, a 30 s trace, 2.5 m cells.
     """
     if len(rep_seeds) < 1:
         raise ValueError("need at least one replication seed")
-    c = uncertainty_constant(eps, beta, sigma)
+    field_size, sensing_range, duration_s = 100.0, 40.0, 30.0
+    c = uncertainty_constant(eps, 4.0, 6.0)
     errs = []
     for rep_seed in rep_seeds:
         nodes = random_deployment(n_sensors, field_size, rep_seed, min_separation=4.0)
         fm = build_face_map(
-            nodes, Grid.square(field_size, cell_size), c, sensing_range=sensing_range
+            nodes, Grid.square(field_size, 2.5), c, sensing_range=sensing_range
         )
         mob = RandomWaypoint(field_size=field_size, duration_s=duration_s, seed=rep_seed + 1)
         times = np.arange(int(duration_s * 2)) * 0.5
@@ -72,15 +68,13 @@ def fig12a_series(
     n_values: Sequence[int],
     *,
     rep_seeds: Sequence[int],
-    k: int = 5,
-    **kwargs,
 ) -> dict[int, list[float]]:
-    """Fig. 12(a): per-n error series over the resolution axis."""
+    """Fig. 12(a): per-n error series over the resolution axis (k = 5)."""
     if not eps_values or not n_values:
         raise ValueError("need at least one eps and one n value")
     return {
         int(n): [
-            model_mode_error(n_sensors=int(n), eps=float(e), k=k, rep_seeds=rep_seeds, **kwargs)
+            model_mode_error(n_sensors=int(n), eps=float(e), rep_seeds=rep_seeds)
             for e in eps_values
         ]
         for n in n_values

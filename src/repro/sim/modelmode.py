@@ -38,7 +38,9 @@ class ModelSampler:
     ----------
     nodes : (n, 2) sensor positions.
     c : uncertainty constant defining the pair bands (paper Eq. 3).
-    k : grouping-sampling size; the flip-miss probability is (1/2)^(k-1).
+    k : grouping-sampling size; the flip-miss probability is (1/2)^(k-1),
+        so ``k = 1`` reads every uncertain pair as a fair coin: the one-shot
+        detection sequence the certain-sequence baselines observe.
     sensing_range : optional hearing radius (Eq. 6 semantics for silent pairs).
     """
 
@@ -90,18 +92,6 @@ class ModelSampler:
                 vec[uncertain] = np.where(missed, directions, 0.0)
         return out
 
-    def sample_oneshot_vector(self, position: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One-shot detection-sequence vector (what the certain-sequence
-        baselines observe): uncertain pairs are a fair coin every time.
-        Vectorized like :meth:`true_signature`."""
-        out = self.true_signature(position)
-        for vec in out.reshape(-1, out.shape[-1]):
-            uncertain = vec == 0.0
-            n_unc = int(uncertain.sum())
-            if n_unc:
-                vec[uncertain] = rng.choice([-1.0, 1.0], size=n_unc)
-        return out
-
 
 def run_model_tracking(
     face_map: FaceMap,
@@ -109,11 +99,9 @@ def run_model_tracking(
     positions: np.ndarray,
     times: np.ndarray,
     rng: "np.random.Generator | int | None" = None,
-    *,
-    observation: str = "group",
-    matcher: str = "exhaustive",
 ) -> TrackResult:
-    """Track a position sequence under model-mode observations.
+    """Track a position sequence under model-mode observations, matching
+    each round's grouping vector exhaustively.
 
     Parameters
     ----------
@@ -121,11 +109,7 @@ def run_model_tracking(
     sampler : the model-mode observation source.
     positions : (T, 2) true target positions per round.
     times : (T,) round times.
-    observation : ``"group"`` (FTTT grouping vectors) or ``"oneshot"``
-        (baseline detection-sequence vectors).
-    matcher : ``"exhaustive"`` or ``"heuristic"``.
     """
-    from repro.core.heuristic import HeuristicMatcher
     from repro.core.matching import ExhaustiveMatcher
 
     rng = ensure_rng(rng)
@@ -133,21 +117,11 @@ def run_model_tracking(
     times = np.asarray(times, dtype=float)
     if len(positions) != len(times):
         raise ValueError("positions and times must have equal length")
-    if observation not in ("group", "oneshot"):
-        raise ValueError(f"unknown observation {observation!r}")
-    if matcher == "heuristic":
-        m = HeuristicMatcher(face_map)
-    elif matcher == "exhaustive":
-        m = ExhaustiveMatcher(face_map)
-    else:
-        raise ValueError(f"unknown matcher {matcher!r}")
+    m = ExhaustiveMatcher(face_map)
 
     # one classifier call for the whole trace; the matcher draws no randomness,
     # so drawing every vector first keeps each round's draws
-    if observation == "group":
-        vectors = sampler.sample_group_vector(positions, rng)
-    else:
-        vectors = sampler.sample_oneshot_vector(positions, rng)
+    vectors = sampler.sample_group_vector(positions, rng)
     result = TrackResult()
     for t, p, v in zip(times, positions, vectors):
         match = m.match(v)

@@ -9,7 +9,11 @@ insist on).
 
 Workers re-import ``repro`` (fork or spawn both work); tasks are coarse
 (one full parameter point per task) so IPC overhead is negligible next to
-the seconds-long tracking runs inside.
+the seconds-long tracking runs inside.  Workers share an on-disk face-map
+cache when ``REPRO_FACE_CACHE_DIR`` is set (see :mod:`repro.geometry.cache`):
+a deployment divided by one task is loaded, not rebuilt, by every other
+task, and results are bit-identical either way.  Under ``fork`` the
+parent's warm in-memory cache is also inherited copy-on-write.
 
 With ``obs_dir`` set, the sweep runs under :mod:`repro.obs`: workers
 enable the metrics registry (via the ``REPRO_OBS`` environment variable,
@@ -97,28 +101,18 @@ def _run_point(args: tuple) -> "tuple[list[SweepRecord], dict | None]":
 
 
 @contextmanager
-def _sweep_environment(cache_dir, obs_dir):
-    """Scoped env/config for one sweep: disk cache dir + observability.
+def _sweep_environment(obs_dir):
+    """Scoped observability for one sweep.
 
-    Everything mutated here — ``REPRO_FACE_CACHE_DIR``, ``REPRO_OBS``,
-    the process cache configuration, the active tracer — is restored on
-    exit, so repeated sweeps (and tests using ``tmp_path``) cannot leak
-    state into each other.
+    Everything mutated here — ``REPRO_OBS`` and the active tracer — is
+    restored on exit, so repeated sweeps (and tests using ``tmp_path``)
+    cannot leak state into each other.
     """
-    from repro.geometry.cache import configure_face_map_cache, default_face_map_cache
-
-    prev_cache_env = os.environ.get("REPRO_FACE_CACHE_DIR")
     prev_obs_env = os.environ.get("REPRO_OBS")
-    prev_disk_dir = default_face_map_cache().disk_dir
     prev_tracer = obs_tracing._tracer
     prev_tracer_checked = obs_tracing._env_tracer_checked
     out: "Path | None" = None
     try:
-        if cache_dir is not None:
-            # environment propagates to fork and spawn workers alike, and
-            # reconfiguring the parent cache covers the inline path too
-            os.environ["REPRO_FACE_CACHE_DIR"] = str(cache_dir)
-            configure_face_map_cache(disk_dir=str(cache_dir))
         if obs_dir is not None:
             out = Path(obs_dir)
             out.mkdir(parents=True, exist_ok=True)
@@ -129,12 +123,6 @@ def _sweep_environment(cache_dir, obs_dir):
             obs_tracing._env_tracer_checked = True
         yield out
     finally:
-        if cache_dir is not None:
-            if prev_cache_env is None:
-                os.environ.pop("REPRO_FACE_CACHE_DIR", None)
-            else:
-                os.environ["REPRO_FACE_CACHE_DIR"] = prev_cache_env
-            configure_face_map_cache(disk_dir=prev_disk_dir)
         if obs_dir is not None:
             if prev_obs_env is None:
                 os.environ.pop("REPRO_OBS", None)
@@ -155,7 +143,6 @@ def parallel_sweep(
     deployment: str = "random",
     n_workers: "int | None" = None,
     seed_stride: int = 1000,
-    cache_dir: "str | os.PathLike | None" = None,
     faults: "FaultModel | Sequence[FaultModel | None] | None" = None,
     obs_dir: "str | os.PathLike | None" = None,
     share_maps: bool = False,
@@ -173,14 +160,6 @@ def parallel_sweep(
     n_workers : pool size (default: min(cores, points), overridable via
         ``REPRO_WORKERS``); 1 = run inline (no pool, handy under coverage
         tools and debuggers).
-    cache_dir : when given, workers share an on-disk face-map cache at
-        this directory (see :mod:`repro.geometry.cache`): a deployment
-        divided by one task is loaded, not rebuilt, by every other task —
-        across workers and across repeated ``parallel_sweep`` calls.
-        Results are bit-identical either way.  (Under ``fork`` start
-        methods the parent's warm in-memory cache is additionally
-        inherited copy-on-write for free.)  The environment mutation is
-        scoped to this call.
     faults : optional fault model applied to every replication's batch
         stream (forwarded to :func:`replicate_mean_error`); a list or
         tuple instead assigns one model (or None) per point — the
@@ -214,7 +193,7 @@ def parallel_sweep(
         per_point_faults = list(faults)
     else:
         per_point_faults = [faults] * len(points)
-    with _sweep_environment(cache_dir, obs_dir) as obs_out:
+    with _sweep_environment(obs_dir) as obs_out:
         tasks = [
             (
                 {k: v for k, v in cfg.as_dict().items()},

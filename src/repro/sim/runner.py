@@ -88,14 +88,9 @@ def run_tracking(
     *,
     faults: FaultModel | None = None,
     basestation: BaseStation | None = None,
-    n_rounds: "int | None" = None,
-    batches: "Sequence[SampleBatch] | None" = None,
 ) -> TrackResult:
-    """Run one tracker over a (generated or supplied) batch stream."""
-    if batches is None:
-        batches = generate_batches(
-            scenario, rng, faults=faults, basestation=basestation, n_rounds=n_rounds
-        )
+    """Run one tracker over the scenario's whole batch stream."""
+    batches = generate_batches(scenario, rng, faults=faults, basestation=basestation)
     tracker.reset()
     return tracker.track(batches)
 
@@ -105,8 +100,6 @@ def run_tracking_with_duty_cycle(
     tracker,
     controller,
     rng: "np.random.Generator | int | None" = None,
-    *,
-    n_rounds: "int | None" = None,
 ):
     """Closed-loop tracking with duty-cycled sensing.
 
@@ -120,9 +113,7 @@ def run_tracking_with_duty_cycle(
     from repro.core.tracker import TrackResult
 
     rng = ensure_rng(rng)
-    cfg = scenario.config
-    if n_rounds is None:
-        n_rounds = cfg.n_localizations
+    n_rounds = scenario.config.n_localizations
     period = scenario.sampler.group_duration_s
     tracker.reset()
     controller.reset()
@@ -145,13 +136,10 @@ def run_all_trackers(
     rng: "np.random.Generator | int | None" = None,
     *,
     faults: FaultModel | None = None,
-    basestation: BaseStation | None = None,
     n_rounds: "int | None" = None,
 ) -> Mapping[str, TrackResult]:
     """Run several trackers over the *same* batch stream (shared noise)."""
-    batches = generate_batches(
-        scenario, rng, faults=faults, basestation=basestation, n_rounds=n_rounds
-    )
+    batches = generate_batches(scenario, rng, faults=faults, n_rounds=n_rounds)
     results: dict[str, TrackResult] = {}
     for name in tracker_names:
         tracker = scenario.make_tracker(name)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Any, Callable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -124,29 +124,34 @@ class Scenario:
             )
         return self._certain_map
 
-    def make_tracker(self, name: str, **overrides: Any):
-        """Build a tracker bound to this scenario's maps.
+    def make_tracker(self, name: str):
+        """Build a tracker bound to this scenario's maps and configuration.
 
         Names: ``fttt`` (basic, heuristic matching), ``fttt-extended``
         (quantitative vectors), ``fttt-exhaustive`` (basic, full scan),
         ``fttt-robust`` (basic + the fault-lab degradation policy),
         ``fttt-zero`` (naive-zeroing strawman: ``*`` becomes 0),
         ``pm``, ``direct-mle``, ``range-mle``, ``pknn``,
-        ``weighted-centroid``, ``nearest``.
+        ``weighted-centroid``, ``kalman``, ``particle``, ``nearest``.
         """
-        if name.startswith("fttt"):
-            overrides.setdefault("comparator_eps", self.config.resolution_dbm)
+        cfg = self.config
+        eps = cfg.resolution_dbm
         if name == "fttt":
-            return FTTTracker(self.face_map, mode="basic", matcher="heuristic", **overrides)
+            return FTTTracker(self.face_map, mode="basic", matcher="heuristic", comparator_eps=eps)
         if name == "fttt-robust":
             from repro.core.tracker import DegradationPolicy
 
-            overrides.setdefault("degradation", DegradationPolicy())
-            return FTTTracker(self.face_map, mode="basic", matcher="heuristic", **overrides)
+            return FTTTracker(
+                self.face_map,
+                mode="basic",
+                matcher="heuristic",
+                comparator_eps=eps,
+                degradation=DegradationPolicy(),
+            )
         if name == "fttt-zero":
             from repro.faultlab.strawmen import ZeroFillFTTT
 
-            return ZeroFillFTTT(self.face_map, mode="basic", matcher="heuristic", **overrides)
+            return ZeroFillFTTT(self.face_map, mode="basic", matcher="heuristic", comparator_eps=eps)
         if name == "fttt-extended":
             from repro.core.extended import attach_soft_signatures
 
@@ -157,36 +162,36 @@ class Scenario:
                 resolution_dbm=self.config.resolution_dbm,
                 sensing_range=self.config.sensing_range_m,
             )
-            return FTTTracker(self.face_map, mode="extended", matcher="heuristic", **overrides)
+            return FTTTracker(
+                self.face_map, mode="extended", matcher="heuristic", comparator_eps=eps
+            )
         if name == "fttt-exhaustive":
-            return FTTTracker(self.face_map, mode="basic", matcher="exhaustive", **overrides)
+            return FTTTracker(self.face_map, mode="basic", matcher="exhaustive", comparator_eps=eps)
         if name == "pm":
-            overrides.setdefault("vmax_mps", self.config.target_speed_max_mps)
-            return PathMatchingTracker(self.certain_map, **overrides)
+            return PathMatchingTracker(self.certain_map, vmax_mps=cfg.target_speed_max_mps)
         if name == "direct-mle":
-            return DirectMLETracker(self.certain_map, **overrides)
+            return DirectMLETracker(self.certain_map)
         if name == "range-mle":
-            overrides.setdefault("field_size", self.config.field_size_m)
-            return RangeMLETracker(self.nodes, self.channel.pathloss, **overrides)
+            return RangeMLETracker(self.nodes, self.channel.pathloss, field_size=cfg.field_size_m)
         if name == "kalman":
             from repro.baselines.kalman import KalmanTracker
 
-            inner = RangeMLETracker(
-                self.nodes, self.channel.pathloss, field_size=self.config.field_size_m
-            )
-            overrides.setdefault("field_size", self.config.field_size_m)
-            return KalmanTracker(inner, **overrides)
+            inner = RangeMLETracker(self.nodes, self.channel.pathloss, field_size=cfg.field_size_m)
+            return KalmanTracker(inner, field_size=cfg.field_size_m)
         if name == "particle":
             from repro.baselines.particle import ParticleFilterTracker
 
-            overrides.setdefault("noise_sigma_dbm", self.config.noise_sigma_dbm)
-            overrides.setdefault("field_size", self.config.field_size_m)
-            overrides.setdefault("sensing_range_m", self.config.sensing_range_m)
-            return ParticleFilterTracker(self.nodes, self.channel.pathloss, **overrides)
+            return ParticleFilterTracker(
+                self.nodes,
+                self.channel.pathloss,
+                noise_sigma_dbm=cfg.noise_sigma_dbm,
+                field_size=cfg.field_size_m,
+                sensing_range_m=cfg.sensing_range_m,
+            )
         if name == "pknn":
-            return PkNNTracker(self.nodes, **overrides)
+            return PkNNTracker(self.nodes)
         if name == "weighted-centroid":
-            return WeightedCentroidTracker(self.nodes, **overrides)
+            return WeightedCentroidTracker(self.nodes)
         if name == "nearest":
             return NearestNodeTracker(self.nodes)
         raise ValueError(f"unknown tracker {name!r}; choose from {TRACKER_NAMES}")

@@ -78,13 +78,11 @@ class OutdoorSystem:
         *,
         mode: str = "basic",
         rng: "np.random.Generator | int | None" = None,
-        n_rounds: "int | None" = None,
     ) -> TrackResult:
         """Track the walker over the whole trace with basic or extended FTTT."""
         rng = ensure_rng(rng)
         period = self.k / self.sampling_rate_hz
-        if n_rounds is None:
-            n_rounds = max(1, int(self.path.duration_s / period))
+        n_rounds = max(1, int(self.path.duration_s / period))
         if mode == "extended":
             from repro.core.extended import attach_soft_signatures
 
@@ -103,30 +101,25 @@ class OutdoorSystem:
 def build_outdoor_system(
     *,
     field_size: float = 40.0,
-    n_arm_motes: int = 2,
-    k: int = 5,
-    sampling_rate_hz: float = 10.0,
-    frame_loss_p: float = 0.05,
-    noise_sigma_db: float = 4.0,
-    adc_step_db: float = 0.5,
-    gain_spread_db: float = 1.0,
     seed: "int | np.random.Generator | None" = 0,
 ) -> OutdoorSystem:
-    """Assemble the Fig. 13 system: 4*n_arm_motes+1 motes (9 by default)
-    in a "+", walker on the "⌐" trace at changeable 1-5 m/s."""
+    """Assemble the Fig. 13 system: 9 IRIS motes in a "+" (0.5 dB ADC
+    steps, gain offsets drawn with a 1 dB spread), a 4 dB-noise tone
+    channel, 5 % gateway frame loss, k = 5 samples at 10 Hz, and a walker
+    on the "⌐" trace at changeable 1-5 m/s."""
     rng = ensure_rng(seed)
-    positions = cross_deployment(field_size, arm_nodes=n_arm_motes)
+    positions = cross_deployment(field_size, arm_nodes=2)
     motes = [
         IrisMote(
             mote_id=i,
             position=p,
-            adc_step_db=adc_step_db,
-            gain_offset_db=float(rng.normal(0.0, gain_spread_db)),
+            adc_step_db=0.5,
+            gain_offset_db=float(rng.normal(0.0, 1.0)),
         )
         for i, p in enumerate(positions)
     ]
-    channel = AcousticToneChannel(noise_sigma_db=noise_sigma_db)
-    gateway = Mib520Gateway(n_motes=len(motes), frame_loss_p=frame_loss_p)
+    channel = AcousticToneChannel(noise_sigma_db=4.0)
+    gateway = Mib520Gateway(n_motes=len(motes), frame_loss_p=0.05)
     path = l_shape_path(field_size, rng=rng)
     return OutdoorSystem(
         field_size=field_size,
@@ -134,6 +127,6 @@ def build_outdoor_system(
         channel=channel,
         gateway=gateway,
         path=path,
-        k=k,
-        sampling_rate_hz=sampling_rate_hz,
+        k=5,
+        sampling_rate_hz=10.0,
     )

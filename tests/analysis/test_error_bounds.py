@@ -90,5 +90,3 @@ class TestWorstCaseBound:
     def test_validation(self):
         with pytest.raises(ValueError):
             worst_case_error_bound(5, 0.0, 40.0)
-        with pytest.raises(ValueError):
-            worst_case_error_bound(5, 1e-3, 40.0, xi=0.0)

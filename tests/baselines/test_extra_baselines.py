@@ -5,13 +5,18 @@ import pytest
 
 from repro.baselines.pknn import PkNNTracker
 from repro.baselines.weighted_centroid import WeightedCentroidTracker
+from repro.network.deployment import grid_deployment
 from repro.rf.channel import SampleBatch
 
 
-def batch_at(nodes, point, k=3, noise=0.0, rng=None):
+# a 4 x 4 grid: more sensors than PkNN's four nearest neighbours
+GRID16 = grid_deployment(16, 100.0)
+
+
+def batch_at(nodes, point, k=3, noise=0.0, rng=None, beta=4.0):
     rng = rng or np.random.default_rng(0)
     d = np.hypot(nodes[:, 0] - point[0], nodes[:, 1] - point[1])
-    rss = np.tile(-40.0 - 40.0 * np.log10(np.maximum(d, 1e-3)), (k, 1))
+    rss = np.tile(-40.0 - 10.0 * beta * np.log10(np.maximum(d, 1e-3)), (k, 1))
     if noise:
         rss = rss + rng.normal(0, noise, rss.shape)
     return SampleBatch(
@@ -21,7 +26,7 @@ def batch_at(nodes, point, k=3, noise=0.0, rng=None):
 
 class TestWeightedCentroid:
     def test_pulls_toward_target(self, four_nodes):
-        tracker = WeightedCentroidTracker(four_nodes, exponent=2.0)
+        tracker = WeightedCentroidTracker(four_nodes)
         p = np.array([35.0, 35.0])
         est = tracker.localize_batch(batch_at(four_nodes, p))
         # estimate is between the plain centroid (50,50) and the target
@@ -29,11 +34,12 @@ class TestWeightedCentroid:
         assert np.hypot(*(est.position - p)) < np.hypot(*(plain - p))
 
     def test_larger_exponent_approaches_nearest(self, four_nodes):
+        """A steeper path-loss exponent widens the power ratios the weights
+        are built from, pulling the estimate to the loudest sensor."""
         p = np.array([32.0, 31.0])
-        soft = WeightedCentroidTracker(four_nodes, exponent=0.5)
-        hard = WeightedCentroidTracker(four_nodes, exponent=8.0)
-        e_soft = soft.localize_batch(batch_at(four_nodes, p))
-        e_hard = hard.localize_batch(batch_at(four_nodes, p))
+        tracker = WeightedCentroidTracker(four_nodes)
+        e_soft = tracker.localize_batch(batch_at(four_nodes, p, beta=2.0))
+        e_hard = tracker.localize_batch(batch_at(four_nodes, p, beta=32.0))
         d_soft = np.hypot(*(e_soft.position - four_nodes[0]))
         d_hard = np.hypot(*(e_hard.position - four_nodes[0]))
         assert d_hard < d_soft
@@ -49,33 +55,34 @@ class TestWeightedCentroid:
         assert len(tracker.track(batches)) == 4
 
     def test_validation(self, four_nodes):
-        with pytest.raises(ValueError):
-            WeightedCentroidTracker(four_nodes, exponent=0.0)
         with pytest.raises(ValueError, match="sensors"):
             WeightedCentroidTracker(four_nodes).localize(np.zeros((1, 7)))
 
 
 class TestPkNN:
     def test_membership_probabilities_sum(self, four_nodes):
-        tracker = PkNNTracker(four_nodes, k_neighbors=2)
-        batch = batch_at(four_nodes, [40.0, 40.0], k=5, noise=3.0)
+        tracker = PkNNTracker(GRID16)
+        batch = batch_at(GRID16, [40.0, 40.0], k=5, noise=3.0)
         probs = tracker.membership_probabilities(batch.rss)
-        # per sample exactly k votes are cast
-        assert probs.sum() == pytest.approx(2.0)
+        # per sample exactly k = 4 votes are cast
+        assert probs.sum() == pytest.approx(4.0)
         assert np.all((probs >= 0) & (probs <= 1))
 
     def test_near_target_sensors_get_high_probability(self, four_nodes):
-        tracker = PkNNTracker(four_nodes, k_neighbors=2)
-        batch = batch_at(four_nodes, [32.0, 32.0], k=5)
+        tracker = PkNNTracker(GRID16)
+        p = GRID16[5] + 2.0
+        batch = batch_at(GRID16, p, k=5)
         probs = tracker.membership_probabilities(batch.rss)
-        assert probs[0] == 1.0  # node (30,30) always among 2 loudest
+        assert probs[5] == 1.0  # the sensor next to the target is always among the 4 loudest
+        far = np.hypot(*(GRID16 - p).T) > 40.0
+        assert np.all(probs[far] == 0.0)
 
     def test_localization_quality(self, four_nodes, rng):
-        tracker = PkNNTracker(four_nodes, k_neighbors=3)
+        tracker = PkNNTracker(GRID16)
         errs = []
         for _ in range(15):
             p = rng.uniform(30, 70, 2)
-            est = tracker.localize_batch(batch_at(four_nodes, p, k=5, noise=3.0, rng=rng))
+            est = tracker.localize_batch(batch_at(GRID16, p, k=5, noise=3.0, rng=rng))
             errs.append(np.hypot(*(est.position - p)))
         assert np.mean(errs) < 25.0
 
@@ -85,8 +92,8 @@ class TestPkNN:
         assert np.allclose(est.position, four_nodes.mean(axis=0))
 
     def test_k_clamped_to_node_count(self, four_nodes):
-        tracker = PkNNTracker(four_nodes, k_neighbors=99)
-        assert tracker.k_neighbors == 4
+        tracker = PkNNTracker(four_nodes[:3])
+        assert tracker.k_neighbors == 3
 
     def test_track(self, four_nodes, rng):
         tracker = PkNNTracker(four_nodes)
@@ -94,9 +101,5 @@ class TestPkNN:
         assert len(tracker.track(batches)) == 3
 
     def test_validation(self, four_nodes):
-        with pytest.raises(ValueError):
-            PkNNTracker(four_nodes, k_neighbors=0)
-        with pytest.raises(ValueError):
-            PkNNTracker(four_nodes, min_prob=1.0)
         with pytest.raises(ValueError, match="sensors"):
             PkNNTracker(four_nodes).localize(np.zeros((1, 9)))

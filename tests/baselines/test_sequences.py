@@ -15,11 +15,13 @@ class TestSignVectorFromRss:
     def test_group_mean_reduction(self):
         rss = np.array([[-40.0, -50.0], [-48.0, -42.0]])
         # means: -44 vs -46 -> node 0 louder
-        assert sign_vector_from_rss(rss, reduce="mean")[0] == 1.0
+        assert sign_vector_from_rss(rss)[0] == 1.0
 
     def test_group_last_reduction(self):
+        """The group's last sample alone, read as a one-shot row, orders
+        the pair the other way round."""
         rss = np.array([[-40.0, -50.0], [-48.0, -42.0]])
-        assert sign_vector_from_rss(rss, reduce="last")[0] == -1.0
+        assert sign_vector_from_rss(rss[-1])[0] == -1.0
 
     def test_silent_vs_reporting(self):
         v = sign_vector_from_rss(np.array([np.nan, -50.0]))
@@ -30,10 +32,6 @@ class TestSignVectorFromRss:
         assert np.isnan(v[0])
         assert v[1] == -1.0 and v[2] == -1.0
 
-    def test_unknown_reduce(self):
-        with pytest.raises(ValueError, match="reduce"):
-            sign_vector_from_rss(np.zeros((2, 3)), reduce="median")
-
     def test_rejects_3d(self):
         with pytest.raises(ValueError):
             sign_vector_from_rss(np.zeros((2, 2, 2)))
@@ -41,9 +39,8 @@ class TestSignVectorFromRss:
 
     def test_is_one_round_of_the_stack(self):
         rss = np.array([[-40.0, np.nan, -45.0], [-48.0, np.nan, np.nan]])
-        for reduce in ("mean", "last"):
-            stacked = sign_vectors_from_rss(rss[None], reduce=reduce)[0]
-            assert np.array_equal(sign_vector_from_rss(rss, reduce=reduce), stacked, equal_nan=True)
+        stacked = sign_vectors_from_rss(rss[None])[0]
+        assert np.array_equal(sign_vector_from_rss(rss), stacked, equal_nan=True)
 
 
 class TestMeanRss:

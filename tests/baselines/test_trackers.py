@@ -47,11 +47,6 @@ class TestDirectMLE:
         result = tracker.track(batches)
         assert len(result) == 5
 
-    def test_reduce_modes(self, certain_map, four_nodes):
-        DirectMLETracker(certain_map, reduce="last")
-        with pytest.raises(ValueError):
-            DirectMLETracker(certain_map, reduce="bogus")
-
     def test_wrong_sensor_count(self, certain_map):
         tracker = DirectMLETracker(certain_map)
         with pytest.raises(ValueError, match="sensors"):
@@ -77,12 +72,6 @@ class TestPathMatching:
         est = tracker.localize(batch_at(four_nodes, [55.0, 45.0]).rss)
         assert np.all(np.isfinite(est.position))
 
-    def test_beam_width_one_degenerates_to_greedy(self, certain_map, four_nodes, rng):
-        tracker = PathMatchingTracker(certain_map, beam_width=1)
-        batches = [batch_at(four_nodes, rng.uniform(30, 70, 2), t0=i * 0.5) for i in range(4)]
-        result = tracker.track(batches)
-        assert len(result) == 4
-
     def test_empty_track(self, certain_map):
         tracker = PathMatchingTracker(certain_map)
         assert len(tracker.track([])) == 0
@@ -90,7 +79,7 @@ class TestPathMatching:
     def test_velocity_constraint_smooths_jumps(self, certain_map, four_nodes, rng):
         """With a strong path prior, a single corrupted round cannot fling
         the estimate across the field."""
-        smooth = PathMatchingTracker(certain_map, vmax_mps=2.0, penalty_per_m=5.0)
+        smooth = PathMatchingTracker(certain_map, vmax_mps=2.0)
         points = [np.array([30.0 + i, 50.0]) for i in range(12)]
         batches = [batch_at(four_nodes, p, noise=1.0, rng=rng, t0=i * 0.5) for i, p in enumerate(points)]
         # corrupt the middle round heavily
@@ -105,10 +94,6 @@ class TestPathMatching:
     def test_validation(self, certain_map):
         with pytest.raises(ValueError):
             PathMatchingTracker(certain_map, vmax_mps=0.0)
-        with pytest.raises(ValueError):
-            PathMatchingTracker(certain_map, beam_width=0)
-        with pytest.raises(ValueError):
-            PathMatchingTracker(certain_map, penalty_per_m=-1.0)
 
 
 class TestRangeMLE:
@@ -121,7 +106,7 @@ class TestRangeMLE:
 
     def test_few_sensors_falls_back_to_centroid(self, four_nodes):
         pl = LogDistancePathLoss(exponent=4.0, p0_dbm=-40.0)
-        tracker = RangeMLETracker(four_nodes, pl, min_sensors=3)
+        tracker = RangeMLETracker(four_nodes, pl)
         rss = np.full((2, 4), np.nan)
         rss[:, 0] = -50.0
         est = tracker.localize(rss)

@@ -83,10 +83,8 @@ class TestBatchedVectors:
 
     def test_sign_vectors_identical_to_loop(self, world):
         _, _, stack = world
-        for reduce in ("mean", "last"):
-            loop = np.stack([sign_vector_from_rss(r, reduce=reduce) for r in stack])
-            batched = sign_vectors_from_rss(stack, reduce=reduce)
-            assert np.array_equal(loop, batched, equal_nan=True)
+        loop = np.stack([sign_vector_from_rss(r) for r in stack])
+        assert np.array_equal(loop, sign_vectors_from_rss(stack), equal_nan=True)
 
 
 class TestBatchedDistances:
@@ -127,8 +125,11 @@ class TestBatchedDistances:
             sensing_range=CFG.sensing_range_m,
         )
         vectors = extended_sampling_vectors(stack, comparator_eps=1.0)
-        loop = np.stack([fm.distances_to(v, soft=True) for v in vectors])
-        assert np.array_equal(loop, fm.distances_to_many(vectors, soft=True))
+        ties, bests = fm.match_many(vectors, soft=True)
+        for v, t, best in zip(vectors, ties, bests):
+            t_loop, best_loop = fm.match(v, soft=True)
+            assert np.array_equal(t, t_loop)
+            assert best == best_loop
 
     def test_match_many_ties_identical(self, world):
         scenario, _, stack = world

@@ -9,7 +9,7 @@ from repro.core.diagnostics import (
     least_informative_pairs,
     pair_informativeness,
 )
-from repro.geometry.faces import build_face_map
+from repro.geometry.faces import FaceMap, build_face_map
 from repro.geometry.grid import Grid
 
 
@@ -69,7 +69,18 @@ class TestFaceSeparability:
         assert sep["min_sq_distance"] >= 1.0
 
     def test_single_face_rejected(self, face_map):
-        tiny = face_map.replace(signatures=face_map.signatures[:1])
+        fm = face_map
+        tiny = FaceMap(
+            fm.nodes,
+            fm.grid,
+            fm.c,
+            fm.signatures[:1],
+            fm.centroids[:1],
+            np.zeros_like(fm.cell_face),
+            np.array([fm.grid.n_cells]),
+            np.zeros(2, dtype=np.int64),
+            np.zeros(0, dtype=np.int64),
+        )
         with pytest.raises(ValueError):
             face_separability(tiny)
 

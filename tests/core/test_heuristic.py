@@ -48,7 +48,8 @@ class TestHeuristicMatcher:
             fid = int(nbrs[0]) if len(nbrs) else fid
 
     def test_fallback_triggers_on_bad_local_optimum(self, face_map, rng):
-        m = HeuristicMatcher(face_map, fallback=True, fallback_sq_distance=0.5)
+        m = HeuristicMatcher(face_map, fallback=True)
+        m.fallback_sq_distance = 0.5
         # seed somewhere, then present a signature from the far corner
         m.match(face_map.signatures[0].astype(float))
         far = face_map.n_faces - 1
@@ -83,9 +84,7 @@ class TestHeuristicMatcher:
 
     def test_validation(self, face_map):
         with pytest.raises(ValueError):
-            HeuristicMatcher(face_map, fallback_sq_distance=-1.0)
-        with pytest.raises(ValueError):
-            HeuristicMatcher(face_map, max_steps=0)
+            HeuristicMatcher(face_map, hops=0)
 
     def test_visited_much_smaller_than_exhaustive_when_tracking(self, face_map):
         """The Algorithm 2 complexity claim: consecutive matching touches
@@ -140,8 +139,15 @@ class TestFallbackGate:
         assert default_fallback_gate(190, soft=True) == pytest.approx(38.0)
 
     def test_explicit_gate_is_honoured(self, face_map):
-        assert HeuristicMatcher(face_map, fallback_sq_distance=4.0).fallback_sq_distance == 4.0
-        assert HeuristicMatcher(face_map, fallback_sq_distance=0.0).fallback_sq_distance == 0.0
+        """The climb reads the gate from the instance: at 0 any imperfect
+        local optimum falls back to the full scan, at infinity none does."""
+        v = np.full(face_map.n_pairs, 0.5)  # no face matches it exactly
+        visited = {}
+        for gate in (0.0, np.inf):
+            m = HeuristicMatcher(face_map, hops=1)
+            m.fallback_sq_distance = gate
+            visited[gate] = m.match(v, start_face=0).visited
+        assert visited[0.0] >= visited[np.inf] + face_map.n_faces
 
     def test_tracker_and_bare_matcher_share_the_gate(self):
         """``make_tracker("fttt")``, the hops ablation's bare matcher and the

@@ -44,8 +44,10 @@ class TestSoftMatching:
 
     def test_soft_distances_differ_from_hard(self, soft_map):
         v = soft_map.soft_signatures[0].astype(float)
-        d_hard = soft_map.distances_to(v, soft=False)
-        d_soft = soft_map.distances_to(v, soft=True)
+        d_hard, d_soft = (
+            soft_map._sq_distances(soft_map._query(v.astype(np.float32)[None], soft))[0]
+            for soft in (False, True)
+        )
         assert not np.allclose(d_hard, d_soft)
 
     def test_soft_handles_nan(self, soft_map):

@@ -98,8 +98,4 @@ class TestValidation:
         with pytest.raises(ValueError):
             TrackingSession(tracker, expected_period_s=0.0)
         with pytest.raises(ValueError):
-            TrackingSession(tracker, gap_factor=0.5)
-        with pytest.raises(ValueError):
-            TrackingSession(tracker, smoothing_alpha=0.0)
-        with pytest.raises(ValueError):
             TrackingSession(tracker, reorder_buffer=0)

@@ -204,9 +204,9 @@ class TestClimbOracle:
     def test_climb_bit_identical_to_production(self, face_map, rng, hops, gate):
         signatures = face_map.signatures.astype(float)
         neighbors = oracle_face_adjacency(face_map)
-        matcher = HeuristicMatcher(
-            face_map, hops=hops, fallback=gate is not None, fallback_sq_distance=gate
-        )
+        matcher = HeuristicMatcher(face_map, hops=hops, fallback=gate is not None)
+        if gate is not None:
+            matcher.fallback_sq_distance = gate
         for _ in range(30):
             rss = rng.uniform(-80.0, -40.0, (3, face_map.n_nodes))
             rss[rng.random(rss.shape) < 0.2] = np.nan

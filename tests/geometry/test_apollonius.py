@@ -92,10 +92,6 @@ class TestEffectiveUncertaintyConstant:
     def test_always_above_one(self):
         assert effective_uncertainty_constant(0.0, 4.0, 0.0, k=1) > 1.0
 
-    def test_rejects_bad_capture_prob(self):
-        with pytest.raises(ValueError, match="capture_prob"):
-            effective_uncertainty_constant(1.0, 4.0, 6.0, k=5, capture_prob=1.5)
-
 
 class TestApolloniusCircle:
     def test_matches_paper_eq4(self):

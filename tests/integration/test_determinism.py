@@ -21,9 +21,9 @@ class TestTrackerDeterminism:
 
         outs = []
         for _ in range(2):
-            scenario = make_scenario(CFG, seed=5)
+            scenario = make_scenario(CFG.with_(duration_s=3.0), seed=5)  # 6 rounds
             tracker = scenario.make_tracker(name)
-            outs.append(run_tracking(scenario, tracker, 6, n_rounds=6))
+            outs.append(run_tracking(scenario, tracker, 6))
         assert np.array_equal(outs[0].positions, outs[1].positions)
         assert np.array_equal(outs[0].truth, outs[1].truth)
 
@@ -55,8 +55,8 @@ class TestHarnessDeterminism:
     def test_outdoor_testbed(self):
         from repro.testbed.outdoor import build_outdoor_system
 
-        a = build_outdoor_system(seed=2).run(rng=3, n_rounds=6)
-        b = build_outdoor_system(seed=2).run(rng=3, n_rounds=6)
+        a = build_outdoor_system(seed=2).run(rng=3)
+        b = build_outdoor_system(seed=2).run(rng=3)
         assert np.array_equal(a.positions, b.positions)
 
     def test_ablations(self):
@@ -84,11 +84,9 @@ class TestHarnessDeterminism:
 
         outs = []
         for _ in range(2):
-            scenario = make_scenario(CFG, seed=12)
+            scenario = make_scenario(CFG.with_(duration_s=3.0), seed=12)  # 6 rounds
             ctrl = DutyCycleController(scenario.nodes, sensing_range_m=CFG.sensing_range_m)
-            res, ctrl = run_tracking_with_duty_cycle(
-                scenario, scenario.make_tracker("fttt"), ctrl, 13, n_rounds=6
-            )
+            res, ctrl = run_tracking_with_duty_cycle(scenario, scenario.make_tracker("fttt"), ctrl, 13)
             outs.append((res.positions.copy(), ctrl.energy_saved_fraction()))
         assert np.array_equal(outs[0][0], outs[1][0])
         assert outs[0][1] == outs[1][1]

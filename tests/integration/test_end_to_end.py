@@ -71,15 +71,15 @@ class TestFaultInjection:
 
     def test_all_sensors_dead_still_returns_positions(self, world):
         tracker = world.make_tracker("fttt")
-        res = run_tracking(world, tracker, 107, faults=IndependentDropout(p=1.0), n_rounds=3)
-        assert len(res) == 3
+        res = run_tracking(world, tracker, 107, faults=IndependentDropout(p=1.0))
+        assert len(res) == world.config.n_localizations
         assert np.all(np.isfinite(res.positions))
 
 
 class TestDeterminism:
     def test_same_seed_same_everything(self, world):
-        a = run_tracking(world, world.make_tracker("fttt"), 200, n_rounds=10)
-        b = run_tracking(world, world.make_tracker("fttt"), 200, n_rounds=10)
+        a = run_tracking(world, world.make_tracker("fttt"), 200)
+        b = run_tracking(world, world.make_tracker("fttt"), 200)
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.truth, b.truth)
 

@@ -5,9 +5,9 @@ Three contracts, all load-bearing for reproducibility claims:
 * ``parallel_sweep`` emits identical records whatever the pool size —
   ``REPRO_WORKERS=1`` (inline) and ``REPRO_WORKERS=4`` must agree on
   every float;
-* a ``cache_dir`` sweep scopes its ``REPRO_FACE_CACHE_DIR`` mutation to
-  the call: the environment and the global cache configuration are
-  restored afterwards, even when the sweep raises;
+* a sweep leaves ``REPRO_FACE_CACHE_DIR`` and the global cache
+  configuration as it found them, even when it raises, and a disk store
+  changes no record;
 * an ``obs_dir`` sweep likewise restores ``REPRO_OBS`` and the tracer.
 """
 
@@ -90,37 +90,39 @@ class TestWorkerCountInvariance:
 
 class TestCacheDirIsolation:
     def test_env_and_cache_config_restored(self, tmp_path):
-        cache = default_face_map_cache()
-        disk_before = cache.disk_dir
-        _run(n_workers=1, cache_dir=tmp_path / "facemaps")
+        cache = configure_face_map_cache(disk_dir=tmp_path / "facemaps")
+        _run(n_workers=1)
         assert "REPRO_FACE_CACHE_DIR" not in os.environ
-        assert cache.disk_dir == disk_before
+        assert default_face_map_cache() is cache
+        assert cache.disk_dir == tmp_path / "facemaps"
 
     def test_preexisting_env_value_restored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_FACE_CACHE_DIR", "/somewhere/else")
-        _run(n_workers=1, cache_dir=tmp_path / "facemaps")
+        _run(n_workers=1)
         assert os.environ["REPRO_FACE_CACHE_DIR"] == "/somewhere/else"
 
     def test_restored_even_when_sweep_raises(self, tmp_path):
-        # unknown tracker name fails inside the scoped-environment block
+        # unknown tracker name fails inside the sweep
         with pytest.raises(Exception):
-            parallel_sweep(
-                _points()[:1], ["no-such-tracker"], n_workers=1, cache_dir=tmp_path / "fm"
-            )
+            parallel_sweep(_points()[:1], ["no-such-tracker"], n_workers=1)
         assert "REPRO_FACE_CACHE_DIR" not in os.environ
         assert default_face_map_cache().disk_dir is None
 
     def test_two_tmp_path_sweeps_do_not_share_state(self, tmp_path):
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-        a = _run(n_workers=1, cache_dir=a_dir)
-        b = _run(n_workers=1, cache_dir=b_dir)
+        configure_face_map_cache(disk_dir=a_dir)
+        a = _run(n_workers=1)
+        configure_face_map_cache(disk_dir=b_dir)
+        b = _run(n_workers=1)
         _assert_records_equal(a, b)
         # each sweep populated its own isolated store
         assert list(a_dir.glob("facemap-*.npz"))
         assert list(b_dir.glob("facemap-*.npz"))
 
     def test_records_identical_with_and_without_cache_dir(self, tmp_path):
-        _assert_records_equal(_run(n_workers=1), _run(n_workers=1, cache_dir=tmp_path / "c"))
+        plain = _run(n_workers=1)
+        configure_face_map_cache(disk_dir=tmp_path / "c")
+        _assert_records_equal(plain, _run(n_workers=1))
 
 
 class TestObsDirIsolation:

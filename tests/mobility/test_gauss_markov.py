@@ -68,8 +68,8 @@ class TestGaussMarkov:
         from repro.sim.scenario import make_scenario
 
         mob = GaussMarkov(field_size=100.0, duration_s=10.0, seed=8)
-        scenario = make_scenario(fast_config, seed=9, mobility=mob)
+        scenario = make_scenario(fast_config.with_(duration_s=4.0), seed=9, mobility=mob)
         tracker = scenario.make_tracker("fttt")
-        res = run_tracking(scenario, tracker, 10, n_rounds=8)
+        res = run_tracking(scenario, tracker, 10)  # 8 rounds of the 4 s config
         assert len(res) == 8
         assert np.isfinite(res.mean_error)

@@ -67,20 +67,16 @@ class TestLShapePath:
         assert np.allclose(end, [75.0, 75.0])
 
     def test_speeds_within_range(self):
-        p = l_shape_path(100.0, rng=1, speed_range=(1.0, 5.0))
+        p = l_shape_path(100.0, rng=1)
         assert np.all(p.speeds >= 1.0) and np.all(p.speeds <= 5.0)
 
     def test_changeable_velocity(self):
         p = l_shape_path(100.0, rng=2)
         assert len(np.unique(p.speeds)) > 1
 
-    def test_explicit_speed(self):
-        p = l_shape_path(100.0, speeds=2.0)
-        assert np.all(p.speeds == 2.0)
-
     def test_path_is_l_shaped(self):
         # every vertex has x == inset or y == field - inset
-        p = l_shape_path(100.0, speeds=1.0, inset_frac=0.25)
+        p = l_shape_path(100.0, rng=3)
         v = p.vertices
         on_vertical = np.isclose(v[:, 0], 25.0)
         on_horizontal = np.isclose(v[:, 1], 75.0)

@@ -59,7 +59,7 @@ class TestRandomDeployment:
 
     def test_impossible_separation_raises(self, rng):
         with pytest.raises(RuntimeError, match="could not place"):
-            random_deployment(100, 10.0, rng, min_separation=10.0, max_tries=200)
+            random_deployment(100, 10.0, rng, min_separation=10.0)
 
     def test_rejects_negative_separation(self, rng):
         with pytest.raises(ValueError):
@@ -102,10 +102,6 @@ class TestCrossDeployment:
 
     def test_arm_nodes_scaling(self):
         assert cross_deployment(40.0, arm_nodes=3).shape == (13, 2)
-
-    def test_spacing_too_large_raises(self):
-        with pytest.raises(ValueError, match="spills"):
-            cross_deployment(40.0, arm_nodes=2, spacing=30.0)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):

@@ -231,7 +231,7 @@ def test_masked_pair_count_matches_vector_nans():
     silent = np.array([False, False, True, True, False, False])
     rss[:, silent] = np.nan
     i_idx, j_idx = enumerate_pairs(6)
-    vec = sampling_vector(rss, (i_idx, j_idx))
+    vec = sampling_vector(rss)
     # pairs with both endpoints silent are starred (NaN) per Eq. 6
     expected = int(np.sum(silent[i_idx] & silent[j_idx]))
     assert int(np.isnan(vec).sum()) == expected

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 from repro.core.vectors import (
     extended_sampling_vector,
     sampling_vector,
+    sampling_vectors,
 )
 from repro.oracle import oracle_sampling_vector
 
@@ -121,7 +122,7 @@ def test_pair_index_permutation_invariance(rss, perm_seed):
     n = rss.shape[1]
     i_idx, j_idx = enumerate_pairs(n)
     perm = np.random.default_rng(perm_seed).permutation(len(i_idx))
-    direct = sampling_vector(rss, (i_idx[perm], j_idx[perm]))
+    direct = sampling_vectors(rss[None], (i_idx[perm], j_idx[perm]))[0]
     permuted = sampling_vector(rss)[perm]
     assert np.array_equal(direct, permuted, equal_nan=True)
     direct_ext = extended_sampling_vector(rss, (i_idx[perm], j_idx[perm]))

@@ -92,8 +92,8 @@ class TestRssChannel:
     def test_observe_static_times(self, four_nodes):
         ch = make_channel(four_nodes)
         rng = np.random.default_rng(0)
-        batch = ch.observe_static(np.array([10.0, 10.0]), 4, rng, t0=2.0, dt=0.1)
-        assert np.allclose(batch.times, [2.0, 2.1, 2.2, 2.3])
+        batch = ch.observe_static(np.array([10.0, 10.0]), 4, rng)
+        assert np.allclose(batch.times, [0.0, 0.1, 0.2, 0.3])
 
     def test_observe_static_rejects_bad_k(self, four_nodes):
         ch = make_channel(four_nodes)

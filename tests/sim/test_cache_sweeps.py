@@ -68,17 +68,24 @@ class TestCacheEquivalence:
     def test_disk_cache_dir_identical_and_populated(self, tmp_path):
         plain = _run(n_workers=1)
         store = tmp_path / "facemaps"
-        cached = _run(n_workers=1, cache_dir=store)
+        configure_face_map_cache(disk_dir=store)  # empty in-memory tier
+        cached = _run(n_workers=1)
         _assert_records_equal(plain, cached)
         assert list(store.glob("facemap-*.npz"))  # workers shared a store
         # a second run over a warm store still agrees exactly
-        rerun = _run(n_workers=1, cache_dir=store)
+        configure_face_map_cache(disk_dir=store)
+        rerun = _run(n_workers=1)
         _assert_records_equal(plain, rerun)
 
-    def test_pool_workers_with_disk_cache_match_inline(self, tmp_path):
+    def test_pool_workers_with_disk_cache_match_inline(self, tmp_path, monkeypatch):
         inline = _run(n_workers=1)
-        pooled = _run(n_workers=2, cache_dir=tmp_path / "store")
+        store = tmp_path / "store"
+        # the environment reaches spawned workers, the configured cache forked ones
+        monkeypatch.setenv("REPRO_FACE_CACHE_DIR", str(store))
+        configure_face_map_cache(disk_dir=store)
+        pooled = _run(n_workers=2)
         _assert_records_equal(inline, pooled)
+        assert list(store.glob("facemap-*.npz"))
 
     def test_scenario_estimates_identical_cache_on_off(self, monkeypatch):
         from repro.network.faults import IndependentDropout

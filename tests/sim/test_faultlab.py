@@ -185,7 +185,6 @@ class TestEnvironmentHygiene:
                 n_reps=1,
                 n_workers=1,
                 out_dir=tmp_path / "obs",
-                cache_dir=tmp_path / "cache",
             )
         assert os.environ.get("REPRO_OBS") == "0"
         assert "REPRO_FACE_CACHE_DIR" not in os.environ
@@ -202,7 +201,6 @@ class TestEnvironmentHygiene:
             n_reps=1,
             n_workers=1,
             out_dir=tmp_path / "obs",
-            cache_dir=tmp_path / "cache",
         )
         assert os.environ.get("REPRO_FACE_CACHE_DIR") == "/tmp/sentinel-before"
         assert "REPRO_OBS" not in os.environ

@@ -21,14 +21,15 @@ class TestModelSampler:
             sampler.true_signature(p), fm.signatures[fm.face_of_point(p)].astype(float)
         )
 
-    @pytest.mark.parametrize("method", ["sample_group_vector", "sample_oneshot_vector"])
-    def test_a_trace_samples_like_one_position_at_a_time(self, sampler, method):
+    @pytest.mark.parametrize("k", [5, 1])
+    def test_a_trace_samples_like_one_position_at_a_time(self, four_nodes, k):
         # run_model_tracking samples a whole trace in one call: same
         # signatures and the same draws, in order, as per-round calls
+        sampler = ModelSampler(four_nodes, c=1.5, k=k)
         positions = np.random.default_rng(2).uniform(0, 100, (30, 2))
-        batch = getattr(sampler, method)(positions, np.random.default_rng(9))
+        batch = sampler.sample_group_vector(positions, np.random.default_rng(9))
         rng = np.random.default_rng(9)
-        one_by_one = np.stack([getattr(sampler, method)(p, rng) for p in positions])
+        one_by_one = np.stack([sampler.sample_group_vector(p, rng) for p in positions])
         assert batch.shape == (30, 6)
         assert np.array_equal(batch, one_by_one)
         assert np.array_equal(sampler.true_signature(positions)[4], sampler.true_signature(positions[4]))
@@ -52,11 +53,14 @@ class TestModelSampler:
         captured = (draws[:, unc] == 0).mean()
         assert captured == pytest.approx(1 - sampler.miss_prob, abs=0.02)
 
-    def test_oneshot_uncertain_is_fair_coin(self, sampler, rng):
+    def test_oneshot_uncertain_is_fair_coin(self, four_nodes, rng):
+        # a one-sample group never captures a flip: every uncertain pair
+        # reads as a fair coin, like a one-shot detection sequence
+        oneshot = ModelSampler(four_nodes, c=1.5, k=1)
         p = np.array([50.0, 50.0])
-        sig = sampler.true_signature(p)
+        sig = oneshot.true_signature(p)
         unc = sig == 0
-        draws = np.stack([sampler.sample_oneshot_vector(p, rng) for _ in range(4000)])
+        draws = np.stack([oneshot.sample_group_vector(p, rng) for _ in range(4000)])
         vals = draws[:, unc]
         assert set(np.unique(vals)).issubset({-1.0, 1.0})
         assert vals.mean() == pytest.approx(0.0, abs=0.06)
@@ -82,28 +86,17 @@ class TestRunModelTracking:
         """The core FTTT claim in its purest form: grouping sampling
         (which captures flips) beats one-shot sequences."""
         fm = build_face_map(four_nodes, small_grid, 1.5)
-        sampler = ModelSampler(four_nodes, c=1.5, k=5)
         times = np.arange(40) * 0.5
         rng_pos = np.random.default_rng(0)
         positions = rng_pos.uniform(20, 80, (40, 2))
-        group = run_model_tracking(fm, sampler, positions, times, 1, observation="group")
-        oneshot = run_model_tracking(fm, sampler, positions, times, 1, observation="oneshot")
+        group, oneshot = (
+            run_model_tracking(fm, ModelSampler(four_nodes, c=1.5, k=k), positions, times, 1)
+            for k in (5, 1)
+        )
         assert group.mean_error < oneshot.mean_error
-
-    def test_heuristic_matcher_option(self, four_nodes, small_grid, rng):
-        fm = build_face_map(four_nodes, small_grid, 1.5)
-        sampler = ModelSampler(four_nodes, c=1.5, k=5)
-        times = np.arange(5) * 0.5
-        positions = np.tile(np.array([40.0, 40.0]), (5, 1))
-        res = run_model_tracking(fm, sampler, positions, times, rng, matcher="heuristic")
-        assert len(res) == 5
 
     def test_validation(self, four_nodes, small_grid, rng):
         fm = build_face_map(four_nodes, small_grid, 1.5)
         sampler = ModelSampler(four_nodes, c=1.5, k=5)
-        with pytest.raises(ValueError, match="observation"):
-            run_model_tracking(fm, sampler, np.zeros((2, 2)), np.zeros(2), rng, observation="x")
-        with pytest.raises(ValueError, match="matcher"):
-            run_model_tracking(fm, sampler, np.zeros((2, 2)), np.zeros(2), rng, matcher="x")
         with pytest.raises(ValueError, match="equal length"):
             run_model_tracking(fm, sampler, np.zeros((2, 2)), np.zeros(3), rng)

@@ -22,10 +22,10 @@ class TestEveryPreset:
     def test_builds_and_tracks(self, name):
         scenario = make_preset(name, seed=1)
         assert scenario.n_sensors >= 2
-        from repro.sim.runner import run_tracking
+        from repro.sim.runner import generate_batches
 
         tracker = scenario.make_tracker("fttt")
-        res = run_tracking(scenario, tracker, 2, n_rounds=3)
+        res = tracker.track(generate_batches(scenario, 2, n_rounds=3))
         assert len(res) == 3
         assert np.all(np.isfinite(res.positions))
 

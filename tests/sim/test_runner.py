@@ -61,15 +61,14 @@ class TestGenerateBatches:
 class TestRunTracking:
     def test_returns_result(self, scenario):
         tracker = scenario.make_tracker("fttt")
-        res = run_tracking(scenario, tracker, 1, n_rounds=5)
-        assert len(res) == 5
+        res = run_tracking(scenario, tracker, 1)
+        assert len(res) == scenario.config.n_localizations
         assert np.isfinite(res.mean_error)
 
-    def test_supplied_batches_bypass_generation(self, scenario):
-        batches = generate_batches(scenario, 1, n_rounds=3)
-        tracker = scenario.make_tracker("fttt")
-        res = run_tracking(scenario, tracker, batches=batches)
-        assert len(res) == 3
+    def test_tracks_the_generated_batches(self, scenario):
+        res = run_tracking(scenario, scenario.make_tracker("fttt"), 1)
+        ref = scenario.make_tracker("fttt").track(generate_batches(scenario, 1))
+        assert np.array_equal(res.positions, ref.positions)
 
 
 class TestRunAllTrackers:

@@ -71,6 +71,34 @@ def test_reps_below_one_is_a_usage_error(command, reps, capsys):
     assert "argument --reps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "dense-grid", "--trackers", "fttt,bogus"),
+        ("stats", "dense-grid", "--trackers", "fttt,bogus"),
+        ("faultlab", "--trackers", "fttt,bogus"),
+        ("run", "dense-grid", "--rounds", "0"),
+        ("stats", "dense-grid", "--rounds", "0"),
+        ("stats", "dense-grid", "--dropout", "1.5"),
+        ("stats", "dense-grid", "--dropout", "-0.1"),
+        ("sampling-times", "--sensors", "1"),
+        ("sampling-times", "--confidence", "1.5"),
+        ("sampling-times", "--confidence", "1"),
+        ("faultlab", "--workers", "0"),
+        ("fuzz", "--workers", "0"),
+        ("fuzz", "--scenarios", "0"),
+    ],
+    ids=lambda a: "_".join(a),
+)
+def test_bad_input_is_a_usage_error(argv, capsys):
+    """Checked at parse time: exit 2 with the offending option named,
+    before any world is built or any worker started."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}" in capsys.readouterr().err
+
+
 class TestListAndInfo:
     def test_list(self, capsys):
         assert main(["list"]) == 0

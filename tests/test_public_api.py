@@ -5,6 +5,7 @@ import importlib
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -95,6 +96,12 @@ _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _DEFS = (*_FUNCS, ast.ClassDef)
 
 
+def _is_exempt(module, leaf):
+    return leaf in _EXEMPT_NAMES or any(
+        module == m or module.startswith(m + ".") for m in _EXEMPT_MODULES
+    )
+
+
 def _python_files(top):
     for dirpath, dirnames, filenames in os.walk(top):
         dirnames[:] = [d for d in dirnames if not d.startswith(".")]
@@ -147,16 +154,211 @@ def test_every_public_name_has_a_caller():
                             (module, f"{n.name}.{m.name}") for m in n.body if isinstance(m, _FUNCS)
                         ]
 
-    def exempt(module, name):
-        return name in _EXEMPT_NAMES or any(
-            module == m or module.startswith(m + ".") for m in _EXEMPT_MODULES
-        )
-
     def orphan(module, name):
         leaf = name.rsplit(".", 1)[-1]
-        return not leaf.startswith("_") and leaf not in used and not exempt(module, leaf)
+        return not leaf.startswith("_") and leaf not in used and not _is_exempt(module, leaf)
 
     orphans = sorted(f"{module}.{name}" for module, name in defined if orphan(module, name))
     assert not orphans, "public names with no caller outside tests/:\n  " + "\n  ".join(orphans)
     stale = sorted(name for name in _EXEMPT_NAMES if name in used)
     assert not stale, f"exempt names that now have a caller; drop their exemption: {stale}"
+
+
+# -- every option has a caller ---------------------------------------------
+
+# options that only a test sets, each with the test that needs the second
+# value and why no input reaches its case
+_EXEMPT_OPTIONS: dict[str, str] = {}
+
+
+def _options(fn, bound):
+    """``(positional, named, defaulted, kwargs)`` of a ``def``: the
+    positional parameter names (the bound ``self``/``cls`` dropped), every
+    named parameter, the names that have a default, and whether it takes
+    ``**kwargs``."""
+    a = fn.args
+    positional = [p.arg for p in (*a.posonlyargs, *a.args)]
+    defaulted = positional[len(positional) - len(a.defaults) :] if a.defaults else []
+    defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    named = set(positional) | {p.arg for p in a.kwonlyargs}
+    return positional[1:] if bound else positional, named, defaulted, a.kwarg is not None
+
+
+def _decorators(fn):
+    return {d.id if isinstance(d, ast.Name) else getattr(d, "attr", "") for d in fn.decorator_list}
+
+
+def _option_defs(tree, module):
+    """``(qualname, leaf, options)`` for every public top-level function,
+    public method and ``__init__`` of a public class in *tree*; *leaf* is
+    the name a call uses (the class name for ``__init__``)."""
+    for n in tree.body:
+        if isinstance(n, _FUNCS) and not n.name.startswith("_"):
+            if not _is_exempt(module, n.name):
+                yield f"{module}.{n.name}", n.name, _options(n, bound=False)
+        if not isinstance(n, ast.ClassDef) or n.name.startswith("_"):
+            continue
+        for m in n.body:
+            if not isinstance(m, _FUNCS) or "property" in _decorators(m):
+                continue
+            leaf = n.name if m.name == "__init__" else m.name
+            if leaf.startswith("_") or _is_exempt(module, leaf):
+                continue
+            bound = "staticmethod" not in _decorators(m)
+            yield f"{module}.{n.name}.{m.name}", leaf, _options(m, bound)
+
+
+def _leaf(func):
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _partial_target(call):
+    """The function a ``functools.partial(f, ...)`` call binds, else None."""
+    if _leaf(call.func) == "partial" and call.args:
+        return _leaf(call.args[0])
+    return None
+
+
+def _option_calls(tree):
+    """``{leaf: [(n_positional, keywords, splat)]}`` for every call in
+    *tree*.  ``splat`` marks a call that passes ``*args`` or ``**mapping``
+    (it may set anything); a ``partial(f, ...)`` counts as a call of ``f``;
+    ``cls(...)`` in a classmethod and ``super().__init__(...)`` count as
+    calls of the class and of its bases."""
+    calls = {}
+
+    def visit(node, cls_name, bases, in_classmethod):
+        if isinstance(node, ast.ClassDef):
+            cls_name, bases = node.name, [_leaf(b) for b in node.bases]
+        elif isinstance(node, _FUNCS):
+            in_classmethod = "classmethod" in _decorators(node)
+        elif isinstance(node, ast.Call):
+            args, leaves = node.args, [_leaf(node.func)]
+            target = _partial_target(node)
+            if target is not None:
+                args, leaves = node.args[1:], [target]
+            elif leaves == ["cls"] and in_classmethod:
+                leaves = [cls_name]
+            elif (
+                leaves == ["__init__"]
+                and isinstance(node.func.value, ast.Call)
+                and _leaf(node.func.value.func) == "super"
+            ):
+                leaves = bases
+            splat = any(isinstance(a, ast.Starred) for a in args) or any(
+                k.arg is None for k in node.keywords
+            )
+            entry = (len(args), {k.arg for k in node.keywords if k.arg}, splat)
+            for leaf in leaves:
+                if leaf:
+                    calls.setdefault(leaf, []).append(entry)
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls_name, bases, in_classmethod)
+
+    visit(tree, None, [], False)
+    return calls
+
+
+def _unset_options(defs, calls):
+    """The defaulted parameters and ``**kwargs`` of *defs* that no call in
+    *calls* sets, as ``qualname(param=)`` / ``qualname(**param)``."""
+    unset = []
+    for qualname, leaf, (positional, named, defaulted, kwargs) in defs:
+        sites = calls.get(leaf, [])
+        for p in defaulted:
+            pos = positional.index(p) if p in positional else None
+            if not any(
+                splat or p in kws or (pos is not None and n_pos > pos)
+                for n_pos, kws, splat in sites
+            ):
+                unset.append(f"{qualname}({p}=)")
+        if kwargs and not any(splat or kws - named for _, kws, splat in sites):
+            unset.append(f"{qualname}(**kwargs)")
+    return unset
+
+
+def test_every_option_has_a_caller():
+    """A defaulted parameter or ``**kwargs`` of a public function, method or
+    constructor of ``src/repro`` that no caller outside ``tests/`` sets has
+    one value in use: fold it into the body as a constant.  A call sets a
+    parameter when it passes it by keyword, fills its position, or binds it
+    with ``functools.partial``; a call through ``*args``/``**mapping`` may
+    set anything."""
+    src = os.path.join(_ROOT, "src")
+    defs, calls = [], {}
+    for top in _CALLER_DIRS:
+        for path in _python_files(os.path.join(_ROOT, top)):
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=path)
+            for leaf, sites in _option_calls(tree).items():
+                calls.setdefault(leaf, []).extend(sites)
+            if top == "src":
+                module = os.path.relpath(path, src)[: -len(".py")].replace(os.sep, ".")
+                defs += _option_defs(tree, module.removesuffix(".__init__"))
+    unset = _unset_options(defs, calls)
+    missing = sorted(u for u in unset if u not in _EXEMPT_OPTIONS)
+    assert not missing, "options no caller outside tests/ sets:\n  " + "\n  ".join(missing)
+    stale = sorted(u for u in _EXEMPT_OPTIONS if u not in unset)
+    assert not stale, f"exempt options that now have a caller; drop their exemption: {stale}"
+
+
+_SYNTHETIC_DEFS = """
+def make_scenario(config, *, deployment="random", c_mode="calibrated", seed=None):
+    pass
+
+def run(points, n_reps=3, chunk=None, **extra):
+    pass
+
+def emit(name, **fields):
+    pass
+
+class Sweep:
+    def __init__(self, points, *, share=False, workers=1):
+        pass
+
+    def go(self, fast=False, **kw):
+        pass
+
+    @staticmethod
+    def plan(points, depth=2):
+        pass
+"""
+
+_SYNTHETIC_CALLS = """
+from functools import partial
+
+make_scenario(cfg, deployment="grid")
+make = partial(make_scenario, c_mode="paper")
+run(points, 5)
+run(points, **options)
+emit("x", value=1)
+sweep = Sweep(points, share=True)
+sweep.go(True)
+Sweep.plan(points, 3)
+"""
+
+
+def _synthetic_unset():
+    defs = list(_option_defs(ast.parse(textwrap.dedent(_SYNTHETIC_DEFS)), "synthetic"))
+    return _unset_options(defs, _option_calls(ast.parse(textwrap.dedent(_SYNTHETIC_CALLS))))
+
+
+def test_option_collector_on_a_synthetic_module():
+    """Keyword, positional and ``partial`` calls set what they pass; a
+    ``**mapping`` sets everything; ``**kwargs`` needs an unnamed keyword."""
+    assert sorted(_synthetic_unset()) == [
+        "synthetic.Sweep.__init__(workers=)",
+        "synthetic.Sweep.go(**kwargs)",
+        "synthetic.make_scenario(seed=)",
+    ]
+
+
+def test_option_collector_without_partial_flags_c_mode(monkeypatch):
+    """The mutant that ignores ``functools.partial`` wrongly reports the
+    option that ``sim.ablations`` sets only through a partial."""
+    monkeypatch.setattr(sys.modules[__name__], "_partial_target", lambda call: None)
+    assert "synthetic.make_scenario(c_mode=)" in _synthetic_unset()

@@ -8,7 +8,7 @@ from repro.testbed.outdoor import build_outdoor_system
 
 @pytest.fixture(scope="module")
 def system():
-    return build_outdoor_system(field_size=40.0, seed=0, noise_sigma_db=3.0)
+    return build_outdoor_system(field_size=40.0, seed=0)
 
 
 class TestBuild:
@@ -46,17 +46,18 @@ class TestSampling:
 
 class TestRun:
     def test_basic_tracking_reasonable(self, system):
-        res = system.run(mode="basic", rng=3, n_rounds=20)
-        assert len(res) == 20
+        res = system.run(mode="basic", rng=3)
+        # one round per grouping period over the whole trace
+        assert len(res) == int(system.path.duration_s / (system.k / system.sampling_rate_hz))
         # playground is 40 m; tracking should stay well under half the field
         assert res.mean_error < 15.0
 
     def test_extended_tracking_runs(self, system):
-        res = system.run(mode="extended", rng=3, n_rounds=20)
-        assert len(res) == 20
+        res = system.run(mode="extended", rng=3)
+        assert len(res) > 1
         assert np.isfinite(res.mean_error)
 
     def test_reproducible(self, system):
-        a = system.run(mode="basic", rng=7, n_rounds=5)
-        b = system.run(mode="basic", rng=7, n_rounds=5)
+        a = system.run(mode="basic", rng=7)
+        b = system.run(mode="basic", rng=7)
         assert np.allclose(a.positions, b.positions)
