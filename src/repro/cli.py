@@ -228,19 +228,14 @@ def cmd_density(args: argparse.Namespace) -> int:
 
 
 def cmd_faultlab(args: argparse.Namespace) -> int:
-    from repro.faultlab.campaign import FAULT_FAMILIES, campaign_config, run_campaign
+    from repro.faultlab.campaign import campaign_config, run_campaign
 
-    families = [f.strip() for f in args.families.split(",") if f.strip()]
-    for f in families:
-        if f not in FAULT_FAMILIES:
-            print(f"unknown fault family {f!r}; choose from {sorted(FAULT_FAMILIES)}")
-            return 2
-    intensities = [float(v) for v in args.intensities.split(",") if v.strip()]
+    families = args.families
     trackers = args.trackers
     out = Path(args.out)
     result = run_campaign(
         families,
-        intensities,
+        args.intensities,
         trackers,
         config=campaign_config(quick=args.quick),
         n_reps=args.reps,
@@ -372,19 +367,39 @@ def _confidence(text: str) -> float:
     return _probability(text, open_interval=True)
 
 
+def _names(text: str, choices, what: str) -> list[str]:
+    """Comma-separated names, at least one, each one of *choices*."""
+    names = [t.strip() for t in text.split(",") if t.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError(f"need at least one {what}")
+    for name in names:
+        if name not in choices:
+            raise argparse.ArgumentTypeError(
+                f"unknown {what} {name!r}; choose from {', '.join(choices)}"
+            )
+    return names
+
+
 def _tracker_names(text: str) -> list[str]:
     """``--trackers``: comma-separated names, each one of ``TRACKER_NAMES``."""
     from repro.sim.scenario import TRACKER_NAMES
 
-    names = [t.strip() for t in text.split(",") if t.strip()]
-    if not names:
-        raise argparse.ArgumentTypeError("need at least one tracker")
-    for name in names:
-        if name not in TRACKER_NAMES:
-            raise argparse.ArgumentTypeError(
-                f"unknown tracker {name!r}; choose from {', '.join(TRACKER_NAMES)}"
-            )
-    return names
+    return _names(text, TRACKER_NAMES, "tracker")
+
+
+def _fault_families(text: str) -> list[str]:
+    """``--families``: comma-separated names, each one of ``FAULT_FAMILIES``."""
+    from repro.faultlab.campaign import FAULT_FAMILIES
+
+    return _names(text, FAULT_FAMILIES, "fault family")
+
+
+def _intensities(text: str) -> list[float]:
+    """``--intensities``: comma-separated fault intensities, each in [0, 1]."""
+    values = [_probability(v) for v in text.split(",") if v.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError("need at least one intensity")
+    return values
 
 
 # the options a figure command may take; each command registers only the ones it reads
@@ -426,13 +441,13 @@ def build_parser() -> argparse.ArgumentParser:
     pfl = sub.add_parser("faultlab", help=EXPERIMENTS["faultlab"])
     pfl.add_argument(
         "--families",
-        type=str,
+        type=_fault_families,
         default="dropout,byzantine,stuck,drift,regional",
         help="comma-separated fault families to inject",
     )
     pfl.add_argument(
         "--intensities",
-        type=str,
+        type=_intensities,
         default="0.0,0.1,0.2,0.3",
         help="comma-separated intensity grid (0 = clean anchor)",
     )

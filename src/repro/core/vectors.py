@@ -38,6 +38,10 @@ __all__ = [
 STAR = np.nan
 """The ``*`` pair value of Eq. 6 — stored as NaN, masked by Eq. 7."""
 
+#: Bound on the float64 (B, k, n, n) difference temporary one trace-axis
+#: block of the Algorithm 1 broadcast may allocate (see ``_over_pair_diffs``).
+_VECTOR_TEMP_BYTES = 16 * 1024 * 1024
+
 
 def _one_round(rss: np.ndarray) -> np.ndarray:
     """A ``(k, n)`` grouping sampling as a one-round ``(1, k, n)`` stack."""
@@ -60,8 +64,8 @@ def pair_win_counts(
     and how many instants both sensors reported.  Instants where the two
     RSS are within *comparator_eps* count toward neither side (tie).
     """
-    rss, (i_idx, j_idx) = _as_stack(_one_round(rss), pairs)
-    wins_i, wins_j, valid = _stack_win_counts(rss, i_idx, j_idx, comparator_eps)
+    rss, pairs = _as_stack(_one_round(rss), pairs, comparator_eps)
+    wins_i, wins_j, valid = _over_pair_diffs(rss, pairs, _win_counts, comparator_eps)
     return wins_i[0], wins_j[0], valid[0]
 
 
@@ -110,8 +114,10 @@ def mean_rss(rss: np.ndarray) -> np.ndarray:
 
 
 def _as_stack(
-    rss: np.ndarray, pairs: "tuple[np.ndarray, np.ndarray] | None"
+    rss: np.ndarray, pairs: "tuple[np.ndarray, np.ndarray] | None", comparator_eps: float
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    if comparator_eps < 0:
+        raise ValueError(f"comparator_eps must be non-negative, got {comparator_eps}")
     rss = np.asarray(rss, dtype=float)
     if rss.ndim == 2:
         rss = rss[None]
@@ -125,20 +131,61 @@ def _as_stack(
     return rss, pairs
 
 
-def _stack_win_counts(
-    rss: np.ndarray,
-    i_idx: np.ndarray,
-    j_idx: np.ndarray,
-    comparator_eps: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(T, P) win counts over a round stack (see :func:`pair_win_counts`)."""
-    if comparator_eps < 0:
-        raise ValueError(f"comparator_eps must be non-negative, got {comparator_eps}")
-    diff = rss[:, :, i_idx] - rss[:, :, j_idx]  # (T, k, P); NaN if either missing
-    valid = ~np.isnan(diff)
-    wins_i = np.count_nonzero(valid & (diff > comparator_eps), axis=1)
-    wins_j = np.count_nonzero(valid & (diff < -comparator_eps), axis=1)
-    return wins_i, wins_j, np.count_nonzero(valid, axis=1)
+def _over_pair_diffs(
+    rss: np.ndarray, pairs: tuple[np.ndarray, np.ndarray], kernel, comparator_eps: float
+) -> tuple:
+    """Run *kernel* over the all-pairs RSS differences of a (T, k, n) stack.
+
+    The differences are one broadcast, ``diff[t, w, i, j] = rss[t, w, i] -
+    rss[t, w, j]`` (NaN where either sensor missed instant w), so every
+    ordered pair is there without a column gather.
+    ``kernel(diff, fwd, rev, comparator_eps)`` reduces a (B, k, n, n) block
+    over the sample axis, then gathers the P pairs from the flattened
+    (n, n) result by the flat indices *fwd* of ``(i, j)`` and *rev* of
+    ``(j, i)``, returning (B, P) arrays.  The trace axis runs in blocks
+    whose difference temporary stays within ``_VECTOR_TEMP_BYTES``; every
+    value is per round, so the blocking cannot change one.
+    """
+    T, k, n = rss.shape
+    i_idx, j_idx = pairs
+    fwd = i_idx * n + j_idx
+    rev = j_idx * n + i_idx
+    step = max(1, _VECTOR_TEMP_BYTES // (8 * k * n * n))
+    blocks = [
+        kernel(rss[s : s + step, :, :, None] - rss[s : s + step, :, None, :], fwd, rev, comparator_eps)
+        for s in range(0, T, step)
+    ]
+    if len(blocks) == 1:
+        return blocks[0]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def _win_counts(diff: np.ndarray, fwd: np.ndarray, rev: np.ndarray, eps: float) -> tuple:
+    """Kernel: (B, P) instants won by i, won by j, and common to both.
+
+    A tie within *eps* counts toward neither side.  NaN differences
+    compare False, so they count as no win and are left out of the
+    valid count.
+    """
+    B = len(diff)
+    wins = np.count_nonzero(diff > eps, axis=1).reshape(B, -1)
+    valid = np.count_nonzero(~np.isnan(diff), axis=1).reshape(B, -1)
+    return np.take(wins, fwd, axis=1), np.take(wins, rev, axis=1), np.take(valid, fwd, axis=1)
+
+
+def _unanimous_wins(diff: np.ndarray, fwd: np.ndarray, rev: np.ndarray, eps: float) -> tuple:
+    """Kernel: the (B, P) Definition 4 values and the no-common-instant mask.
+
+    The NaN-ignoring minimum of ``diff[i, j]`` over the samples exceeds
+    *eps* iff i won every common instant.  Since ``b - a`` is exactly
+    ``-(a - b)``, the minimum at ``(j, i)`` exceeds *eps* iff j won every
+    one (the maximum at ``(i, j)`` is below ``-eps``).  A NaN minimum
+    means the pair shared no instant.
+    """
+    low = np.fmin.reduce(diff, axis=1).reshape(len(diff), -1)
+    beats = low > eps
+    values = np.take(beats, fwd, axis=1).astype(float) - np.take(beats, rev, axis=1)
+    return values, np.isnan(np.take(low, fwd, axis=1))
 
 
 def _eq6_fill_stack(
@@ -146,20 +193,17 @@ def _eq6_fill_stack(
     rss: np.ndarray,
     i_idx: np.ndarray,
     j_idx: np.ndarray,
-    n_valid: np.ndarray,
+    no_common: np.ndarray,
 ) -> np.ndarray:
-    """Apply the Eq. 6 fill to pairs with no common valid instants, per
-    round of a (T, k, n) stack."""
-    reported = ~np.isnan(rss).all(axis=1)  # (T, n)
-    no_common = n_valid == 0
+    """Apply the Eq. 6 fill to the (T, P) pairs *no_common* marks as
+    sharing no valid instant, per round of a (T, k, n) stack."""
     if not no_common.any():
         return values
-    ri = reported[:, i_idx]
-    rj = reported[:, j_idx]
-    values = values.copy()
-    values[no_common & ri & ~rj] = 1.0
-    values[no_common & ~ri & rj] = -1.0
-    values[no_common & ~ri & ~rj] = STAR
+    reported = ~np.isnan(rss).all(axis=1)  # (T, n)
+    ri = np.take(reported, i_idx, axis=1)
+    rj = np.take(reported, j_idx, axis=1)
+    # a reporting sensor beats a silent one (+1 / -1); two silent ones give *
+    values = np.where(no_common, np.where(ri | rj, ri.astype(float) - rj, STAR), values)
     # both reported but never simultaneously: fall back to mean comparison
     both = no_common & ri & rj
     if both.any():
@@ -182,12 +226,9 @@ def sampling_vectors(
     round, so batching cannot change a single value.  This is the
     Algorithm-1 kernel the trace-level matchers feed from.
     """
-    rss, (i_idx, j_idx) = _as_stack(rss, pairs)
-    wins_i, wins_j, n_valid = _stack_win_counts(rss, i_idx, j_idx, comparator_eps)
-    values = np.zeros(wins_i.shape, dtype=float)
-    values[(wins_i == n_valid) & (n_valid > 0)] = 1.0
-    values[(wins_j == n_valid) & (n_valid > 0)] = -1.0
-    return _eq6_fill_stack(values, rss, i_idx, j_idx, n_valid)
+    rss, pairs = _as_stack(rss, pairs, comparator_eps)
+    values, no_common = _over_pair_diffs(rss, pairs, _unanimous_wins, comparator_eps)
+    return _eq6_fill_stack(values, rss, *pairs, no_common)
 
 
 def extended_sampling_vectors(
@@ -197,8 +238,8 @@ def extended_sampling_vectors(
     comparator_eps: float = 0.0,
 ) -> np.ndarray:
     """Batched :func:`extended_sampling_vector` over a ``(T, k, n)`` stack."""
-    rss, (i_idx, j_idx) = _as_stack(rss, pairs)
-    wins_i, wins_j, n_valid = _stack_win_counts(rss, i_idx, j_idx, comparator_eps)
+    rss, pairs = _as_stack(rss, pairs, comparator_eps)
+    wins_i, wins_j, n_valid = _over_pair_diffs(rss, pairs, _win_counts, comparator_eps)
     denom = np.where(n_valid > 0, n_valid, 1)
     values = (wins_i - wins_j) / denom
-    return _eq6_fill_stack(values, rss, i_idx, j_idx, n_valid)
+    return _eq6_fill_stack(values, rss, *pairs, n_valid == 0)

@@ -203,13 +203,16 @@ class FaceMap:
                     diff[:, q.mask[b]] = 0.0
                 out[b] = np.einsum("fp,fp->f", diff, diff)
             return out
+        d2 = q.v_sq - np.float32(2.0) * (q.v0 @ sigs.T)
+        if face_ids is not None and q.mask is not None:
+            # masked columns must contribute zero, not s^2: add only the
+            # unmasked energy, from the rows already gathered
+            d2 += (~q.mask).astype(np.float32) @ np.square(sigs).T
+            return d2
         sq_rows, sq_t = self._qual_sq()
-        if face_ids is not None:
-            sq_rows = sq_rows[face_ids]
-        d2 = q.v_sq - np.float32(2.0) * (q.v0 @ sigs.T) + sq_rows
+        d2 += sq_rows if face_ids is None else sq_rows[face_ids]
         if q.mask is not None:
             # masked columns must contribute zero, not s^2: subtract their energy
-            sq_t = sq_t if face_ids is None else sq_t[:, face_ids]
             d2 -= q.mask.astype(np.float32) @ sq_t
         return d2
 

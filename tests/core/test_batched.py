@@ -97,6 +97,22 @@ class TestBatchedDistances:
         assert batched.dtype == loop.dtype
         assert np.array_equal(loop, batched)
 
+    @pytest.mark.parametrize("silent", [0, 3])
+    def test_face_subset_equals_full_row(self, world, silent):
+        """Scoring only some faces (an Algorithm 2 ring) gives the full
+        scan's values at those faces, with and without ``*`` components."""
+        scenario, _, stack = world
+        fm = scenario.face_map
+        rss = np.where(np.isnan(stack), -90.0, stack)  # every sensor reports
+        rss[:, :, :silent] = np.nan
+        face_ids = np.random.default_rng(4).permutation(fm.n_faces)[: fm.n_faces // 3]
+        for v in sampling_vectors(rss, comparator_eps=1.0):
+            q = fm._query(v.astype(np.float32)[None], False)
+            assert q.v_sq is not None  # the exact GEMM path
+            assert (q.mask is not None) == (silent > 1)
+            full = fm._sq_distances(q)[0]
+            assert np.array_equal(fm._sq_distances(q, face_ids)[0], full[face_ids])
+
     def test_identical_on_sensing_range_gated_map(self, four_nodes, small_grid):
         fm = build_face_map(four_nodes, small_grid, 1.5, sensing_range=45.0)
         rng = np.random.default_rng(3)

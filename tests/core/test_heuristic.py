@@ -166,3 +166,53 @@ class TestFallbackGate:
         assert soft.soft
         assert soft.fallback_sq_distance == pytest.approx(2.0 * hard.fallback_sq_distance)
         assert HeuristicMatcher(fm, soft=True).fallback_sq_distance == soft.fallback_sq_distance
+
+
+class TestRingCache:
+    """The climb memoizes each face's ring; a warm cache changes no result."""
+
+    @pytest.mark.parametrize("hops", [1, 2])
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_cache_filled_by_another_trace(self, face_map, hops, fallback):
+        """A matcher whose rings were filled by one trace climbs a second
+        trace exactly as a fresh matcher does, and as ``oracle_climb``
+        (whose ring order decides ties on this small map; without the
+        fallback every result is the climb's own)."""
+        from repro.oracle import oracle_climb, oracle_face_adjacency, oracle_sampling_vector
+
+        rng = np.random.default_rng(8)
+
+        def trace(n_rounds: int) -> list:
+            rss = rng.uniform(-80.0, -40.0, (n_rounds, 3, face_map.n_nodes))
+            rss[rng.random(rss.shape) < 0.2] = np.nan
+            return [oracle_sampling_vector(r) for r in rss]
+
+        warm = HeuristicMatcher(face_map, hops=hops, fallback=fallback)
+        for v in trace(40):
+            warm.match(v, start_face=int(rng.integers(face_map.n_faces)))
+        filled = set(warm._rings)
+        fresh = HeuristicMatcher(face_map, hops=hops, fallback=fallback)
+        signatures = face_map.signatures.astype(float)
+        neighbors = oracle_face_adjacency(face_map)
+        reused = 0
+        for v in trace(40):
+            start = int(rng.integers(face_map.n_faces))
+            reused += start in filled
+            got = warm.match(v, start_face=start)
+            want = fresh.match(v, start_face=start)
+            assert got.face_ids.tolist() == want.face_ids.tolist()
+            assert got.sq_distance == want.sq_distance
+            assert np.array_equal(got.position, want.position)
+            assert got.visited == want.visited
+            ids, d2 = oracle_climb(
+                signatures,
+                neighbors,
+                v,
+                start,
+                hops=hops,
+                fallback=fallback,
+                gate=warm.fallback_sq_distance,
+            )
+            assert got.face_ids.tolist() == ids
+            assert float(got.sq_distance) == d2
+        assert reused > 0  # the second trace did climb through cached rings
