@@ -394,6 +394,29 @@ def _fault_families(text: str) -> list[str]:
     return _names(text, FAULT_FAMILIES, "fault family")
 
 
+def _preset(text: str) -> str:
+    """A preset name (``run``, ``stats``), one of ``PRESETS``."""
+    from repro.sim.presets import PRESETS
+
+    if text not in PRESETS:
+        raise argparse.ArgumentTypeError(
+            f"unknown preset {text!r}; choose from {', '.join(PRESETS)}"
+        )
+    return text
+
+
+def _preset_or_list(text: str) -> str:
+    """``run``'s positional: a preset name, or ``list``."""
+    return text if text == "list" else _preset(text)
+
+
+def _existing_file(text: str) -> str:
+    """``replay-divergence``'s artifact: a path to an existing file."""
+    if not Path(text).is_file():
+        raise argparse.ArgumentTypeError(f"no such file: {text!r}")
+    return text
+
+
 def _intensities(text: str) -> list[float]:
     """``--intensities``: comma-separated fault intensities, each in [0, 1]."""
     values = [_probability(v) for v in text.split(",") if v.strip()]
@@ -468,10 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pfz = sub.add_parser("fuzz", help=EXPERIMENTS["fuzz"])
     pfz.add_argument(
-        "--scenarios",
-        type=_int_at_least(1),
-        default=None,
-        help="scenario budget (default: REPRO_FUZZ_BUDGET env, else 200)",
+        "--scenarios", type=_int_at_least(1), default=200, help="scenario budget"
     )
     pfz.add_argument("--seed", type=int, default=0, help="campaign master seed")
     pfz.add_argument(
@@ -481,10 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="pool size (default: REPRO_WORKERS env, else 1); results are identical either way",
     )
     pfz.add_argument(
-        "--out",
-        type=str,
-        default=None,
-        help="directory for divergence artifacts (default: results/fuzz)",
+        "--out", type=str, default="results/fuzz", help="directory for divergence artifacts"
     )
     pfz.add_argument(
         "--no-shrink", action="store_true", help="report the raw spec without minimizing it"
@@ -494,7 +511,9 @@ def build_parser() -> argparse.ArgumentParser:
     prd = sub.add_parser(
         "replay-divergence", help="re-run a recorded fuzz divergence artifact"
     )
-    prd.add_argument("artifact", help="path to a divergence_*.json written by fttt fuzz")
+    prd.add_argument(
+        "artifact", type=_existing_file, help="path to a divergence_*.json written by fttt fuzz"
+    )
     prd.set_defaults(func=cmd_replay_divergence)
 
     pst = sub.add_parser("sampling-times", help=EXPERIMENTS["sampling-times"])
@@ -508,7 +527,9 @@ def build_parser() -> argparse.ArgumentParser:
     prep.set_defaults(func=cmd_report)
 
     prun = sub.add_parser("run", help="run a preset scenario through a set of trackers")
-    prun.add_argument("preset", help="preset name, or 'list' to enumerate presets")
+    prun.add_argument(
+        "preset", type=_preset_or_list, help="preset name, or 'list' to enumerate presets"
+    )
     prun.add_argument("--trackers", type=_tracker_names, default="fttt,fttt-extended,pm,direct-mle")
     prun.add_argument("--seed", type=int, default=0)
     prun.add_argument("--rounds", type=_int_at_least(1), default=None)
@@ -519,7 +540,11 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", help="run a preset under repro.obs and print the metrics table"
     )
     pstat.add_argument(
-        "preset", nargs="?", default="paper-baseline", help="preset name (see 'run list')"
+        "preset",
+        nargs="?",
+        type=_preset,
+        default="paper-baseline",
+        help="preset name (see 'run list')",
     )
     pstat.add_argument("--trackers", type=_tracker_names, default="fttt,fttt-exhaustive")
     pstat.add_argument("--seed", type=int, default=0)

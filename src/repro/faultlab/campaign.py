@@ -2,7 +2,7 @@
 
 A campaign sweeps fault type × intensity over a fixed set of trackers,
 fanning the points out through :func:`repro.sim.parallel.parallel_sweep`
-(so campaigns inherit its scoped environment handling and its serial /
+(so campaigns inherit its scoped observability state and its serial /
 parallel bit-identity), and emits robustness curves — mean error, p95
 error, and lost-track rate vs fault intensity — as ``robustness.csv``
 plus the sweep's merged ``metrics.json``.

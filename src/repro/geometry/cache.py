@@ -29,7 +29,8 @@ Three tiers, looked up in this order:
 Every lookup returns a fresh :class:`~repro.geometry.faces.FaceMap`
 wrapper sharing the (never-mutated) geometry arrays but with its own
 ``soft_signatures`` slot, so per-scenario soft attachments cannot leak
-between cache users.  Disable entirely with ``REPRO_FACE_CACHE=0``.
+between cache users.  Disable entirely with
+``configure_face_map_cache(enabled=False)``.
 """
 
 from __future__ import annotations
@@ -272,18 +273,16 @@ class FaceMapCache:
 
 
 _default_cache: "FaceMapCache | None" = None
-_enabled_override: "bool | None" = None
+_enabled = True
 
 
 def face_map_cache_enabled() -> bool:
-    """Caching is on unless ``REPRO_FACE_CACHE=0`` or configured off."""
-    if _enabled_override is not None:
-        return _enabled_override
-    return os.environ.get("REPRO_FACE_CACHE", "1") != "0"
+    """Caching is on unless :func:`configure_face_map_cache` turned it off."""
+    return _enabled
 
 
 def default_face_map_cache() -> FaceMapCache:
-    """The process-global cache (created lazily from the environment)."""
+    """The process-global cache (its disk tier from ``REPRO_FACE_CACHE_DIR``)."""
     global _default_cache
     if _default_cache is None:
         _default_cache = FaceMapCache(disk_dir=os.environ.get("REPRO_FACE_CACHE_DIR") or None)
@@ -303,11 +302,11 @@ def configure_face_map_cache(
 
     ``enabled=False`` makes :func:`get_face_map` bypass the cache (builds
     are then exactly the uncached code path); ``enabled=None`` restores
-    environment-variable control.  ``disk_dir=None`` removes the disk
-    tier; omitting it keeps the current directory.
+    the default (on).  ``disk_dir=None`` removes the disk tier; omitting
+    it keeps the current directory.
     """
-    global _default_cache, _enabled_override
-    _enabled_override = enabled
+    global _default_cache, _enabled
+    _enabled = enabled is None or bool(enabled)
     current = default_face_map_cache()
     _default_cache = FaceMapCache(
         maxsize=current.maxsize if maxsize is None else maxsize,

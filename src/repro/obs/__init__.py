@@ -11,17 +11,17 @@ Two cooperating pieces:
   spans, emitting one event per localization round (matched face,
   masked-pair count, matcher work) plus sweep-level spans.
 
-Enable with ``REPRO_OBS=1`` (and ``REPRO_OBS_TRACE=/path/trace.jsonl``
-for events), process-wide with :func:`set_enabled` and :func:`set_tracer`,
-or for one block of work::
+Observability is off by default.  Turn it on process-wide with
+:func:`set_enabled` (and :func:`set_tracer` for events), or for one block
+of work::
 
     with repro.obs.observe(trace_path="out/trace.jsonl") as reg:
         run_tracking(...)
     print(repro.obs.format_metrics(reg.snapshot()))
 
 Sweeps take the higher-level route: ``parallel_sweep(..., obs_dir=d)``
-enables the layer for the duration — including inside pool workers,
-whose registries are merged back — and writes ``metrics.json`` +
+runs under :func:`observe` — pool workers record metrics too, and their
+registries are merged back — and writes ``metrics.json`` +
 ``trace.jsonl`` into ``d``.
 """
 
@@ -75,26 +75,23 @@ def observe(*, trace_path: "str | None" = None):
     """Temporarily enable observability; yields the metrics registry.
 
     The registry is reset on entry so the yielded metrics describe exactly
-    the enclosed work.  Prior enabled/tracer state is restored on exit.
+    the enclosed work.  The prior enabled flag and tracer are restored on
+    exit; with *trace_path*, events of the block go to that file and the
+    prior tracer stays open meanwhile.
     """
-    from repro.obs import metrics as _metrics
     from repro.obs import tracing as _tracing
 
-    prev_override = _metrics._enabled_override
+    prev_enabled = enabled()
     prev_tracer = _tracing._tracer
-    prev_checked = _tracing._env_tracer_checked
     reset()
     set_enabled(True)
     if trace_path:
-        # do not close the previous tracer: it is restored on exit
         _tracing._tracer = Tracer(trace_path)
-        _tracing._env_tracer_checked = True
     try:
         yield registry()
     finally:
-        set_enabled(prev_override)
+        set_enabled(prev_enabled)
         if trace_path:
             if _tracing._tracer is not None:
                 _tracing._tracer.close()
             _tracing._tracer = prev_tracer
-            _tracing._env_tracer_checked = prev_checked

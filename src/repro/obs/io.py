@@ -42,7 +42,7 @@ def format_metrics(snap: "dict[str, dict] | None" = None) -> str:
     if snap is None:
         snap = registry().snapshot()
     if not snap:
-        return f"{title}: (no metrics recorded — is REPRO_OBS enabled?)"
+        return f"{title}: (no metrics recorded — is repro.obs enabled?)"
     width = max(len(name) for name in snap)
     lines = [title, "-" * len(title)]
     for name, data in snap.items():

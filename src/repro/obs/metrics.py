@@ -5,9 +5,9 @@ for the paper's own evaluation quantities — cache hit rates, hill-climb
 step counts (Algorithm 2), masked-pair counts under faults (Eq. 6-7) —
 so metrics are cheap enough to leave compiled into the hot paths:
 
-* every instrumented call site is guarded by :func:`enabled`, which is a
-  single attribute check plus one environment lookup; with observability
-  off (the default) the hot paths pay only that guard;
+* every instrumented call site is guarded by :func:`enabled`, which
+  reads one module flag; with observability off (the default) the hot
+  paths pay only that guard;
 * histograms store exact counts per *integral* observed value (step
   counts, masked pairs, tie sizes are all small integers), falling back
   to running ``count/sum/min/max`` statistics for real-valued
@@ -20,7 +20,6 @@ folds a child process's snapshot into a parent registry — which is how
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Any
 
@@ -206,24 +205,22 @@ class MetricsRegistry:
 # -- process-global registry and gating -----------------------------------
 
 _registry = MetricsRegistry()
-_enabled_override: "bool | None" = None
+_enabled = False
 
 
 def enabled() -> bool:
-    """Observability gate: ``REPRO_OBS=1`` or :func:`set_enabled`.
+    """Observability gate: off until :func:`set_enabled` or :func:`repro.obs.observe`.
 
     This is the no-op fast path — instrumented call sites check it before
     touching the registry, so the disabled cost is one function call.
     """
-    if _enabled_override is not None:
-        return _enabled_override
-    return os.environ.get("REPRO_OBS", "0") == "1"
+    return _enabled
 
 
 def set_enabled(value: "bool | None") -> None:
-    """Force observability on/off; ``None`` restores env-var control."""
-    global _enabled_override
-    _enabled_override = value
+    """Turn observability on or off; ``None`` restores the default (off)."""
+    global _enabled
+    _enabled = bool(value)
 
 
 def registry() -> MetricsRegistry:

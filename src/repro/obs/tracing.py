@@ -12,10 +12,10 @@ paper-level quantities per localization round: matched face, squared
 vector distance, masked-pair count (Eq. 7 ``*`` components), reporting
 sensors, and matcher work.
 
-A process has at most one active tracer (installed by :func:`set_tracer`,
-:func:`repro.obs.observe` or ``REPRO_OBS_TRACE``); when
-none is configured every :func:`trace_event` / :func:`span` call is a
-no-op costing one attribute check.
+A process has at most one active tracer (installed by :func:`set_tracer`
+or :func:`repro.obs.observe`); when none is installed every
+:func:`trace_event` / :func:`span` call is a no-op costing one attribute
+check.
 """
 
 from __future__ import annotations
@@ -71,27 +71,19 @@ def _jsonable(obj: Any):
 
 
 _tracer: "Tracer | None" = None
-_env_tracer_checked = False
 
 
 def tracer() -> "Tracer | None":
-    """The active tracer, if any (lazily created from ``REPRO_OBS_TRACE``)."""
-    global _tracer, _env_tracer_checked
-    if _tracer is None and not _env_tracer_checked:
-        _env_tracer_checked = True
-        path = os.environ.get("REPRO_OBS_TRACE")
-        if path:
-            _tracer = Tracer(path)
+    """The active tracer, if any."""
     return _tracer
 
 
 def set_tracer(t: "Tracer | None") -> None:
     """Install (or clear) the process tracer, closing any previous one."""
-    global _tracer, _env_tracer_checked
+    global _tracer
     if _tracer is not None and _tracer is not t:
         _tracer.close()
     _tracer = t
-    _env_tracer_checked = True  # explicit configuration beats the env var
 
 
 def trace_event(name: str, **fields: Any) -> None:

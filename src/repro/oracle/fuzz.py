@@ -84,24 +84,6 @@ _MAX_C = 2.5  # clamp Eq. 3 so pathological noise draws keep a usable division
 LAYOUTS = ("uniform", "collinear", "clustered", "perimeter")
 
 
-def default_budget(fallback: int = 200) -> int:
-    """Scenario budget: ``REPRO_FUZZ_BUDGET`` env override, else *fallback*.
-
-    Tier-1 runs the fallback sample; the nightly CI job exports a budget
-    in the thousands.
-    """
-    env = os.environ.get("REPRO_FUZZ_BUDGET")
-    if env is None or env == "":
-        return fallback
-    try:
-        budget = int(env)
-    except ValueError:
-        raise ValueError(f"REPRO_FUZZ_BUDGET must be an integer, got {env!r}") from None
-    if budget < 1:
-        raise ValueError(f"REPRO_FUZZ_BUDGET must be >= 1, got {budget}")
-    return budget
-
-
 @dataclass(frozen=True)
 class FuzzSpec:
     """Complete, replayable description of one differential scenario."""
@@ -730,19 +712,6 @@ def _run_index(task: "tuple[int, int]") -> dict:
     return report
 
 
-def _env_workers() -> int:
-    env = os.environ.get("REPRO_WORKERS")
-    if env is None or env == "":
-        return 1
-    try:
-        workers = int(env)
-    except ValueError:
-        raise ValueError(f"REPRO_WORKERS must be an integer, got {env!r}") from None
-    if workers < 1:
-        raise ValueError(f"REPRO_WORKERS must be >= 1, got {workers}")
-    return workers
-
-
 def shrink_spec(spec: FuzzSpec, check: str, *, max_evals: int = 48) -> FuzzSpec:
     """Greedily minimize *spec* while the named check keeps diverging.
 
@@ -799,11 +768,11 @@ def _shrink_candidates(spec: FuzzSpec) -> list[FuzzSpec]:
 
 
 def run_fuzz(
-    n_scenarios: "int | None" = None,
+    n_scenarios: int,
     *,
     seed: int = 0,
     n_workers: "int | None" = None,
-    artifact_dir: "str | os.PathLike | None" = None,
+    artifact_dir: "str | os.PathLike" = "results/fuzz",
     shrink: bool = True,
     max_shrink_evals: int = 48,
 ) -> dict:
@@ -814,15 +783,15 @@ def run_fuzz(
     ``digest`` field hashes the full ordered report list to prove it).
 
     On the first divergent scenario (lowest index) the spec is shrunk and
-    a replayable artifact JSON is written under *artifact_dir* (default
-    ``results/fuzz``, overridable via ``REPRO_FUZZ_ARTIFACTS``).
+    a replayable artifact JSON is written under *artifact_dir*.
+    *n_workers* defaults to ``REPRO_WORKERS`` when that is set, else 1.
     """
-    if n_scenarios is None:
-        n_scenarios = default_budget()
     if n_scenarios < 1:
         raise ValueError(f"n_scenarios must be >= 1, got {n_scenarios}")
     if n_workers is None:
-        n_workers = _env_workers()
+        from repro.sim.parallel import recommended_workers
+
+        n_workers = recommended_workers(n_scenarios) if os.environ.get("REPRO_WORKERS") else 1
     n_workers = max(1, min(n_workers, n_scenarios))
     tasks = [(seed, i) for i in range(n_scenarios)]
     if n_workers == 1:
@@ -867,11 +836,7 @@ def run_fuzz(
             "divergence": same_check[0] if same_check else first["divergences"][0],
             "n_divergences": len(first["divergences"]),
         }
-        out_dir = Path(
-            artifact_dir
-            if artifact_dir is not None
-            else os.environ.get("REPRO_FUZZ_ARTIFACTS", "results/fuzz")
-        )
+        out_dir = Path(artifact_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / f"divergence_seed{seed}_idx{first['index']}.json"
         path.write_text(json.dumps(artifact, indent=2, sort_keys=True))

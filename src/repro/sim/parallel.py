@@ -15,30 +15,28 @@ a deployment divided by one task is loaded, not rebuilt, by every other
 task, and results are bit-identical either way.  Under ``fork`` the
 parent's warm in-memory cache is also inherited copy-on-write.
 
-With ``obs_dir`` set, the sweep runs under :mod:`repro.obs`: workers
-enable the metrics registry (via the ``REPRO_OBS`` environment variable,
-which both fork and spawn children inherit), snapshot it per task, and
-ship the snapshot back with the records; the parent merges every
+With ``obs_dir`` set, the sweep runs under :func:`repro.obs.observe`:
+every task carries the parent's ``observing`` flag, so a worker enables
+the metrics registry whatever the start method, snapshots it per task,
+and ships the snapshot back with the records; the parent merges every
 snapshot and writes ``metrics.json`` + ``trace.jsonl`` into ``obs_dir``.
-Pool workers do not write to the parent's trace file — inline runs
-(``n_workers=1``) emit full per-round events, pooled runs emit
-sweep-level events only.
+Pool workers drop any tracer a fork handed them, so only the parent
+writes the trace — inline runs (``n_workers=1``) emit full per-round
+events, pooled runs emit the ``sweep`` event only.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
-from contextlib import contextmanager
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Sequence
 
 from repro.config import SimulationConfig
 from repro.network.faults import FaultModel
 from repro.obs import metrics as obs_metrics
-from repro.obs import tracing as obs_tracing
-from repro.obs.io import write_metrics
-from repro.obs.tracing import trace_event
+from repro.obs import observe, set_tracer, trace_event, write_metrics
 from repro.sim.experiments import SweepRecord, replicate_mean_error
 
 __all__ = ["parallel_sweep", "recommended_workers"]
@@ -65,27 +63,30 @@ def recommended_workers(n_tasks: int) -> int:
     return max(1, min(n_tasks, cores))
 
 
-def _pool_init_shared_maps(manifests: list[dict]) -> None:
-    """Pool initializer: register shared face-map manifests in this worker.
+def _pool_init(manifests: list[dict]) -> None:
+    """Pool initializer, run once per worker process.
 
-    Installed once per worker process; every task's cache lookups then
-    resolve against the parent's published segments (zero-copy attach)
-    before falling back to disk or a rebuild.
+    Drops the tracer a forked worker inherits, so the parent alone writes
+    the trace, and registers the parent's shared face-map manifests:
+    every task's cache lookups then resolve against the published
+    segments (zero-copy attach) before falling back to disk or a rebuild.
     """
-    from repro.geometry.shm import install_shared_face_maps
+    set_tracer(None)
+    if manifests:
+        from repro.geometry.shm import install_shared_face_maps
 
-    install_shared_face_maps(manifests)
+        install_shared_face_maps(manifests)
 
 
 def _run_point(args: tuple) -> "tuple[list[SweepRecord], dict | None]":
-    config_dict, tracker_names, n_reps, seed, params, deployment, faults = args
+    config_dict, tracker_names, n_reps, seed, params, deployment, faults, observing = args
     grid_cfg = config_dict.pop("grid")
     from repro.config import GridConfig
 
     # per-task metrics: reset before, snapshot after, so a reused worker
     # (or the inline path) reports each point exactly once
-    observing = obs_metrics.enabled()
     if observing:
+        obs_metrics.set_enabled(True)  # a spawned worker starts with it off
         obs_metrics.reset()
     config = SimulationConfig(**config_dict, grid=GridConfig(**grid_cfg))
     records = replicate_mean_error(
@@ -98,40 +99,6 @@ def _run_point(args: tuple) -> "tuple[list[SweepRecord], dict | None]":
         faults=faults,
     )
     return records, obs_metrics.snapshot() if observing else None
-
-
-@contextmanager
-def _sweep_environment(obs_dir):
-    """Scoped observability for one sweep.
-
-    Everything mutated here — ``REPRO_OBS`` and the active tracer — is
-    restored on exit, so repeated sweeps (and tests using ``tmp_path``)
-    cannot leak state into each other.
-    """
-    prev_obs_env = os.environ.get("REPRO_OBS")
-    prev_tracer = obs_tracing._tracer
-    prev_tracer_checked = obs_tracing._env_tracer_checked
-    out: "Path | None" = None
-    try:
-        if obs_dir is not None:
-            out = Path(obs_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            os.environ["REPRO_OBS"] = "1"
-            # install directly (not via set_tracer) so the previous tracer
-            # stays open and can be restored on exit
-            obs_tracing._tracer = obs_tracing.Tracer(out / "trace.jsonl")
-            obs_tracing._env_tracer_checked = True
-        yield out
-    finally:
-        if obs_dir is not None:
-            if prev_obs_env is None:
-                os.environ.pop("REPRO_OBS", None)
-            else:
-                os.environ["REPRO_OBS"] = prev_obs_env
-            if obs_tracing._tracer is not None and obs_tracing._tracer is not prev_tracer:
-                obs_tracing._tracer.close()
-            obs_tracing._tracer = prev_tracer
-            obs_tracing._env_tracer_checked = prev_tracer_checked
 
 
 def parallel_sweep(
@@ -193,7 +160,9 @@ def parallel_sweep(
         per_point_faults = list(faults)
     else:
         per_point_faults = [faults] * len(points)
-    with _sweep_environment(obs_dir) as obs_out:
+    obs_out = Path(obs_dir) if obs_dir is not None else None
+    with observe(trace_path=str(obs_out / "trace.jsonl")) if obs_out else nullcontext():
+        observing = obs_metrics.enabled()
         tasks = [
             (
                 {k: v for k, v in cfg.as_dict().items()},
@@ -203,13 +172,13 @@ def parallel_sweep(
                 dict(params),
                 deployment,
                 per_point_faults[i],
+                observing,
             )
             for i, (cfg, params) in enumerate(points)
         ]
         if n_workers is None:
             n_workers = recommended_workers(len(tasks))
         shared_set = None
-        initializer, initargs = None, ()
         if share_maps and n_workers > 1:
             from repro.geometry.shm import SharedFaceMapSet
             from repro.sim.scenario import replication_scenarios
@@ -230,14 +199,15 @@ def parallel_sweep(
                         # .face_map builds (or cache-loads) here, once, in
                         # the parent; workers only ever attach
                         shared_set.publish(key, scenario.face_map)
-            if len(shared_set):
-                initializer, initargs = _pool_init_shared_maps, (shared_set.manifests(),)
         try:
             if n_workers == 1:
                 nested = [_run_point(t) for t in tasks]
             else:
                 ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
-                with ctx.Pool(processes=n_workers, initializer=initializer, initargs=initargs) as pool:
+                manifests = shared_set.manifests() if shared_set is not None else []
+                with ctx.Pool(
+                    processes=n_workers, initializer=_pool_init, initargs=(manifests,)
+                ) as pool:
                     nested = pool.map(_run_point, tasks, chunksize=chunksize)
         finally:
             if shared_set is not None:

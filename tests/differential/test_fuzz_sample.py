@@ -6,14 +6,13 @@ matching, Algorithm 2's climb, the tracker round loop with either
 matcher, and all their batched variants) must agree with the
 straight-from-the-paper reference on every scenario.
 
-A deep run is available by exporting ``REPRO_FUZZ_BUDGET`` (the nightly
-CI job sets it to several thousand); tier-1 keeps the fixed 200.
+A deep run is ``fttt fuzz --scenarios N`` (the nightly CI job runs
+several thousand); tier-1 keeps the fixed 200.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +22,6 @@ from repro.oracle.fuzz import (
     LAYOUTS,
     FuzzSpec,
     _draw_nodes,
-    default_budget,
     generate_spec,
     run_fuzz,
     run_spec,
@@ -105,31 +103,3 @@ def test_unknown_layout_rejected():
 def test_run_spec_is_deterministic():
     spec = generate_spec(5, TIER1_SEED)
     assert run_spec(spec) == run_spec(spec)
-
-
-def test_default_budget_env(monkeypatch):
-    monkeypatch.delenv("REPRO_FUZZ_BUDGET", raising=False)
-    assert default_budget() == 200
-    monkeypatch.setenv("REPRO_FUZZ_BUDGET", "5000")
-    assert default_budget() == 5000
-    monkeypatch.setenv("REPRO_FUZZ_BUDGET", "zero")
-    with pytest.raises(ValueError):
-        default_budget()
-    monkeypatch.setenv("REPRO_FUZZ_BUDGET", "0")
-    with pytest.raises(ValueError):
-        default_budget()
-
-
-@pytest.mark.slow
-@pytest.mark.skipif(
-    not os.environ.get("REPRO_FUZZ_BUDGET"),
-    reason="deep fuzz only runs with REPRO_FUZZ_BUDGET set (nightly CI)",
-)
-def test_deep_fuzz_budget(tmp_path):
-    """The nightly campaign: REPRO_FUZZ_BUDGET scenarios, parallel workers."""
-    summary = run_fuzz(
-        default_budget(),
-        seed=TIER1_SEED + 1,
-        artifact_dir=os.environ.get("REPRO_FUZZ_ARTIFACTS", tmp_path),
-    )
-    assert summary["n_divergent"] == 0, summary["first_divergence"]

@@ -182,17 +182,16 @@ class TestGlobalCache:
         direct = build_face_map(four_nodes, small_grid, 1.5, sensing_range=40.0)
         _assert_identical(cached, direct)
 
-    def test_env_kill_switch(self, four_nodes, small_grid, monkeypatch):
-        monkeypatch.setenv("REPRO_FACE_CACHE", "0")
+    def test_kill_switch_and_default(self, four_nodes, small_grid):
+        configure_face_map_cache(enabled=False)
         assert not face_map_cache_enabled()
         before = default_face_map_cache().stats()["misses"]
         get_face_map(four_nodes, small_grid, 1.5)
         assert default_face_map_cache().stats()["misses"] == before  # bypassed
-
-    def test_configure_enabled_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FACE_CACHE", "0")
-        configure_face_map_cache(enabled=True)
+        configure_face_map_cache(enabled=None)  # the default: on (a fresh cache)
         assert face_map_cache_enabled()
+        get_face_map(four_nodes, small_grid, 1.5)
+        assert default_face_map_cache().stats()["misses"] == 1
 
     def test_scenario_reuses_cache_across_instances(self, four_nodes):
         from repro.config import GridConfig, SimulationConfig

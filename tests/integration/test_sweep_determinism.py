@@ -8,7 +8,8 @@ Three contracts, all load-bearing for reproducibility claims:
 * a sweep leaves ``REPRO_FACE_CACHE_DIR`` and the global cache
   configuration as it found them, even when it raises, and a disk store
   changes no record;
-* an ``obs_dir`` sweep likewise restores ``REPRO_OBS`` and the tracer.
+* an ``obs_dir`` sweep likewise restores the observability gate
+  (``obs.enabled()``) and the active tracer.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ pytestmark = pytest.mark.slow
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    for var in ("REPRO_WORKERS", "REPRO_FACE_CACHE", "REPRO_FACE_CACHE_DIR", "REPRO_OBS"):
+    for var in ("REPRO_WORKERS", "REPRO_FACE_CACHE_DIR"):
         monkeypatch.delenv(var, raising=False)
     configure_face_map_cache(maxsize=64, disk_dir=None, enabled=None)
     default_face_map_cache().clear()
@@ -128,14 +129,19 @@ class TestCacheDirIsolation:
 class TestObsDirIsolation:
     def test_obs_env_and_tracer_restored(self, tmp_path):
         _run(n_workers=1, obs_dir=tmp_path / "obs")
-        assert os.environ.get("REPRO_OBS") is None
         assert not obs.enabled()
         assert obs.tracer() is None
 
-    def test_preexisting_obs_env_restored(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS", "0")
+    def test_preexisting_obs_env_restored(self, tmp_path):
+        """A gate already on and a tracer already installed survive the
+        sweep; the sweep's events went to its own trace file."""
+        prior = obs.Tracer()
+        obs.set_tracer(prior)
+        obs.set_enabled(True)
         _run(n_workers=1, obs_dir=tmp_path / "obs")
-        assert os.environ["REPRO_OBS"] == "0"
+        assert obs.enabled()
+        assert obs.tracer() is prior
+        assert prior.events == []
 
     def test_obs_sweep_does_not_change_records(self, tmp_path):
         _assert_records_equal(_run(n_workers=1), _run(n_workers=1, obs_dir=tmp_path / "obs"))

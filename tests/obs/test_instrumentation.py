@@ -30,9 +30,6 @@ TINY = SimulationConfig(duration_s=6.0, grid=GridConfig(cell_size_m=4.0))
 
 @pytest.fixture(autouse=True)
 def _clean_state(monkeypatch):
-    monkeypatch.delenv("REPRO_OBS", raising=False)
-    monkeypatch.delenv("REPRO_OBS_TRACE", raising=False)
-    monkeypatch.delenv("REPRO_FACE_CACHE", raising=False)
     monkeypatch.delenv("REPRO_FACE_CACHE_DIR", raising=False)
     configure_face_map_cache(maxsize=64, disk_dir=None, enabled=None)
     default_face_map_cache().clear()
@@ -184,14 +181,25 @@ class TestSweepArtifacts:
         assert payload["sweep"]["workers"] == n_workers
 
     def test_trace_jsonl_written_and_valid(self, tmp_path):
+        def events(out):
+            return [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+
         out, _ = self._sweep(tmp_path, 1)
-        lines = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+        lines = events(out)
         assert lines, "trace.jsonl must not be empty"
         names = {e["ev"] for e in lines}
         assert "sweep" in names
         # inline (n_workers=1) runs emit the per-round events too
         rounds = [e for e in lines if e["ev"] == "round"]
         assert rounds and all("masked_pairs" in e for e in rounds)
+        # pool workers drop the tracer a fork hands them: only the parent
+        # writes, so the trace holds the sweep event alone ...
+        out, _ = self._sweep(tmp_path, 2)
+        assert [e["ev"] for e in events(out)] == ["sweep"]
+        # ... while metrics.json still merges the workers' counters
+        metrics = json.loads((out / "metrics.json").read_text())["metrics"]
+        assert metrics["tracker.rounds"]["value"] == len(rounds)
+        assert metrics["sweep.workers"]["value"] == 2
 
     def test_obs_sweep_does_not_perturb_results(self, tmp_path):
         points = [(TINY.with_(n_sensors=6), {"n_sensors": 6})]
@@ -202,6 +210,29 @@ class TestSweepArtifacts:
         for a, b in zip(plain, with_obs):
             assert a.mean_error == b.mean_error
             assert a.per_rep_means == b.per_rep_means
+
+    def test_spawn_workers_record_like_forked_ones(self, tmp_path, monkeypatch):
+        """Each task carries the parent's gate, so spawned workers, which
+        start from the defaults, record what forked ones do."""
+        import multiprocessing
+        import types
+
+        from repro.sim import parallel as sim_parallel
+
+        def recorded(out):
+            metrics = json.loads((out / "metrics.json").read_text())["metrics"]
+            names = ("tracker.rounds", "tracker.masked_pairs", "core.heuristic.steps")
+            return {name: metrics[name] for name in names}
+
+        forked, _ = self._sweep(tmp_path / "fork", 2)
+        spawn_only = types.SimpleNamespace(
+            get_context=multiprocessing.get_context, get_all_start_methods=lambda: ["spawn"]
+        )
+        monkeypatch.setattr(sim_parallel, "mp", spawn_only)
+        spawned, _ = self._sweep(tmp_path / "spawn", 2)
+        assert recorded(spawned) == recorded(forked)
+        assert recorded(forked)["tracker.rounds"]["value"] > 0
+        assert [json.loads(line)["ev"] for line in (spawned / "trace.jsonl").open()] == ["sweep"]
 
     def test_registry_holds_merged_metrics_after_sweep(self, tmp_path):
         self._sweep(tmp_path, 1)

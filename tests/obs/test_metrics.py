@@ -15,9 +15,7 @@ from repro.obs.metrics import (
 
 
 @pytest.fixture(autouse=True)
-def _env_control(monkeypatch):
-    """Default state: env-driven, REPRO_OBS unset."""
-    monkeypatch.delenv("REPRO_OBS", raising=False)
+def _default_gate():
     set_enabled(None)
     yield
     set_enabled(None)
@@ -27,21 +25,14 @@ class TestGating:
     def test_disabled_by_default(self):
         assert not enabled()
 
-    def test_env_enables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS", "1")
-        assert enabled()
-        monkeypatch.setenv("REPRO_OBS", "0")
-        assert not enabled()
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS", "0")
+    def test_set_enabled_switches_and_none_restores_default(self):
         set_enabled(True)
         assert enabled()
         set_enabled(False)
-        monkeypatch.setenv("REPRO_OBS", "1")
         assert not enabled()
+        set_enabled(True)
         set_enabled(None)
-        assert enabled()
+        assert not enabled()
 
 
 class TestCounterGauge:

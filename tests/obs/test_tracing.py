@@ -1,4 +1,4 @@
-"""Tests for repro.obs.tracing — JSONL tracer, spans, env wiring."""
+"""Tests for repro.obs.tracing — JSONL tracer, spans, the process tracer."""
 
 from __future__ import annotations
 
@@ -7,17 +7,14 @@ import json
 import numpy as np
 import pytest
 
-from repro.obs import tracing
 from repro.obs.tracing import Tracer, set_tracer, span, trace_event, tracer
 
 
 @pytest.fixture(autouse=True)
-def _clean_tracer(monkeypatch):
-    monkeypatch.delenv("REPRO_OBS_TRACE", raising=False)
+def _clean_tracer():
     set_tracer(None)
     yield
     set_tracer(None)
-    tracing._env_tracer_checked = False
 
 
 def test_memory_tracer_collects_events():
@@ -72,15 +69,6 @@ def test_span_noop_without_tracer():
         pass  # must not raise
 
 
-def test_env_var_creates_tracer_lazily(tmp_path, monkeypatch):
-    path = tmp_path / "env_trace.jsonl"
-    monkeypatch.setenv("REPRO_OBS_TRACE", str(path))
-    tracing._env_tracer_checked = False
-    trace_event("from_env", k=1)
-    set_tracer(None)  # closes + flushes
-    assert json.loads(path.read_text()) == {"ev": "from_env", "k": 1}
-
-
 def test_set_tracer_closes_previous(tmp_path):
     first = Tracer(tmp_path / "first.jsonl")
     set_tracer(first)
@@ -88,3 +76,27 @@ def test_set_tracer_closes_previous(tmp_path):
     set_tracer(second)
     assert first._fh is None  # closed
     assert tracer() is second
+
+
+def test_observe_restores_gate_and_tracer(tmp_path):
+    """``observe(trace_path=...)`` routes the block's events to its own file
+    and leaves the prior tracer open and installed, and the gate as found."""
+    import repro.obs as obs
+
+    prior = Tracer(tmp_path / "prior.jsonl")
+    set_tracer(prior)
+    for before in (False, True):
+        obs.set_enabled(before)
+        try:
+            with obs.observe(trace_path=tmp_path / f"block_{before}.jsonl"):
+                assert obs.enabled()
+                trace_event("inside", on=before)
+            assert obs.enabled() is before
+        finally:
+            obs.set_enabled(None)
+        assert tracer() is prior and prior._fh is not None
+        block = (tmp_path / f"block_{before}.jsonl").read_text()
+        assert json.loads(block) == {"ev": "inside", "on": before}
+    trace_event("after")
+    set_tracer(None)
+    assert json.loads((tmp_path / "prior.jsonl").read_text()) == {"ev": "after"}

@@ -24,7 +24,6 @@ pytestmark = pytest.mark.slow
 
 @pytest.fixture(autouse=True)
 def _fresh_cache(monkeypatch):
-    monkeypatch.delenv("REPRO_FACE_CACHE", raising=False)
     monkeypatch.delenv("REPRO_FACE_CACHE_DIR", raising=False)
     configure_face_map_cache(maxsize=64, disk_dir=None, enabled=None)
     default_face_map_cache().clear()
@@ -53,11 +52,9 @@ def _assert_records_equal(a, b):
 
 
 class TestCacheEquivalence:
-    def test_cache_on_vs_off_identical_records_and_csv(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_FACE_CACHE", "0")
-        configure_face_map_cache(enabled=None)
+    def test_cache_on_vs_off_identical_records_and_csv(self, tmp_path):
+        configure_face_map_cache(enabled=False)
         off = _run(n_workers=1)
-        monkeypatch.delenv("REPRO_FACE_CACHE")
         configure_face_map_cache(enabled=None)
         on = _run(n_workers=1)
         _assert_records_equal(off, on)
@@ -87,7 +84,7 @@ class TestCacheEquivalence:
         _assert_records_equal(inline, pooled)
         assert list(store.glob("facemap-*.npz"))
 
-    def test_scenario_estimates_identical_cache_on_off(self, monkeypatch):
+    def test_scenario_estimates_identical_cache_on_off(self):
         from repro.network.faults import IndependentDropout
         from repro.sim.runner import generate_batches
         from repro.sim.scenario import make_scenario
@@ -100,10 +97,8 @@ class TestCacheEquivalence:
             tracker = scenario.make_tracker("fttt-exhaustive")
             return tracker.track(batches)
 
-        monkeypatch.setenv("REPRO_FACE_CACHE", "0")
-        configure_face_map_cache(enabled=None)
+        configure_face_map_cache(enabled=False)
         cold = trace(TINY.with_(n_sensors=8))
-        monkeypatch.delenv("REPRO_FACE_CACHE")
         configure_face_map_cache(enabled=None)
         warm = trace(TINY.with_(n_sensors=8))  # builds + caches
         warm2 = trace(TINY.with_(n_sensors=8))  # pure cache hit

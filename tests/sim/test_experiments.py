@@ -56,7 +56,6 @@ class TestReplicationProtocol:
         """Once the maps of ``replication_scenarios`` are built,
         ``replicate_mean_error`` with the same seed builds none: it visits
         exactly those worlds."""
-        monkeypatch.delenv("REPRO_FACE_CACHE", raising=False)
         monkeypatch.delenv("REPRO_FACE_CACHE_DIR", raising=False)
         configure_face_map_cache(maxsize=64, disk_dir=None, enabled=None)
         try:

@@ -1,8 +1,8 @@
 """Tests for repro.faultlab — campaign driver, strawmen, artifact output.
 
 Includes the environment-hygiene regression: a fault model that blows up
-mid-campaign must leave ``REPRO_OBS`` / ``REPRO_FACE_CACHE_DIR`` and the
-active tracer exactly as they were (the sweep's scoped-environment
+mid-campaign must leave the observability gate, the active tracer and
+``REPRO_FACE_CACHE_DIR`` exactly as they were (the sweep's scoped-state
 guarantee extends to failed campaigns).
 """
 
@@ -33,7 +33,7 @@ from repro.network.faults import (
     RegionalOutage,
     StuckReading,
 )
-from repro.obs import tracing as obs_tracing
+import repro.obs as obs
 from repro.sim.parallel import parallel_sweep
 
 
@@ -169,13 +169,21 @@ class _ExplodingFaults:
 
 
 class TestEnvironmentHygiene:
+    @pytest.fixture(autouse=True)
+    def _default_obs(self):
+        obs.set_enabled(None)
+        obs.set_tracer(None)
+        yield
+        obs.set_enabled(None)
+        obs.set_tracer(None)
+
     def test_failed_campaign_restores_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS", "0")
         monkeypatch.delenv("REPRO_FACE_CACHE_DIR", raising=False)
         monkeypatch.setitem(
             FAULT_FAMILIES, "exploding", lambda intensity, config: _ExplodingFaults()
         )
-        tracer_before = obs_tracing._tracer
+        tracer_before = obs.Tracer()
+        obs.set_tracer(tracer_before)
         with pytest.raises(RuntimeError, match="injected campaign failure"):
             run_campaign(
                 ["exploding"],
@@ -186,13 +194,13 @@ class TestEnvironmentHygiene:
                 n_workers=1,
                 out_dir=tmp_path / "obs",
             )
-        assert os.environ.get("REPRO_OBS") == "0"
+        assert not obs.enabled()
         assert "REPRO_FACE_CACHE_DIR" not in os.environ
-        assert obs_tracing._tracer is tracer_before
+        assert obs.tracer() is tracer_before
 
     def test_successful_campaign_restores_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_FACE_CACHE_DIR", "/tmp/sentinel-before")
-        monkeypatch.delenv("REPRO_OBS", raising=False)
+        obs.set_enabled(True)
         run_campaign(
             ["dropout"],
             (0.0,),
@@ -203,7 +211,8 @@ class TestEnvironmentHygiene:
             out_dir=tmp_path / "obs",
         )
         assert os.environ.get("REPRO_FACE_CACHE_DIR") == "/tmp/sentinel-before"
-        assert "REPRO_OBS" not in os.environ
+        assert obs.enabled()
+        assert obs.tracer() is None
 
 
 class TestStrawmen:

@@ -71,6 +71,10 @@ def test_reps_below_one_is_a_usage_error(command, reps, capsys):
     assert "argument --reps" in capsys.readouterr().err
 
 
+# the positional a bad two-word command line names
+_POSITIONALS = {"run": "preset", "stats": "preset", "replay-divergence": "artifact"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -90,16 +94,20 @@ def test_reps_below_one_is_a_usage_error(command, reps, capsys):
         ("faultlab", "--workers", "0"),
         ("fuzz", "--workers", "0"),
         ("fuzz", "--scenarios", "0"),
+        ("run", "bogus"),
+        ("stats", "bogus"),
+        ("replay-divergence", "/nonexistent.json"),
     ],
     ids=lambda a: "_".join(a),
 )
 def test_bad_input_is_a_usage_error(argv, capsys):
-    """Checked at parse time: exit 2 with the offending option named,
-    before any world is built or any worker started."""
+    """Checked at parse time: exit 2 with the offending option (or
+    positional) named, before any world is built or any worker started."""
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
-    assert f"argument {argv[-2]}" in capsys.readouterr().err
+    name = argv[-2] if len(argv) > 2 else _POSITIONALS[argv[0]]
+    assert f"argument {name}" in capsys.readouterr().err
 
 
 class TestListAndInfo:
@@ -135,9 +143,11 @@ class TestRun:
         out = capsys.readouterr().out
         assert "fttt" in out and "nearest" in out
 
-    def test_run_unknown_preset(self):
-        with pytest.raises(ValueError, match="unknown preset"):
+    def test_run_unknown_preset(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["run", "atlantis", "--rounds", "2"])
+        assert exc.value.code == 2
+        assert "unknown preset 'atlantis'" in capsys.readouterr().err
 
 
 class TestFigureCommands:
@@ -254,9 +264,8 @@ class TestFuzz:
         assert main(["replay-divergence", str(artifacts[0])]) == 0
         assert "clean" in capsys.readouterr().out
 
-    def test_fuzz_respects_budget_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_FUZZ_BUDGET", "4")
-        assert main(["fuzz", "--seed", "1", "--workers", "1"]) == 0
+    def test_fuzz_respects_scenario_budget(self, capsys):
+        assert main(["fuzz", "--scenarios", "4", "--seed", "1", "--workers", "1"]) == 0
         assert "4 scenarios" in capsys.readouterr().out
 
 

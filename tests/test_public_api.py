@@ -87,7 +87,6 @@ _EXEMPT_NAMES = {
     "uncertain_boundary_circles": "the Eq. 4 boundary circles the Apollonius tests check",
     "NoFaults": "the identity fault model the fault-model tests compare with",
     "NoNoise": "the noiseless channel the channel and sensing tests run on",
-    "set_tracer": "how tests install a tracer and flush it",
     "Schedule": "the outage schedule the faulty golden trace is built with",
     "effective_pairwise_sigma": "the common-mode pairwise sigma the shadowing tests compare with",
     "point_in_circle": "the disk-membership test the Apollonius circle tests are stated in",
@@ -362,3 +361,115 @@ def test_option_collector_without_partial_flags_c_mode(monkeypatch):
     option that ``sim.ablations`` sets only through a partial."""
     monkeypatch.setattr(sys.modules[__name__], "_partial_target", lambda call: None)
     assert "synthetic.make_scenario(c_mode=)" in _synthetic_unset()
+
+
+# -- every environment variable has a setter --------------------------------
+
+# variables the package reads that nothing in the repo sets, each with why
+_EXEMPT_ENV = {
+    "REPRO_FACE_CACHE_DIR": "a deployment path: where a site keeps its on-disk face-map store",
+}
+
+
+def _repro_literal(node):
+    """The ``REPRO_*`` name a string literal holds, else None."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        if node.value.startswith("REPRO_"):
+            return node.value
+    return None
+
+
+def _env_reads(tree):
+    """``REPRO_*`` names read by ``os.environ.get``, ``os.environ[...]`` or
+    ``os.getenv`` with a literal name."""
+
+    def is_environ(node):
+        return isinstance(node, ast.Attribute) and node.attr == "environ"
+
+    reads = set()
+    for node in ast.walk(tree):
+        name = None
+        if isinstance(node, ast.Call) and node.args:
+            func = node.func
+            if isinstance(func, ast.Attribute) and (
+                (func.attr == "get" and is_environ(func.value)) or func.attr == "getenv"
+            ):
+                name = _repro_literal(node.args[0])
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+            if is_environ(node.value):
+                name = _repro_literal(node.slice)
+        if name:
+            reads.add(name)
+    return reads
+
+
+def _env_sets(tree):
+    """``REPRO_*`` names a module sets: ``x["NAME"] = ...``,
+    ``setenv``/``putenv``/``setdefault("NAME", ...)``, a ``NAME=...`` keyword
+    (``dict(os.environ, NAME=...)``, ``os.environ.update(NAME=...)``) or a
+    dict-literal key.  A deletion is not a set."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [t.slice for t in targets if isinstance(t, ast.Subscript)]
+        elif isinstance(node, ast.Call):
+            if _leaf(node.func) in ("setenv", "putenv", "setdefault") and node.args:
+                found.append(node.args[0])
+            found += [ast.Constant(k.arg) for k in node.keywords if k.arg]
+        elif isinstance(node, ast.Dict):
+            found += node.keys
+    return {name for name in map(_repro_literal, found) if name}
+
+
+def _workflow_sets():
+    """``REPRO_*`` names a CI workflow sets, as ``NAME=value`` on a command
+    line or ``NAME: value`` in an ``env:`` block."""
+    import glob
+    import re
+
+    sets = set()
+    for path in glob.glob(os.path.join(_ROOT, ".github", "workflows", "*.yml")):
+        with open(path, encoding="utf-8") as fh:
+            sets.update(re.findall(r"\b(REPRO_[A-Z0-9_]+)\s*[=:]", fh.read()))
+    return sets
+
+
+def test_every_environment_variable_has_a_setter():
+    """A ``REPRO_*`` variable the package reads but that neither CI nor the
+    shipped code (benchmarks, examples, perfbench, tools) ever sets is a
+    knob only tests turn: give it an in-process setter instead."""
+    reads, sets = set(), _workflow_sets()
+    for top in _CALLER_DIRS:
+        for path in _python_files(os.path.join(_ROOT, top)):
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=path)
+            if top == "src":
+                reads |= _env_reads(tree)
+            else:
+                sets |= _env_sets(tree)
+    unset = sorted(reads - sets - set(_EXEMPT_ENV))
+    assert not unset, "environment variables nothing outside tests/ sets:\n  " + "\n  ".join(unset)
+    stale = sorted(name for name in _EXEMPT_ENV if name in sets or name not in reads)
+    assert not stale, f"exempt variables that are now set or no longer read: {stale}"
+
+
+_SYNTHETIC_ENV = """
+import os
+os.environ["REPRO_A"] = "1"
+env = dict(os.environ, REPRO_B="2")
+monkeypatch.setenv("REPRO_C", "3")
+run(env={"REPRO_D": "4"})
+del os.environ["REPRO_E"]
+os.environ.pop("REPRO_F", None)
+monkeypatch.delenv("REPRO_G")
+value = os.environ.get("REPRO_H") or os.getenv("REPRO_I") or os.environ["REPRO_J"]
+"""
+
+
+def test_env_collectors_on_a_synthetic_module():
+    """Assignments, keywords, ``setenv`` and dict keys set a variable; a
+    deletion does not; the three read forms read one."""
+    tree = ast.parse(_SYNTHETIC_ENV)
+    assert _env_sets(tree) == {"REPRO_A", "REPRO_B", "REPRO_C", "REPRO_D"}
+    assert _env_reads(tree) == {"REPRO_H", "REPRO_I", "REPRO_J"}
