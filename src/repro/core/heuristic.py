@@ -15,34 +15,44 @@ sensors; neighbors differ in 7.7 / 23.9 / 92.9 components on average
 the full masked distance (``FaceMap._sq_distances`` over the ring's face
 ids) rather than with a unit-step update.
 
-A face's ring depends on the map alone, so each matcher memoizes it: the
-first climb through a face builds the ring from Python sets, and every
-later one reuses that array, with the face itself in front so one kernel
-call scores the step's start too.  The memo keeps the set iteration order
-a fresh build gives, so ties resolve as they would without it.  At
-n = 40 (1 m cells) a round builds or reuses about 2.4 rings of ~14 faces,
-and reusing them makes the climb ~1.2x faster than rebuilding each
-(``benchmarks/test_perf_kernels.py``).
+A face's ring depends on the map alone, so the map memoizes it, one table
+per ``hops``: every matcher on a map, and on any ``view()`` of it, shares
+that memo.  The first climb through a face builds the ring from Python
+sets, and every later one reuses that array, with the face itself in front
+so one kernel call scores the step's start too.  The memo keeps the set
+iteration order a fresh build gives, so ties resolve as they would without
+it.  At n = 40 (1 m cells) a round builds or reuses about 2.4 rings of ~14
+faces, and reusing them makes the climb ~1.2x faster than rebuilding
+each (``benchmarks/test_perf_kernels.py``).  A map's memo outlives its
+trackers: in the ``perfbench`` faultlab-campaign world the 36 cells of a
+replication track on views of one map, and a campaign (seed 1, serial)
+builds 843 rings where per-matcher memos built 11,225.
 
 Hill climbing can stall in a local optimum if the target jumped far or the
 sampling vector is badly corrupted; ``fallback`` optionally detects a poor
 local optimum and re-runs the exhaustive scan, preserving Algorithm 2's
-speed in the common case without sacrificing worst-case accuracy.  The
-gate that calls a local optimum poor scales with P (see
+speed in the common case without sacrificing worst-case accuracy.  A
+round prepares its vector once: the climb's query scores the rings, and
+the fallback hands the same query to ``FaceMap.match``.  Both distances
+are then at hand, and ``core.heuristic.useful_fallbacks`` counts the
+fallbacks whose scan found a face strictly closer than the climb's local
+optimum.  The gate that calls a local optimum poor scales with P (see
 :func:`default_fallback_gate`): in the traced ``perfbench`` online-fttt
 workload (default ``fttt`` tracker, n = 40, seed 7) 0.7 % of climbs fall
 back, and a round scores 106 faces on average.  The gate suits that
 world, not every world: in the ``perfbench`` faultlab-campaign world
 (n = 12, every sensor hears the whole field, value faults; seed 1,
-serial) 864 of 948 climbs fell back, so 876 of the 960 heuristic matches
-(12 of them initial scans) ended in an exhaustive scan.
+serial, one campaign's merged ``metrics.json``) 10,631 of 11,376 climbs
+fell back, so 10,775 of the 11,520 heuristic matches (144 of them initial
+scans) ended in an exhaustive scan, and 3,366 of those 10,631 scans found
+a closer face than the climb had.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.matching import ExhaustiveMatcher, MatchResult
+from repro.core.matching import MatchResult, _tied_result
 from repro.geometry.faces import FaceMap
 from repro.obs import metrics as obs
 
@@ -98,19 +108,22 @@ class HeuristicMatcher:
         self.hops = hops
         self.fallback = fallback
         self.fallback_sq_distance = default_fallback_gate(face_map.n_pairs, soft=soft)
-        self._exhaustive = ExhaustiveMatcher(face_map, soft=soft)
         self.last_face: int | None = None
-        self._rings: dict[int, np.ndarray] = {}
+        # True when the caller builds basic Algorithm 1 vectors, whose
+        # components are small integers by construction; None proves it
+        # every round (see FaceMap._query)
+        self._integral: "bool | None" = None
+        self._rings = face_map._rings.setdefault(hops, {})
 
     def reset(self) -> None:
         """Forget the previous face; the next match seeds exhaustively.
 
-        The ring cache stays: rings depend on the map alone."""
+        The ring memo stays: it belongs to the map."""
         self.last_face = None
 
     def _ring(self, face: int) -> np.ndarray:
         """*face* followed by the faces one climb step from it scores,
-        memoized per face.
+        memoized per face on the map.
 
         With ``hops == 2`` the ring is the 2-hop neighbourhood: single-face
         local optima under noisy vectors are common, and one extra ring is
@@ -135,26 +148,31 @@ class HeuristicMatcher:
             self._rings[face] = ring
         return ring
 
+    def _settle(self, face_ids: np.ndarray, sq_distance: float, visited: int) -> MatchResult:
+        """The round's result; its first face is the next climb's start."""
+        self.last_face = int(face_ids[0])
+        return _tied_result(self.face_map, face_ids, sq_distance, visited)
+
     def match(self, vector: np.ndarray, start_face: "int | None" = None) -> MatchResult:
         """Match *vector*, hill-climbing from ``start_face`` / the previous face.
 
         The very first localization (no previous face, no explicit start)
         falls back to one exhaustive scan — Algorithm 2's
-        ``Initialization()``.
+        ``Initialization()``.  The scans go through ``FaceMap.match`` with
+        the query the climb prepared, so the vector is prepared once.
         """
         fm = self.face_map
         record = obs.enabled()
+        query = fm._query(fm._as_row(vector), self.soft, self._integral)
         start = start_face if start_face is not None else self.last_face
         if start is None:
             if record:
                 obs.counter("core.heuristic.init_scans").inc()
-            result = self._exhaustive.match(vector)
-            self.last_face = result.face_id
-            return result
+            ties, best = fm.match(query)
+            return self._settle(ties, best, fm.n_faces)
         if not (0 <= start < fm.n_faces):
             raise IndexError(f"start face {start} out of range [0, {fm.n_faces})")
 
-        query = fm._query(np.asarray(vector, dtype=np.float32)[None], self.soft)
         current = int(start)
         ring = self._ring(current)
         d2 = fm._sq_distances(query, ring)[0]
@@ -180,21 +198,10 @@ class HeuristicMatcher:
             obs.histogram("core.heuristic.visited").observe(visited)
 
         if self.fallback and current_d2 > self.fallback_sq_distance:
+            ties, best = fm.match(query)
             if record:
                 obs.counter("core.heuristic.fallbacks").inc()
-            result = self._exhaustive.match(vector)
-            self.last_face = result.face_id
-            return MatchResult(
-                face_ids=result.face_ids,
-                sq_distance=result.sq_distance,
-                position=result.position,
-                visited=visited + result.visited,
-            )
-
-        self.last_face = current
-        return MatchResult(
-            face_ids=np.array([current]),
-            sq_distance=current_d2,
-            position=fm.centroids[current].copy(),
-            visited=visited,
-        )
+                if best < current_d2:
+                    obs.counter("core.heuristic.useful_fallbacks").inc()
+            return self._settle(ties, best, visited + fm.n_faces)
+        return self._settle(np.array([current]), current_d2, visited)

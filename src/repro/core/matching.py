@@ -32,6 +32,19 @@ class MatchResult:
         return int(self.face_ids[0])
 
 
+def _tied_result(
+    face_map: FaceMap, face_ids: np.ndarray, sq_distance: float, visited: int
+) -> MatchResult:
+    """The match at the mean centroid of the tied *face_ids* (a lone face's
+    own centroid, which that mean equals bit for bit)."""
+    centroids = face_map.centroids
+    if len(face_ids) == 1:
+        position = centroids[face_ids[0]].copy()
+    else:
+        position = centroids[face_ids].mean(axis=0)
+    return MatchResult(face_ids=face_ids, sq_distance=sq_distance, position=position, visited=visited)
+
+
 class ExhaustiveMatcher:
     """Stateless full-scan matcher over a face map.
 
@@ -47,13 +60,7 @@ class ExhaustiveMatcher:
         """Match *vector* against every face (``start_face`` is ignored;
         accepted so exhaustive and heuristic matchers are interchangeable)."""
         face_ids, d2 = self.face_map.match(vector, soft=self.soft)
-        position = self.face_map.centroids[face_ids].mean(axis=0)
-        return MatchResult(
-            face_ids=face_ids,
-            sq_distance=d2,
-            position=position,
-            visited=self.face_map.n_faces,
-        )
+        return _tied_result(self.face_map, face_ids, d2, self.face_map.n_faces)
 
     def match_many(self, vectors: np.ndarray) -> list[MatchResult]:
         """Match a whole ``(B, P)`` batch of vectors in one kernel call.
@@ -64,17 +71,8 @@ class ExhaustiveMatcher:
         signature matrix.
         """
         ties, bests = self.face_map.match_many(vectors, soft=self.soft)
-        centroids = self.face_map.centroids
         n_faces = self.face_map.n_faces
-        return [
-            MatchResult(
-                face_ids=t,
-                sq_distance=float(best),
-                position=centroids[t].mean(axis=0),
-                visited=n_faces,
-            )
-            for t, best in zip(ties, bests)
-        ]
+        return [_tied_result(self.face_map, t, float(b), n_faces) for t, b in zip(ties, bests)]
 
     def reset(self) -> None:
         """No state to clear; present for interface parity."""

@@ -44,7 +44,7 @@ class _Query(NamedTuple):
     v0: np.ndarray  # (B, P) float32, ``*`` components zeroed
     mask: "np.ndarray | None"  # (B, P) bool ``*`` components; None if there are none
     soft: bool  # match against the soft signatures
-    v_sq: "np.ndarray | None"  # (B, 1) |v|^2 on the exact GEMM path, else None
+    keep: "np.ndarray | None"  # (B, P) float32, 0 on ``*`` and 1 elsewhere; None off the exact path
 
 
 class FaceMap:
@@ -88,6 +88,8 @@ class FaceMap:
         self._signatures_f32: np.ndarray | None = None
         self._qual_sq_rows: np.ndarray | None = None
         self._qual_sq_t: np.ndarray | None = None
+        # Algorithm 2's climb rings by hops, then by face (repro.core.heuristic)
+        self._rings: dict[int, dict[int, np.ndarray]] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -96,8 +98,9 @@ class FaceMap:
         )
 
     def view(self) -> "FaceMap":
-        """A shallow copy sharing every (never-mutated) array but owning its
-        own ``soft_signatures`` slot, so callers can attach soft signatures
+        """A shallow copy sharing every (never-mutated) array and the ring
+        memo (rings depend on the map alone) but owning its own
+        ``soft_signatures`` slot, so callers can attach soft signatures
         without leaking them into other holders of the same map."""
         clone = FaceMap.__new__(FaceMap)
         clone.__dict__.update(self.__dict__)
@@ -167,14 +170,21 @@ class FaceMap:
             return self.soft_signatures
         return self._sig_f32()
 
-    def _query(self, V: np.ndarray, soft: bool) -> _Query:
+    def _query(self, V: np.ndarray, soft: bool, integral: "bool | None" = None) -> _Query:
         """Prepare ``(B, P)`` float32 sampling vectors *V* for
-        :meth:`_sq_distances` (Algorithm 2 scores many rings with one)."""
+        :meth:`_sq_distances`; Algorithm 2 scores its rings and its fallback
+        scan with one.
+
+        *integral* says whether every non-``*`` component is a small
+        integer (the basic Definition-4 values); a caller that builds basic
+        Algorithm 1 vectors knows it, and None has it proved here.
+        """
         mask = np.isnan(V)
         v0 = np.where(mask, np.float32(0.0), V)
-        exact = not soft and (v0 == np.rint(v0)).all() and (np.abs(v0) <= 8.0).all()
-        v_sq = np.square(v0).sum(axis=1)[:, None] if exact else None
-        return _Query(v0, mask if mask.any() else None, soft, v_sq)
+        if integral is None:
+            integral = bool((v0 == np.rint(v0)).all() and (np.abs(v0) <= 8.0).all())
+        keep = None if soft or not integral else (~mask).astype(np.float32)
+        return _Query(v0, mask if mask.any() else None, soft, keep)
 
     def _sq_distances(self, q: _Query, face_ids: "np.ndarray | None" = None) -> np.ndarray:
         """The one squared-distance kernel: the vectors of *q* against every
@@ -183,19 +193,21 @@ class FaceMap:
         ``*`` components (NaN) contribute zero difference (Eq. 7).  When
         the signatures are the qualitative ``{-1, 0, +1}`` set and every
         vector component is a small integer (the basic Definition-4
-        values), the block is one GEMM via the expansion
-        ``|a - b|^2 = |a|^2 - 2 a.b + |b|^2``, with the signature energy of
-        the masked columns subtracted.  Every product and partial sum is
-        then a small integer, exact in float32, so the result cannot depend
-        on BLAS summation order, block size or the face subset.  Fractional
-        vectors (extended mode) and soft signatures take a per-row float32
-        path instead, whose value for a face is the same whichever rows or
-        faces share the call.
+        values), every product and partial sum is a small integer, exact
+        in float32, so the result cannot depend on BLAS summation order,
+        block size or the face subset.  A full scan is then one GEMM via
+        the expansion ``|a - b|^2 = |a|^2 - 2 a.b + |b|^2``, with the
+        signature energy of the masked columns subtracted; a face subset
+        (an Algorithm 2 ring) is the direct masked difference
+        ``(s - v)^2 . keep`` over its gathered rows.  Fractional vectors
+        (extended mode) and soft signatures take a per-row float32 path
+        instead, whose value for a face is the same whichever rows or faces
+        share the call.
         """
         sigs = self.signature_matrix(soft=q.soft)
-        if face_ids is not None:
-            sigs = sigs[face_ids]
-        if q.v_sq is None:
+        if q.keep is None:
+            if face_ids is not None:
+                sigs = sigs[face_ids]
             out = np.empty((len(q.v0), len(sigs)), dtype=np.float32)
             for b, v in enumerate(q.v0):
                 diff = sigs - v  # one (F, P) temporary; * columns zeroed below
@@ -203,14 +215,17 @@ class FaceMap:
                     diff[:, q.mask[b]] = 0.0
                 out[b] = np.einsum("fp,fp->f", diff, diff)
             return out
-        d2 = q.v_sq - np.float32(2.0) * (q.v0 @ sigs.T)
-        if face_ids is not None and q.mask is not None:
-            # masked columns must contribute zero, not s^2: add only the
-            # unmasked energy, from the rows already gathered
-            d2 += (~q.mask).astype(np.float32) @ np.square(sigs).T
-            return d2
+        if face_ids is not None:
+            out = np.empty((len(q.v0), len(face_ids)), dtype=np.float32)
+            for b, (v, keep) in enumerate(zip(q.v0, q.keep)):
+                diff = sigs[face_ids]  # a fresh gather, differenced in place
+                diff -= v
+                np.square(diff, out=diff)
+                out[b] = diff @ keep
+            return out
         sq_rows, sq_t = self._qual_sq()
-        d2 += sq_rows if face_ids is None else sq_rows[face_ids]
+        d2 = np.square(q.v0).sum(axis=1)[:, None] - np.float32(2.0) * (q.v0 @ sigs.T)
+        d2 += sq_rows
         if q.mask is not None:
             # masked columns must contribute zero, not s^2: subtract their energy
             d2 -= q.mask.astype(np.float32) @ sq_t
@@ -288,19 +303,26 @@ class FaceMap:
         eps32 = float(np.finfo(np.float32).eps)
         return max(1e-6, best * eps32 * math.sqrt(self.n_pairs))
 
+    def _ties(self, d2: np.ndarray) -> tuple[list[np.ndarray], list[float]]:
+        """Tied faces and best squared distance of each row of *d2*."""
+        ties, bests = [], []
+        for row in d2:
+            best = float(row.min())
+            ties.append(np.flatnonzero(row <= best + self.tie_tolerance(best)))
+            bests.append(best)
+        return ties, bests
+
     def _match_rows(self, V: np.ndarray, soft: bool) -> tuple[list[np.ndarray], np.ndarray]:
         """Tied faces and best squared distance per row of *V*, one
         :meth:`_block_rows` block of distances live at a time."""
         step = self._block_rows()
         ties: list[np.ndarray] = []
-        bests = np.empty(len(V), dtype=float)
+        bests: list[float] = []
         for start in range(0, len(V), step):
-            d2 = self._sq_distances(self._query(V[start : start + step], soft))
-            for b, row in enumerate(d2, start=start):
-                best = float(row.min())
-                ties.append(np.flatnonzero(row <= best + self.tie_tolerance(best)))
-                bests[b] = best
-        return ties, bests
+            t, b = self._ties(self._sq_distances(self._query(V[start : start + step], soft)))
+            ties += t
+            bests += b
+        return ties, np.array(bests, dtype=float)
 
     def _record_matches(self, ties: list[np.ndarray]) -> None:
         obs.counter("geometry.match.rounds").inc(len(ties))
@@ -309,14 +331,23 @@ class FaceMap:
             h.observe(len(t))
         obs.gauge("geometry.match.candidate_faces").set(self.n_faces)
 
-    def match(self, vector: np.ndarray, *, soft: bool = False) -> tuple[np.ndarray, float]:
+    def match(
+        self, vector: "np.ndarray | _Query", *, soft: bool = False
+    ) -> tuple[np.ndarray, float]:
         """Exhaustive maximum-likelihood matching (paper §4.4-1).
 
         Returns ``(face_ids, sq_distance)`` — all faces tying at the minimum
         squared vector distance.  Similarity of Definition 7 is
         ``1/sqrt(sq_distance)`` (infinite on exact match).
+
+        *vector* may also be a one-row query from :meth:`_query`, which
+        then carries its own *soft*: Algorithm 2's fallback scans with the
+        query its climb prepared.
         """
-        ties, bests = self._match_rows(self._as_row(vector), soft)
+        if isinstance(vector, _Query):
+            ties, bests = self._ties(self._sq_distances(vector))
+        else:
+            ties, bests = self._match_rows(self._as_row(vector), soft)
         if obs.enabled():
             self._record_matches(ties)
         return ties[0], float(bests[0])

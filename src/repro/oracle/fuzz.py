@@ -76,7 +76,6 @@ __all__ = [
     "run_fuzz",
     "shrink_spec",
     "replay_divergence",
-    "default_budget",
 ]
 
 _EPS32 = float(np.finfo(np.float32).eps)

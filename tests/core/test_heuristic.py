@@ -5,6 +5,8 @@ import pytest
 
 from repro.core.heuristic import HeuristicMatcher, default_fallback_gate
 from repro.core.matching import ExhaustiveMatcher
+from repro.core.tracker import FTTTracker
+from repro.geometry.faces import build_face_map
 
 
 class TestHeuristicMatcher:
@@ -169,15 +171,15 @@ class TestFallbackGate:
 
 
 class TestRingCache:
-    """The climb memoizes each face's ring; a warm cache changes no result."""
+    """The map memoizes each face's ring; a warm memo changes no result."""
 
     @pytest.mark.parametrize("hops", [1, 2])
     @pytest.mark.parametrize("fallback", [False, True])
-    def test_cache_filled_by_another_trace(self, face_map, hops, fallback):
-        """A matcher whose rings were filled by one trace climbs a second
-        trace exactly as a fresh matcher does, and as ``oracle_climb``
-        (whose ring order decides ties on this small map; without the
-        fallback every result is the climb's own)."""
+    def test_cache_filled_by_another_trace(self, face_map, four_nodes, small_grid, hops, fallback):
+        """A matcher on a map whose rings were filled by one trace climbs a
+        second trace exactly as a matcher on a freshly built map does, and
+        as ``oracle_climb`` (whose ring order decides ties on this small
+        map; without the fallback every result is the climb's own)."""
         from repro.oracle import oracle_climb, oracle_face_adjacency, oracle_sampling_vector
 
         rng = np.random.default_rng(8)
@@ -190,8 +192,11 @@ class TestRingCache:
         warm = HeuristicMatcher(face_map, hops=hops, fallback=fallback)
         for v in trace(40):
             warm.match(v, start_face=int(rng.integers(face_map.n_faces)))
-        filled = set(warm._rings)
-        fresh = HeuristicMatcher(face_map, hops=hops, fallback=fallback)
+        filled = set(face_map._rings[hops])
+        # a view would share the warm memo, so the fresh matcher gets its own map
+        fresh_map = build_face_map(four_nodes, small_grid, c=1.5)
+        fresh = HeuristicMatcher(fresh_map, hops=hops, fallback=fallback)
+        assert not fresh_map._rings[hops]
         signatures = face_map.signatures.astype(float)
         neighbors = oracle_face_adjacency(face_map)
         reused = 0
@@ -216,3 +221,35 @@ class TestRingCache:
             assert got.face_ids.tolist() == ids
             assert float(got.sq_distance) == d2
         assert reused > 0  # the second trace did climb through cached rings
+
+    @pytest.mark.parametrize("hops", [1, 2])
+    def test_matchers_on_one_map_share_its_memo(self, face_map, four_nodes, small_grid, hops):
+        """Two matchers on one map and one on its ``view()`` share one ring
+        memo per ``hops``, and every round they return what a matcher on a
+        freshly built map returns."""
+        sharing = [
+            HeuristicMatcher(face_map, hops=hops),
+            HeuristicMatcher(face_map, hops=hops),
+            HeuristicMatcher(face_map.view(), hops=hops),
+        ]
+        assert all(m._rings is face_map._rings[hops] for m in sharing)
+        assert HeuristicMatcher(face_map, hops=3 - hops)._rings is not face_map._rings[hops]
+        fresh_map = build_face_map(four_nodes, small_grid, c=1.5)
+        fresh = HeuristicMatcher(fresh_map, hops=hops)
+        rng = np.random.default_rng(21)
+        rss = rng.uniform(-80.0, -40.0, (30, 3, face_map.n_nodes))
+        rss[rng.random(rss.shape) < 0.2] = np.nan
+        tracker = FTTTracker(face_map)
+        for r in rss:
+            v = tracker.build_vector(r)
+            start = int(rng.integers(face_map.n_faces))
+            want = fresh.match(v, start_face=start)
+            for m in sharing:
+                got = m.match(v, start_face=start)
+                assert got.face_ids.tolist() == want.face_ids.tolist()
+                assert got.sq_distance == want.sq_distance
+                assert np.array_equal(got.position, want.position)
+                assert got.visited == want.visited
+        shared = face_map._rings[hops]
+        assert shared.keys() == fresh_map._rings[hops].keys()
+        assert all(np.array_equal(shared[f], fresh_map._rings[hops][f]) for f in shared)

@@ -78,6 +78,39 @@ class TestEnabledTracking:
         assert snap["core.heuristic.rounds"]["value"] >= 7
         assert snap["tracker.rounds"]["value"] == 8
 
+    def test_useful_fallbacks_match_a_separate_climb_and_scan(self):
+        """``core.heuristic.useful_fallbacks`` counts the fallbacks whose
+        scan finds a distance strictly below the climb's local optimum: the
+        count that a climb without the fallback and a separate full scan
+        give, round by round.  Recording it changes no result."""
+        from repro.core.heuristic import HeuristicMatcher
+        from repro.core.matching import ExhaustiveMatcher
+
+        scenario = make_scenario(TINY.with_(n_sensors=8), seed=3)
+        fm = scenario.face_map
+        rng = np.random.default_rng(5)
+        rss = rng.uniform(-80.0, -40.0, (40, 3, fm.n_nodes))
+        rss[rng.random(rss.shape) < 0.2] = np.nan
+        vectors = scenario.make_tracker("fttt").build_vectors(rss)
+        starts = rng.integers(fm.n_faces, size=len(vectors)).tolist()
+        climb, scan, gated = HeuristicMatcher(fm, fallback=False), ExhaustiveMatcher(fm), HeuristicMatcher(fm)
+        fallbacks = useful = 0
+        unrecorded = []
+        for v, start in zip(vectors, starts):
+            local = climb.match(v, start_face=start)
+            if local.sq_distance > gated.fallback_sq_distance:
+                fallbacks += 1
+                useful += scan.match(v).sq_distance < local.sq_distance
+            unrecorded.append(gated.match(v, start_face=start))
+        with obs.observe() as reg:
+            recorded = [gated.match(v, start_face=start) for v, start in zip(vectors, starts)]
+        snap = reg.snapshot()
+        assert 0 < useful < fallbacks
+        assert snap["core.heuristic.fallbacks"]["value"] == fallbacks
+        assert snap["core.heuristic.useful_fallbacks"]["value"] == useful
+        for a, b in zip(unrecorded, recorded):
+            assert a.face_ids.tolist() == b.face_ids.tolist() and a.sq_distance == b.sq_distance
+
     def test_masked_pair_counts_recorded_under_faults(self):
         with obs.observe() as reg:
             _run_tracking(trackers=("fttt",), dropout=0.4, n_rounds=8)

@@ -92,6 +92,26 @@ def test_stale_report_fails(results_copy):
     assert "0.9999" in problems[0]
 
 
+def test_rewritten_timing_cells_do_not_stale_the_report(results_copy):
+    """``pytest benchmarks`` in a checkout rewrites the timing cells of the
+    committed CSVs; the report check skips them as the CSV check does, and
+    still sees a model cell of the same CSV."""
+    results, scratch = results_copy
+    for name, cells in check_results.TIMING_CELLS.items():
+        rows = list(csv.reader((results / name).read_text().splitlines()))
+        cols = {i for i, h in enumerate(rows[0]) if h in cells.get("columns", ())}
+        for row in rows[1:]:
+            timing_row = row[0] in cells.get("rows", ())
+            row[:] = [c if i == 0 or not (timing_row or i in cols) else "123.45" for i, c in enumerate(row)]
+        (results / name).write_text("\n".join(",".join(r) for r in rows) + "\n")
+    assert check_results.report_problems(results, scratch) == []
+    rows = list(csv.reader((results / "alg2_matching.csv").read_text().splitlines()))
+    rows[1][1] = "1587.0"  # visits_per_round, a model cell
+    (results / "alg2_matching.csv").write_text("\n".join(",".join(r) for r in rows) + "\n")
+    problems = check_results.report_problems(results, scratch)
+    assert len(problems) == 1 and "1587.0" in problems[0]
+
+
 def test_report_whitespace_and_absence_reported(results_copy):
     results, scratch = results_copy
     report = results / "REPORT.md"

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
@@ -42,6 +43,16 @@ def test_subpackage_all_exports(module):
     mod = importlib.import_module(module)
     for name in getattr(mod, "__all__", []):
         assert hasattr(mod, name), f"{module}.__all__ lists missing attribute {name}"
+
+
+def test_every_module_all_resolves():
+    """Every name a ``repro`` module lists in ``__all__`` exists, so that
+    ``from <module> import *`` works."""
+    missing = []
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        missing += [f"{info.name}.{n}" for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, f"__all__ lists missing attributes: {missing}"
 
 
 def test_quickstart_surface():

@@ -12,7 +12,8 @@ compares each regenerated CSV with the committed one.  Cells that time
 the machine rather than the model are declared in :data:`TIMING_CELLS`
 and skipped; every other cell must match byte for byte.  It also renders
 ``REPORT.md`` with :func:`repro.analysis.report.write_report` from the
-committed CSVs and compares it with the committed report.  Exits non-zero
+committed CSVs and compares it with the committed report, skipping the
+same timing cells.  Exits non-zero
 when a benchmark fails its own asserts, a committed CSV is missing from
 the rerun or differs from it, the rerun writes a CSV that is not
 committed, or the committed report is not what the CSVs render to.
@@ -76,16 +77,36 @@ def compare(committed: Path, rerun: Path) -> list[str]:
     return problems
 
 
+def _mask_like(line: str, masked: str) -> str:
+    """*line* with the table cells blanked that the rendered *masked* line
+    blanks (the timing cells of its CSV row)."""
+    cells, marks = line.split("|"), masked.split("|")
+    if len(cells) != len(marks):
+        return line
+    return "|".join(m if m == " * " else c for c, m in zip(cells, marks))
+
+
 def report_problems(results: Path, scratch: Path) -> list[str]:
     """The committed ``REPORT.md`` against ``write_report`` on the committed CSVs.
 
-    *scratch* is a directory the fresh report may be written to.
+    Timing cells (:data:`TIMING_CELLS`) are blanked on both sides: a
+    benchmark run in a checkout rewrites them in the CSVs but not in the
+    report.  *scratch* is a directory the masked CSVs and the fresh report
+    may be written to.
     """
     committed = results / "REPORT.md"
     if not committed.exists():
         return ["REPORT.md: not committed"]
-    old_text = committed.read_text()
-    new_text = write_report(results, scratch / "REPORT.md").read_text()
+    masked = scratch / "masked"
+    masked.mkdir(exist_ok=True)
+    for path in results.glob("*.csv"):
+        with (masked / path.name).open("w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(_masked(path.name, path.read_text()))
+    new_text = write_report(masked, scratch / "REPORT.md").read_text()
+    old_lines = committed.read_text().splitlines(keepends=True)
+    new_lines = new_text.splitlines(keepends=True)
+    old_text = "".join(_mask_like(a, b) for a, b in zip(old_lines, new_lines))
+    old_text += "".join(old_lines[len(new_lines) :])
     if old_text == new_text:
         return []
     old, new = old_text.splitlines(), new_text.splitlines()
