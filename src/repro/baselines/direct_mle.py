@@ -53,13 +53,13 @@ class DirectMLETracker(Tracker):
         """``(T, k, n)`` round stack -> ``(T, P)`` pairwise sign vectors."""
         return sign_vectors_from_rss(rss_stack, self._pairs)
 
-    def _estimate(self, t: float, n_reporting: int, match: MatchResult) -> TrackEstimate:
+    def _estimate(self, t: float, rss: np.ndarray, match: MatchResult) -> TrackEstimate:
         return TrackEstimate(
             t=t,
             position=match.position,
             face_ids=match.face_ids,
             sq_distance=match.sq_distance,
-            n_reporting=n_reporting,
+            n_reporting=self._n_reporting(rss),
             visited_faces=match.visited,
         )
 
@@ -68,7 +68,7 @@ class DirectMLETracker(Tracker):
         match = self._matcher.match(self.build_vector(rss))
         if obs.enabled():
             obs.counter(self._rounds_counter).inc()
-        return self._estimate(t, self._n_reporting(rss), match)
+        return self._estimate(t, rss, match)
 
     def track(self, batches: Iterable[SampleBatch]) -> TrackResult:
         """Localize the whole trace in one batched kernel call.
@@ -81,10 +81,10 @@ class DirectMLETracker(Tracker):
         result = TrackResult()
         if not batches:
             return result
-        _, n_reporting, vectors = self._trace_vectors(batches)
+        rounds, vectors = self._trace_vectors(batches)
         matches = self._matcher.match_many(vectors)
         if obs.enabled():
             obs.counter(self._rounds_counter).inc(len(batches))
-        for batch, n, match in zip(batches, n_reporting, matches):
-            result.append(self._estimate(float(batch.times[0]), n, match), batch.mean_position)
+        for batch, rss, match in zip(batches, rounds, matches):
+            result.append(self._estimate(float(batch.times[0]), rss, match), batch.mean_position)
         return result

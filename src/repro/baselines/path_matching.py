@@ -107,19 +107,19 @@ class PathMatchingTracker(DirectMLETracker):
         result = TrackResult()
         if not batches:
             return result
-        _, n_reporting, vectors = self._trace_vectors(batches)
+        rounds, vectors = self._trace_vectors(batches)
         times = [float(b.times[0]) for b in batches]
         path, d2, width = self._decode(times, vectors)
         if obs.enabled():
             obs.counter(self._rounds_counter).inc(len(batches))
             obs.histogram("baselines.pm.beam_width").observe(width)
-        for step, (batch, fid) in enumerate(zip(batches, path)):
+        for step, (batch, rss, fid) in enumerate(zip(batches, rounds, path)):
             est = TrackEstimate(
                 t=times[step],
                 position=self.face_map.centroids[fid].copy(),
                 face_ids=np.array([fid]),
                 sq_distance=float(d2[step, fid]),
-                n_reporting=n_reporting[step],
+                n_reporting=self._n_reporting(rss),
                 visited_faces=width * len(batches),
             )
             result.append(est, batch.mean_position)

@@ -109,10 +109,6 @@ class HeuristicMatcher:
         self.fallback = fallback
         self.fallback_sq_distance = default_fallback_gate(face_map.n_pairs, soft=soft)
         self.last_face: int | None = None
-        # True when the caller builds basic Algorithm 1 vectors, whose
-        # components are small integers by construction; None proves it
-        # every round (see FaceMap._query)
-        self._integral: "bool | None" = None
         self._rings = face_map._rings.setdefault(hops, {})
 
     def reset(self) -> None:
@@ -163,7 +159,7 @@ class HeuristicMatcher:
         """
         fm = self.face_map
         record = obs.enabled()
-        query = fm._query(fm._as_row(vector), self.soft, self._integral)
+        query = fm._query(fm._as_row(vector), self.soft)
         start = start_face if start_face is not None else self.last_face
         if start is None:
             if record:

@@ -155,14 +155,6 @@ class TrackResult:
         return len(self.estimates)
 
 
-def _mean_positions(batches: "list[SampleBatch]") -> "np.ndarray | list[np.ndarray]":
-    """Each batch's ``mean_position``, in one reduction over the trace when
-    the batches' sample counts agree (the same bits either way)."""
-    if all(len(b.positions) == len(batches[0].positions) for b in batches):
-        return np.stack([b.positions for b in batches]).mean(axis=1)
-    return [b.mean_position for b in batches]
-
-
 class Tracker:
     """The per-round contract every tracker shares.
 
@@ -209,24 +201,21 @@ class Tracker:
         return rss
 
     @staticmethod
-    def _n_reporting(rss: np.ndarray) -> "int | list[int]":
-        """Sensors that delivered at least one sample in a ``(k, n)`` round,
-        or in each round of a ``(T, k, n)`` stack."""
-        return (~np.isnan(rss).all(axis=-2)).sum(axis=-1).tolist()
+    def _n_reporting(rss: np.ndarray) -> int:
+        """Sensors that delivered at least one sample in a ``(k, n)`` round."""
+        return int((~np.isnan(rss).all(axis=0)).sum())
 
     def _trace_vectors(
         self, batches: "list[SampleBatch]"
-    ) -> "tuple[list[np.ndarray], list[int], np.ndarray]":
-        """Each round's checked RSS matrix and reporting-sensor count, and
-        the trace's ``(T, P)`` vectors from the subclass's
-        ``build_vectors``: one call over the stacked trace when the rounds'
-        shapes agree, else one ``T = 1`` call per round."""
+    ) -> "tuple[list[np.ndarray], np.ndarray]":
+        """Each round's checked RSS matrix and the trace's ``(T, P)`` vectors
+        from the subclass's ``build_vectors``: one call over the stacked
+        trace when the rounds' shapes agree, else one ``T = 1`` call per
+        round."""
         rounds = [self._as_rss(b.rss) for b in batches]
         if all(r.shape == rounds[0].shape for r in rounds):
-            stack = np.stack(rounds)
-            return rounds, self._n_reporting(stack), self.build_vectors(stack)
-        vectors = np.stack([self.build_vectors(r[None])[0] for r in rounds])
-        return rounds, [self._n_reporting(r) for r in rounds], vectors
+            return rounds, self.build_vectors(np.stack(rounds))
+        return rounds, np.stack([self.build_vectors(r[None])[0] for r in rounds])
 
 
 class FTTTracker(Tracker):
@@ -279,9 +268,6 @@ class FTTTracker(Tracker):
             self.matcher: "HeuristicMatcher | ExhaustiveMatcher" = HeuristicMatcher(
                 face_map, soft=self.soft_signatures
             )
-            if mode == "basic":
-                # basic vectors hold {-1, 0, +1, *} only: skip the per-round proof
-                self.matcher._integral = True
         else:
             self.matcher = ExhaustiveMatcher(face_map, soft=self.soft_signatures)
         self.degradation = degradation
@@ -313,14 +299,13 @@ class FTTTracker(Tracker):
     def localize(self, rss: np.ndarray, t: float = 0.0) -> TrackEstimate:
         """Localize from a raw ``(k, n)`` RSS matrix (NaN = missing)."""
         rss = self._as_rss(rss)
-        return self._step(rss, self.build_vectors(rss[None])[0], t, self._n_reporting(rss))
+        return self._step(rss, self.build_vectors(rss[None])[0], t)
 
-    def _step(
-        self, rss: np.ndarray, vector: np.ndarray, t: float, n_reporting: int
-    ) -> TrackEstimate:
+    def _step(self, rss: np.ndarray, vector: np.ndarray, t: float) -> TrackEstimate:
         """One round of the stateful strategy on its Algorithm 1 *vector*:
         suppression, quorum/hold, match, weak-round tie-break, residual
         update and the recorded estimate."""
+        n_reporting = self._n_reporting(rss)
         raw_vector = vector
         weak = False
         if self.degradation is not None:
@@ -517,21 +502,20 @@ class FTTTracker(Tracker):
         result = TrackResult()
         if not batches:
             return result
-        rounds, n_reporting, vectors = self._trace_vectors(batches)
-        times = [float(b.times[0]) for b in batches]
-        truth = _mean_positions(batches)
+        rounds, vectors = self._trace_vectors(batches)
         if isinstance(self.matcher, ExhaustiveMatcher) and self.degradation is None:
             matches = self.matcher.match_many(vectors)
-            for t, n, vector, match, true in zip(times, n_reporting, vectors, matches, truth):
-                result.append(self._estimate(match, t, n, vector), true)
+            for batch, rss, vector, match in zip(batches, rounds, vectors, matches):
+                est = self._estimate(match, float(batch.times[0]), self._n_reporting(rss), vector)
+                result.append(est, batch.mean_position)
             return result
         record = obs.enabled()
-        for rss, t, n, vector, true in zip(rounds, times, n_reporting, vectors, truth):
+        for batch, rss, vector in zip(batches, rounds, vectors):
             t0 = time.perf_counter() if record else 0.0
-            est = self._step(rss, vector, t, n)
+            est = self._step(rss, vector, float(batch.times[0]))
             if record:
                 obs.histogram("tracker.round_seconds").observe(time.perf_counter() - t0)
-            result.append(est, true)
+            result.append(est, batch.mean_position)
         return result
 
     def reset(self) -> None:

@@ -44,7 +44,7 @@ class _Query(NamedTuple):
     v0: np.ndarray  # (B, P) float32, ``*`` components zeroed
     mask: "np.ndarray | None"  # (B, P) bool ``*`` components; None if there are none
     soft: bool  # match against the soft signatures
-    keep: "np.ndarray | None"  # (B, P) float32, 0 on ``*`` and 1 elsewhere; None off the exact path
+    exact: bool  # qualitative signatures and every component a small integer
 
 
 class FaceMap:
@@ -101,7 +101,10 @@ class FaceMap:
         """A shallow copy sharing every (never-mutated) array and the ring
         memo (rings depend on the map alone) but owning its own
         ``soft_signatures`` slot, so callers can attach soft signatures
-        without leaking them into other holders of the same map."""
+        without leaking them into other holders of the same map.
+
+        The memo lives as long as the map and every view of it; a map held
+        by the face-map cache keeps its rings until the cache drops it."""
         clone = FaceMap.__new__(FaceMap)
         clone.__dict__.update(self.__dict__)
         clone.soft_signatures = None
@@ -170,21 +173,14 @@ class FaceMap:
             return self.soft_signatures
         return self._sig_f32()
 
-    def _query(self, V: np.ndarray, soft: bool, integral: "bool | None" = None) -> _Query:
+    def _query(self, V: np.ndarray, soft: bool) -> _Query:
         """Prepare ``(B, P)`` float32 sampling vectors *V* for
         :meth:`_sq_distances`; Algorithm 2 scores its rings and its fallback
-        scan with one.
-
-        *integral* says whether every non-``*`` component is a small
-        integer (the basic Definition-4 values); a caller that builds basic
-        Algorithm 1 vectors knows it, and None has it proved here.
-        """
+        scan with one."""
         mask = np.isnan(V)
         v0 = np.where(mask, np.float32(0.0), V)
-        if integral is None:
-            integral = bool((v0 == np.rint(v0)).all() and (np.abs(v0) <= 8.0).all())
-        keep = None if soft or not integral else (~mask).astype(np.float32)
-        return _Query(v0, mask if mask.any() else None, soft, keep)
+        exact = not soft and bool((v0 == np.rint(v0)).all() and (np.abs(v0) <= 8.0).all())
+        return _Query(v0, mask if mask.any() else None, soft, exact)
 
     def _sq_distances(self, q: _Query, face_ids: "np.ndarray | None" = None) -> np.ndarray:
         """The one squared-distance kernel: the vectors of *q* against every
@@ -198,16 +194,16 @@ class FaceMap:
         block size or the face subset.  A full scan is then one GEMM via
         the expansion ``|a - b|^2 = |a|^2 - 2 a.b + |b|^2``, with the
         signature energy of the masked columns subtracted; a face subset
-        (an Algorithm 2 ring) is the direct masked difference
-        ``(s - v)^2 . keep`` over its gathered rows.  Fractional vectors
-        (extended mode) and soft signatures take a per-row float32 path
-        instead, whose value for a face is the same whichever rows or faces
-        share the call.
+        (an Algorithm 2 ring) is the direct difference ``(s - v)^2`` of its
+        gathered rows, summed over the unmasked columns.  Fractional
+        vectors (extended mode) and soft signatures take a per-row float32
+        path instead, whose value for a face is the same whichever rows or
+        faces share the call.
         """
         sigs = self.signature_matrix(soft=q.soft)
-        if q.keep is None:
-            if face_ids is not None:
-                sigs = sigs[face_ids]
+        if face_ids is not None:
+            sigs = sigs[face_ids]
+        if not q.exact:
             out = np.empty((len(q.v0), len(sigs)), dtype=np.float32)
             for b, v in enumerate(q.v0):
                 diff = sigs - v  # one (F, P) temporary; * columns zeroed below
@@ -216,12 +212,10 @@ class FaceMap:
                 out[b] = np.einsum("fp,fp->f", diff, diff)
             return out
         if face_ids is not None:
-            out = np.empty((len(q.v0), len(face_ids)), dtype=np.float32)
-            for b, (v, keep) in enumerate(zip(q.v0, q.keep)):
-                diff = sigs[face_ids]  # a fresh gather, differenced in place
-                diff -= v
-                np.square(diff, out=diff)
-                out[b] = diff @ keep
+            out = np.empty((len(q.v0), len(sigs)), dtype=np.float32)
+            for b, v in enumerate(q.v0):
+                sq = np.square(sigs - v)
+                out[b] = sq.sum(axis=1) if q.mask is None else sq @ (~q.mask[b]).astype(np.float32)
             return out
         sq_rows, sq_t = self._qual_sq()
         d2 = np.square(q.v0).sum(axis=1)[:, None] - np.float32(2.0) * (q.v0 @ sigs.T)

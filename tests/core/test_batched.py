@@ -108,14 +108,10 @@ class TestBatchedDistances:
         face_ids = np.random.default_rng(4).permutation(fm.n_faces)[: fm.n_faces // 3]
         for v in sampling_vectors(rss, comparator_eps=1.0):
             q = fm._query(v.astype(np.float32)[None], False)
-            assert q.keep is not None  # the exact path
+            assert q.exact  # the exact path
             assert (q.mask is not None) == (silent > 1)
             full = fm._sq_distances(q)[0]
             assert np.array_equal(fm._sq_distances(q, face_ids)[0], full[face_ids])
-            # a caller that states the vector is integral skips the proof only
-            stated = fm._query(v.astype(np.float32)[None], False, integral=True)
-            assert np.array_equal(stated.keep, q.keep)
-            assert np.array_equal(fm._sq_distances(stated, face_ids)[0], full[face_ids])
 
     def test_identical_on_sensing_range_gated_map(self, four_nodes, small_grid):
         fm = build_face_map(four_nodes, small_grid, 1.5, sensing_range=45.0)
