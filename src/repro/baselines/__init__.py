@@ -11,7 +11,6 @@
   loudest sensor.
 """
 
-from repro.baselines.sequences import sign_vector_from_rss
 from repro.baselines.direct_mle import DirectMLETracker
 from repro.baselines.path_matching import PathMatchingTracker
 from repro.baselines.range_mle import RangeMLETracker
@@ -22,7 +21,6 @@ from repro.baselines.kalman import KalmanTracker
 from repro.baselines.particle import ParticleFilterTracker
 
 __all__ = [
-    "sign_vector_from_rss",
     "DirectMLETracker",
     "PathMatchingTracker",
     "RangeMLETracker",

@@ -39,7 +39,6 @@ class PathMatchingTracker(DirectMLETracker):
     vmax_mps : assumed maximum target speed (the constraint PM requires).
     """
 
-    _rounds_counter = "baselines.pm.rounds"
     beam_width = 48  # candidate faces kept per round
     # score penalty per metre of transition distance beyond the reachable
     # radius (soft constraint; decoding never dead-ends), and its cap
@@ -111,7 +110,7 @@ class PathMatchingTracker(DirectMLETracker):
         times = [float(b.times[0]) for b in batches]
         path, d2, width = self._decode(times, vectors)
         if obs.enabled():
-            obs.counter(self._rounds_counter).inc(len(batches))
+            obs.counter("baselines.pm.rounds").inc(len(batches))
             obs.histogram("baselines.pm.beam_width").observe(width)
         for step, (batch, rss, fid) in enumerate(zip(batches, rounds, path)):
             est = TrackEstimate(

@@ -15,22 +15,7 @@ import numpy as np
 from repro.core.vectors import mean_rss
 from repro.geometry.primitives import enumerate_pairs
 
-__all__ = ["mean_rss", "sign_vector_from_rss", "sign_vectors_from_rss"]
-
-
-def sign_vector_from_rss(
-    rss: np.ndarray,
-    pairs: "tuple[np.ndarray, np.ndarray] | None" = None,
-) -> np.ndarray:
-    """Pairwise sign vector of one detection outcome: the ``T = 1`` case of
-    :func:`sign_vectors_from_rss`.
-
-    *rss* is a ``(n,)`` one-shot RSS row or a ``(k, n)`` group.
-    """
-    rss = np.asarray(rss, dtype=float)
-    if rss.ndim not in (1, 2):
-        raise ValueError(f"rss must be 1-D or 2-D, got shape {rss.shape}")
-    return sign_vectors_from_rss(np.atleast_2d(rss)[None], pairs)[0]
+__all__ = ["mean_rss", "sign_vectors_from_rss"]
 
 
 def sign_vectors_from_rss(

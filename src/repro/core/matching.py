@@ -56,9 +56,8 @@ class ExhaustiveMatcher:
         self.face_map = face_map
         self.soft = soft
 
-    def match(self, vector: np.ndarray, start_face: "int | None" = None) -> MatchResult:
-        """Match *vector* against every face (``start_face`` is ignored;
-        accepted so exhaustive and heuristic matchers are interchangeable)."""
+    def match(self, vector: np.ndarray) -> MatchResult:
+        """Match *vector* against every face."""
         face_ids, d2 = self.face_map.match(vector, soft=self.soft)
         return _tied_result(self.face_map, face_ids, d2, self.face_map.n_faces)
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.sampling_times import miss_probability
+from repro.core.matching import ExhaustiveMatcher
 from repro.core.tracker import TrackEstimate, TrackResult
 from repro.geometry.apollonius import classify_points_pairwise
 from repro.geometry.faces import FaceMap
@@ -110,21 +111,18 @@ def run_model_tracking(
     positions : (T, 2) true target positions per round.
     times : (T,) round times.
     """
-    from repro.core.matching import ExhaustiveMatcher
-
     rng = ensure_rng(rng)
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     times = np.asarray(times, dtype=float)
     if len(positions) != len(times):
         raise ValueError("positions and times must have equal length")
-    m = ExhaustiveMatcher(face_map)
 
-    # one classifier call for the whole trace; the matcher draws no randomness,
-    # so drawing every vector first keeps each round's draws
+    # one classifier call draws every vector (each round's draws in order),
+    # then one batched match: row-identical to matching round by round
     vectors = sampler.sample_group_vector(positions, rng)
+    matches = ExhaustiveMatcher(face_map).match_many(vectors)
     result = TrackResult()
-    for t, p, v in zip(times, positions, vectors):
-        match = m.match(v)
+    for t, p, match in zip(times, positions, matches):
         result.append(
             TrackEstimate(
                 t=float(t),

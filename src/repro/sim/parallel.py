@@ -22,7 +22,9 @@ and ships the snapshot back with the records; the parent merges every
 snapshot and writes ``metrics.json`` + ``trace.jsonl`` into ``obs_dir``.
 Pool workers drop any tracer a fork handed them, so only the parent
 writes the trace — inline runs (``n_workers=1``) emit full per-round
-events, pooled runs emit the ``sweep`` event only.
+events, pooled runs emit the ``sweep`` event only.  Any observed sweep,
+with or without ``obs_dir``, leaves the process registry holding the
+caller's metrics from before the sweep plus every task's snapshot.
 """
 
 from __future__ import annotations
@@ -135,7 +137,8 @@ def parallel_sweep(
         (in workers too) and writes ``metrics.json`` — the merged
         registries of every task — plus ``trace.jsonl`` into this
         directory.  Results are bit-identical with or without it.  After
-        the call the process registry holds the merged sweep metrics.
+        any observed call the process registry holds the caller's prior
+        metrics plus the merged sweep metrics.
     share_maps : prebuild the distinct face maps the tasks will need and
         publish them into ``multiprocessing.shared_memory``
         (:mod:`repro.geometry.shm`); pool workers attach zero-copy
@@ -161,6 +164,9 @@ def parallel_sweep(
     else:
         per_point_faults = [faults] * len(points)
     obs_out = Path(obs_dir) if obs_dir is not None else None
+    # tasks (inline ones included) reset the process registry, and so does
+    # observe(): the caller's metrics are put back after the sweep
+    caller_metrics = obs_metrics.snapshot() if obs_metrics.enabled() else {}
     with observe(trace_path=str(obs_out / "trace.jsonl")) if obs_out else nullcontext():
         observing = obs_metrics.enabled()
         tasks = [
@@ -213,11 +219,10 @@ def parallel_sweep(
             if shared_set is not None:
                 shared_set.close()
         records = [rec for group, _ in nested for rec in group]
-        if obs_out is not None:
+        if observing:
             merged = obs_metrics.MetricsRegistry()
             for _, snap in nested:
-                if snap:
-                    merged.merge(snap)
+                merged.merge(snap)
             merged.counter("sweep.points").inc(len(tasks))
             merged.counter("sweep.records").inc(len(records))
             merged.counter("sweep.workers").inc(n_workers)
@@ -237,21 +242,23 @@ def parallel_sweep(
                 records=len(records),
                 trackers=list(tracker_names),
             )
-            write_metrics(
-                obs_out / "metrics.json",
-                merged,
-                extra={
-                    "sweep": {
-                        "points": len(tasks),
-                        "n_reps": n_reps,
-                        "seed": seed,
-                        "workers": n_workers,
-                        "trackers": list(tracker_names),
-                    }
-                },
-            )
-            # leave the merged totals in the process registry for callers
-            # (the CLI prints them after the sweep returns)
+            if obs_out is not None:
+                write_metrics(
+                    obs_out / "metrics.json",
+                    merged,
+                    extra={
+                        "sweep": {
+                            "points": len(tasks),
+                            "n_reps": n_reps,
+                            "seed": seed,
+                            "workers": n_workers,
+                            "trackers": list(tracker_names),
+                        }
+                    },
+                )
+            # leave the caller's metrics plus the sweep's in the process
+            # registry (the CLI prints them after the sweep returns)
             obs_metrics.reset()
+            obs_metrics.registry().merge(caller_metrics)
             obs_metrics.registry().merge(merged.snapshot())
     return records

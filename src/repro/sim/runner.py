@@ -110,8 +110,6 @@ def run_tracking_with_duty_cycle(
     Returns ``(TrackResult, controller)`` — the controller carries the
     duty-cycle statistics.
     """
-    from repro.core.tracker import TrackResult
-
     rng = ensure_rng(rng)
     n_rounds = scenario.config.n_localizations
     period = scenario.sampler.group_duration_s

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.baselines.sequences import sign_vector_from_rss, sign_vectors_from_rss
+from repro.baselines.sequences import sign_vectors_from_rss
 from repro.config import GridConfig, SimulationConfig
 from repro.core.matching import ExhaustiveMatcher
 from repro.core.tracker import TrackResult
@@ -83,7 +83,7 @@ class TestBatchedVectors:
 
     def test_sign_vectors_identical_to_loop(self, world):
         _, _, stack = world
-        loop = np.stack([sign_vector_from_rss(r) for r in stack])
+        loop = np.stack([sign_vectors_from_rss(r[None])[0] for r in stack])
         assert np.array_equal(loop, sign_vectors_from_rss(stack), equal_nan=True)
 
 

@@ -34,13 +34,6 @@ class TestExhaustiveMatcher:
         res = m.match(v2)
         assert res.sq_distance <= 1.0
 
-    def test_start_face_ignored(self, face_map):
-        m = ExhaustiveMatcher(face_map)
-        v = face_map.signatures[1].astype(float)
-        a = m.match(v)
-        b = m.match(v, start_face=0)
-        assert np.array_equal(a.face_ids, b.face_ids)
-
     def test_face_id_is_the_first_tie(self):
         res_multi = MatchResult(np.array([3, 5]), 0.0, np.zeros(2), 1)
         assert res_multi.face_id == 3

@@ -262,6 +262,47 @@ class TestTrackingOracle:
             assert tuple(prod.position) == want.position
             assert float(prod.sq_distance) == want.sq_distance
 
+    @staticmethod
+    def _sign_vector(rss):
+        """A round's detection sequence as pair signs, by scalar loops: each
+        sensor's mean sample, a silent sensor weaker than a reporting one,
+        and a pair of two silent sensors ``*``."""
+        means = [None if np.isnan(col).all() else float(np.nanmean(col)) for col in rss.T]
+        n = len(means)
+        out = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                a, b = means[i], means[j]
+                if a is None and b is None:
+                    out.append(float("nan"))
+                else:
+                    out.append(1.0 if b is None else -1.0 if a is None else float(np.sign(a - b)))
+        return np.array(out)
+
+    def test_direct_mle_matches_oracle(self, certain_map, rng):
+        """Direct MLE matches each round's sign vector against every bisector
+        face, silent sensors (``*`` pairs) included."""
+        from repro.baselines.direct_mle import DirectMLETracker
+        from repro.rf.channel import SampleBatch
+
+        rounds = self._rounds(rng, n_rounds=30)
+        for i, rss in enumerate(rounds):
+            rss[:, rng.random(rss.shape[1]) < 0.3 + 0.2 * (i % 2)] = np.nan
+        batches = [
+            SampleBatch(rss=rss, times=i + np.arange(3) / 10.0, positions=np.zeros((3, 2)))
+            for i, rss in enumerate(rounds)
+        ]
+        result = DirectMLETracker(certain_map).track(batches)
+        signatures = certain_map.signatures.astype(float)
+        masked = 0
+        for est, rss in zip(result.estimates, rounds):
+            v = self._sign_vector(rss)
+            oracle_ties, oracle_best = oracle_match(signatures, v)
+            assert est.face_ids.tolist() == oracle_ties
+            assert float(est.sq_distance) == oracle_best
+            masked += int(np.isnan(v).any())
+        assert masked > 0
+
     def test_unknown_matcher_rejected(self, face_map, rng):
         with pytest.raises(ValueError, match="matcher"):
             oracle_track(face_map, self._rounds(rng), matcher="greedy")

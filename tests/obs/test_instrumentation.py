@@ -168,8 +168,8 @@ class TestEnabledTracking:
 class TestSweepArtifacts:
     """parallel_sweep(obs_dir=...) writes metrics.json + trace.jsonl."""
 
-    def _sweep(self, tmp_path, n_workers):
-        out = tmp_path / f"obs_{n_workers}"
+    def _sweep(self, tmp_path, n_workers, write=True):
+        out = tmp_path / f"obs_{n_workers}" if write else None
         # the duplicated point + seed_stride=0 revisits an identical
         # deployment, so the in-memory face-map cache takes real hits
         points = [
@@ -266,6 +266,27 @@ class TestSweepArtifacts:
         assert recorded(spawned) == recorded(forked)
         assert recorded(forked)["tracker.rounds"]["value"] > 0
         assert [json.loads(line)["ev"] for line in (spawned / "trace.jsonl").open()] == ["sweep"]
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_observed_sweep_keeps_the_callers_metrics(self, tmp_path, n_workers):
+        """With obs on, a sweep leaves the caller's metrics in the registry
+        plus every task's, whether or not it writes an obs_dir."""
+        obs.set_enabled(True)
+        obs.counter("caller.marker").inc(3)
+        out, _ = self._sweep(tmp_path, n_workers)
+        written = json.loads((out / "metrics.json").read_text())["metrics"]
+        after_write = obs.snapshot()
+        assert "caller.marker" not in written
+        assert after_write["caller.marker"]["value"] == 3
+        assert after_write["tracker.rounds"] == written["tracker.rounds"]
+        assert obs.enabled()
+        # the same sweep again, without obs_dir: its rounds add to the caller's
+        self._sweep(tmp_path, n_workers, write=False)
+        after_plain = obs.snapshot()
+        assert after_plain["caller.marker"]["value"] == 3
+        rounds = written["tracker.rounds"]["value"]
+        assert rounds > 0
+        assert after_plain["tracker.rounds"]["value"] == 2 * rounds
 
     def test_registry_holds_merged_metrics_after_sweep(self, tmp_path):
         self._sweep(tmp_path, 1)

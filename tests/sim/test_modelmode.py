@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.matching import ExhaustiveMatcher
 from repro.geometry.faces import build_face_map
+from repro.geometry.grid import Grid
 from repro.sim.modelmode import ModelSampler, run_model_tracking
 
 
@@ -94,6 +96,26 @@ class TestRunModelTracking:
             for k in (5, 1)
         )
         assert group.mean_error < oneshot.mean_error
+
+    @pytest.mark.parametrize("k", [5, 1])
+    def test_equals_a_per_round_match_loop(self, k):
+        """The trace's one batched match is, bit for bit, a per-round
+        ``match`` loop over the same drawn vectors."""
+        nodes = np.random.default_rng(4).uniform(10, 90, (7, 2))
+        fm = build_face_map(nodes, Grid.square(100.0, 4.0), 1.5)
+        sampler = ModelSampler(nodes, c=1.5, k=k, sensing_range=60.0)
+        positions = np.random.default_rng(5).uniform(0, 100, (60, 2))
+        times = np.arange(60) * 0.5
+        result = run_model_tracking(fm, sampler, positions, times, 11)
+        vectors = sampler.sample_group_vector(positions, np.random.default_rng(11))
+        matcher = ExhaustiveMatcher(fm)
+        loop = [matcher.match(v) for v in vectors]
+        assert np.array_equal(result.positions, np.stack([m.position for m in loop]))
+        assert np.array_equal(result.truth, positions)
+        for est, want in zip(result.estimates, loop):
+            assert est.face_ids.tolist() == want.face_ids.tolist()
+            assert est.sq_distance == want.sq_distance
+        assert any(len(m.face_ids) > 1 for m in loop)
 
     def test_validation(self, four_nodes, small_grid, rng):
         fm = build_face_map(four_nodes, small_grid, 1.5)
