@@ -25,9 +25,11 @@ class PkNNTracker(Tracker):
     ----------
     nodes : (n, 2) sensor positions.
 
-    It aggregates over the ``k_neighbors`` = 4 loudest sensors (all of them
-    when there are fewer) and drops candidates whose inclusion probability
-    is at most 0.05.
+    It aggregates over the ``k_neighbors`` = 4 loudest sensors (one fewer
+    than the sensors when there are 4 or fewer: with every heard sensor a
+    member, each would have inclusion probability 1 and the estimate
+    would be the plain centroid) and drops candidates whose inclusion
+    probability is at most 0.05.
     """
 
     min_prob = 0.05
@@ -35,7 +37,7 @@ class PkNNTracker(Tracker):
     def __init__(self, nodes: np.ndarray) -> None:
         self.nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
         self.n_sensors = len(self.nodes)
-        self.k_neighbors = min(4, len(self.nodes))
+        self.k_neighbors = max(1, min(4, len(self.nodes) - 1))
 
     def membership_probabilities(self, rss: np.ndarray) -> np.ndarray:
         """P(sensor is among the k loudest), estimated by per-sample votes."""

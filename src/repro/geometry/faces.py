@@ -26,6 +26,24 @@ __all__ = ["Face", "FaceMap", "build_face_map", "build_certain_face_map"]
 #: kernel may allocate (see ``FaceMap._block_rows``).
 _GEMM_TEMP_BYTES = 256 * 1024 * 1024
 
+#: Smallest map, in signature entries F * P, whose exact-path scans take
+#: the pruned search (``FaceMap._pruned_ties``).  Its per-round Python
+#: loop costs ~50 us, so a 25-round block of fault-free rounds breaks
+#: even with the batched GEMM near here (1.03x at 1.23 M: n=25, 1 m
+#: cells; 1.5x at 2.4 M: n=30; 1.7x at 5.7 M: n=40), while one-row scans
+#: gain 1.4x at 1.23 M and 3.3-3.9x at 49 M (n=100); 2 vCPUs, one BLAS
+#: thread.  Faulty rounds barely prune: 0.9-1.0x one row at a time and
+#: 0.73-0.94x in 25-round blocks (dropout 0.2, n=25-40).
+_PRUNE_MIN_ENTRIES = 1_250_000
+
+#: Pair-column cuts of the pruned search, as fractions of P: the first
+#: pass sums Eq. 7 over the columns before the first cut, and survivors
+#: are extended block by block up to P.
+_PRUNE_CUTS = (0.25, 0.5)
+
+#: Faces per round scored in full for the pruned search's upper bound.
+_PRUNE_PROBES = 4
+
 
 @dataclass(frozen=True)
 class Face:
@@ -88,6 +106,7 @@ class FaceMap:
         self._signatures_f32: np.ndarray | None = None
         self._qual_sq_rows: np.ndarray | None = None
         self._qual_sq_t: np.ndarray | None = None
+        self._qual_sq_split: tuple[np.ndarray, np.ndarray] | None = None
         # Algorithm 2's climb rings by hops, then by face (repro.core.heuristic)
         self._rings: dict[int, dict[int, np.ndarray]] = {}
 
@@ -217,21 +236,111 @@ class FaceMap:
                 sq = np.square(sigs - v)
                 out[b] = sq.sum(axis=1) if q.mask is None else sq @ (~q.mask[b]).astype(np.float32)
             return out
-        sq_rows, sq_t = self._qual_sq()
-        d2 = np.square(q.v0).sum(axis=1)[:, None] - np.float32(2.0) * (q.v0 @ sigs.T)
-        d2 += sq_rows
-        if q.mask is not None:
-            # masked columns must contribute zero, not s^2: subtract their energy
-            d2 -= q.mask.astype(np.float32) @ sq_t
-        return d2
+        sq_rows, sq_t, _ = self._qual_sq()
+        return _expansion(q.v0, q.mask, sigs, sq_t, sq_rows)
 
-    def _qual_sq(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached ``sum_p s^2`` per face and ``(s^2)^T`` for the GEMM expansion."""
+    def _qual_sq(self) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """Cached ``sum_p s^2`` per face and ``(s^2)^T`` for the GEMM expansion,
+        and for :meth:`_pruned_ties` ``sum_p s^2`` per face before and after
+        the first cut."""
         if self._qual_sq_rows is None:
             sq = np.square(self._sig_f32())
             self._qual_sq_rows = sq.sum(axis=1)
+            head = sq[:, : self._prune_cuts()[0]].sum(axis=1)
+            self._qual_sq_split = (head, self._qual_sq_rows - head)
             self._qual_sq_t = np.ascontiguousarray(sq.T)
-        return self._qual_sq_rows, self._qual_sq_t
+        return self._qual_sq_rows, self._qual_sq_t, self._qual_sq_split
+
+    def _prune_cuts(self) -> list[int]:
+        """Pair-column cuts of :meth:`_pruned_ties`, in the canonical column
+        order: the end of the first pass, then every later cut, then P."""
+        P = self.n_pairs
+        return [max(1, int(P * f)) for f in _PRUNE_CUTS] + [P]
+
+    def _pruned_ties(self, q: _Query) -> tuple[list[np.ndarray], list[float], int]:
+        """``_ties(_sq_distances(q))`` for an exact query, by partial-distance
+        search (Bei & Gray, IEEE Trans. Commun. 1985); also returns the
+        number of faces whose distance was completed.
+
+        Every Eq. 7 term is non-negative, so the sum over the first pair
+        columns bounds a face's distance from below.  One GEMM over those
+        columns (a strided view of the signatures, nothing copied) gives
+        that bound for every face of every round; per round, the
+        :data:`_PRUNE_PROBES` faces with the smallest bound are scored in
+        full, and the best of them is an upper bound ``ub`` on the round's
+        best distance.  The faces whose partial sum is at most
+        ``ub + tie_tolerance(ub)`` are extended block by block over the
+        later columns, from their gathered rows, and dropped once it
+        exceeds that limit.  When a round keeps more than an eighth of its
+        faces after the first pass (a faulty round, whose best distance is
+        large), the whole block is finished by one more GEMM over the
+        remaining columns instead, at about the cost of a full scan.
+
+        A face that ties the winner is never dropped: its distance is at
+        most ``best + tie_tolerance(best)``, which is at most the limit
+        because ``best <= ub`` and the tolerance grows with its argument.
+        On the exact path every partial sum is an exact float32 integer,
+        so the completed distances, the ties and the best distance are
+        those of the full scan bit for bit.
+        """
+        sigs = self._sig_f32()
+        _, sq_t, (head, tail) = self._qual_sq()
+        cuts = self._prune_cuts()
+        c0 = cuts[0]
+        F, P = self.n_faces, self.n_pairs
+        v0, mask = q.v0, q.mask
+        keep = None if mask is None else (~mask).astype(np.float32)
+
+        def gathered(b: int, faces: np.ndarray, lo: int, hi: int) -> np.ndarray:
+            # Eq. 7 of round b over columns [lo, hi) of the rows of *faces*,
+            # in place in the gathered copy: one temporary, not three
+            sq = sigs[faces, lo:hi]
+            sq -= v0[b, lo:hi]
+            np.square(sq, out=sq)
+            return sq.sum(axis=1) if keep is None else sq @ keep[b, lo:hi]
+
+        head_mask = None if mask is None else mask[:, :c0]
+        partial = _expansion(v0[:, :c0], head_mask, sigs[:, :c0], sq_t[:c0], head)
+        n_probes = min(_PRUNE_PROBES, F)
+        probes = np.argpartition(partial, n_probes - 1, axis=1)[:, :n_probes]
+        limits = []
+        for b in range(len(v0)):
+            ub = float(gathered(b, probes[b], 0, P).min())
+            limits.append(ub + self.tie_tolerance(ub))
+        kept = partial <= np.array(limits)[:, None]
+        if (8 * np.count_nonzero(kept, axis=1) > F).any():
+            # a round the bound cannot prune: one GEMM over the remaining
+            # columns finishes the block, about the cost of a full scan
+            tail_mask = None if mask is None else mask[:, c0:]
+            partial += _expansion(v0[:, c0:], tail_mask, sigs[:, c0:], sq_t[c0:], tail)
+            ties, bests = self._ties(partial)
+            return ties, bests, F * len(v0)
+        ties: list[np.ndarray] = []
+        bests: list[float] = []
+        scored = 0
+        for b, limit in enumerate(limits):
+            faces = np.flatnonzero(kept[b])
+            d2 = partial[b, faces]
+            for lo, hi in zip(cuts, cuts[1:]):
+                if lo > c0:
+                    alive = d2 <= limit
+                    faces, d2 = faces[alive], d2[alive]
+                d2 = d2 + gathered(b, faces, lo, hi)
+            best = float(d2.min())
+            ties.append(faces[d2 <= best + self.tie_tolerance(best)])
+            bests.append(best)
+            scored += len(faces)
+        return ties, bests, scored
+
+    def _scan(self, q: _Query) -> tuple[list[np.ndarray], list[float], int]:
+        """Ties and best distance of every row of *q* against every face, and
+        the number of faces scored in full: :meth:`_pruned_ties` on the exact
+        path of a map of at least :data:`_PRUNE_MIN_ENTRIES` entries, the
+        full :meth:`_sq_distances` scan otherwise."""
+        if q.exact and self.signatures.size >= _PRUNE_MIN_ENTRIES:
+            return self._pruned_ties(q)
+        ties, bests = self._ties(self._sq_distances(q))
+        return ties, bests, len(ties) * self.n_faces
 
     def _as_rows(self, vectors: np.ndarray) -> np.ndarray:
         V = np.asarray(vectors, dtype=np.float32)
@@ -306,24 +415,27 @@ class FaceMap:
             bests.append(best)
         return ties, bests
 
-    def _match_rows(self, V: np.ndarray, soft: bool) -> tuple[list[np.ndarray], np.ndarray]:
-        """Tied faces and best squared distance per row of *V*, one
-        :meth:`_block_rows` block of distances live at a time."""
+    def _match_rows(self, V: np.ndarray, soft: bool) -> tuple[list[np.ndarray], np.ndarray, int]:
+        """Tied faces, best squared distance per row of *V* and faces scored
+        in full, one :meth:`_block_rows` block of distances live at a time."""
         step = self._block_rows()
         ties: list[np.ndarray] = []
         bests: list[float] = []
+        scored = 0
         for start in range(0, len(V), step):
-            t, b = self._ties(self._sq_distances(self._query(V[start : start + step], soft)))
+            t, b, n = self._scan(self._query(V[start : start + step], soft))
             ties += t
             bests += b
-        return ties, np.array(bests, dtype=float)
+            scored += n
+        return ties, np.array(bests, dtype=float), scored
 
-    def _record_matches(self, ties: list[np.ndarray]) -> None:
+    def _record_matches(self, ties: list[np.ndarray], scored: int) -> None:
         obs.counter("geometry.match.rounds").inc(len(ties))
         h = obs.histogram("geometry.match.ties")
         for t in ties:
             h.observe(len(t))
         obs.gauge("geometry.match.candidate_faces").set(self.n_faces)
+        obs.counter("geometry.match.scored_faces").inc(scored)
 
     def match(
         self, vector: "np.ndarray | _Query", *, soft: bool = False
@@ -337,13 +449,20 @@ class FaceMap:
         *vector* may also be a one-row query from :meth:`_query`, which
         then carries its own *soft*: Algorithm 2's fallback scans with the
         query its climb prepared.
+
+        On maps of at least :data:`_PRUNE_MIN_ENTRIES` signature entries an
+        exact query (qualitative signatures, small-integer vector) is
+        scanned by :meth:`_pruned_ties`, which completes the distance of a
+        few hundred faces instead of all of them and returns the same ties
+        and distance bit for bit; other queries run the full
+        :meth:`_sq_distances` scan.
         """
         if isinstance(vector, _Query):
-            ties, bests = self._ties(self._sq_distances(vector))
+            ties, bests, scored = self._scan(vector)
         else:
-            ties, bests = self._match_rows(self._as_row(vector), soft)
+            ties, bests, scored = self._match_rows(self._as_row(vector), soft)
         if obs.enabled():
-            self._record_matches(ties)
+            self._record_matches(ties, scored)
         return ties[0], float(bests[0])
 
     def match_many(
@@ -353,13 +472,34 @@ class FaceMap:
 
         Returns ``(ties_per_row, best_sq_distances)`` — identical, row for
         row, to calling :meth:`match` in a loop (see :meth:`_sq_distances`
-        for why).
+        and :meth:`_pruned_ties` for why).  Each block of rows shares the
+        first GEMM pass of the pruned search or the full scan's GEMM.
         """
-        ties, bests = self._match_rows(self._as_rows(vectors), soft)
+        ties, bests, scored = self._match_rows(self._as_rows(vectors), soft)
         if obs.enabled():
-            self._record_matches(ties)
+            self._record_matches(ties, scored)
             obs.counter("geometry.match.batched_rounds").inc(len(ties))
         return ties, bests
+
+
+def _expansion(
+    v: np.ndarray,
+    mask: "np.ndarray | None",
+    sigs: np.ndarray,
+    sq_t: np.ndarray,
+    energy: np.ndarray,
+) -> np.ndarray:
+    """Eq. 7 of exact rows *v* against qualitative signature columns *sigs*
+    ``(F, J)``, by the GEMM expansion ``|v|^2 - 2 v.s + |s|^2``: *mask* marks
+    the rows' ``*`` columns, *sq_t* is those columns' ``(s^2)^T`` and
+    *energy* their ``sum s^2`` per face.  Column slices may be strided
+    views; BLAS reads them in place."""
+    d2 = np.square(v).sum(axis=1)[:, None] - np.float32(2.0) * (v @ sigs.T)
+    d2 += energy
+    if mask is not None:
+        # masked columns must contribute zero, not s^2: subtract their energy
+        d2 -= mask.astype(np.float32) @ sq_t
+    return d2
 
 
 def _build_adjacency(cell_face: np.ndarray, grid: Grid, n_faces: int) -> tuple[np.ndarray, np.ndarray]:

@@ -575,19 +575,25 @@ def _check_batched(
         return n_checks
     batched_ties, batched_best = face_map.match_many(per_round_v)
     n_checks += 1
+    # the pruned search of large maps, called directly on this small one
+    query = face_map._query(face_map._as_rows(per_round_v), False)
+    pruned_ties, pruned_best, _ = face_map._pruned_ties(query) if query.exact else (None, None, 0)
     for r, v in enumerate(vectors):
         ties, best = face_map.match(v)
-        if not np.array_equal(batched_ties[r], ties) or float(batched_best[r]) != float(
-            best
-        ):
+        same = np.array_equal(batched_ties[r], ties) and float(batched_best[r]) == float(best)
+        if pruned_ties is not None:
+            same = same and np.array_equal(pruned_ties[r], ties) and pruned_best[r] == float(best)
+        if not same:
             divergences.append(
                 {
                     "check": "batched_match",
                     "round": r,
                     "batched_ties": _jsonable(batched_ties[r]),
                     "per_round_ties": _jsonable(ties),
+                    "pruned_ties": _jsonable(pruned_ties[r]) if pruned_ties is not None else None,
                     "batched_best": float(batched_best[r]),
                     "per_round_best": float(best),
+                    "pruned_best": pruned_best[r] if pruned_ties is not None else None,
                 }
             )
             break

@@ -185,10 +185,15 @@ def parallel_sweep(
         if n_workers is None:
             n_workers = recommended_workers(len(tasks))
         shared_set = None
+        prebuild_metrics: dict = {}
         if share_maps and n_workers > 1:
             from repro.geometry.shm import SharedFaceMapSet
             from repro.sim.scenario import replication_scenarios
 
+            if observing:
+                # the prebuild's cache lookups belong to the sweep: count
+                # them from zero (the caller's metrics come back at the end)
+                obs_metrics.reset()
             shared_set = SharedFaceMapSet()
             seen_worlds: set = set()
             for i, (cfg, _params) in enumerate(points):
@@ -205,6 +210,8 @@ def parallel_sweep(
                         # .face_map builds (or cache-loads) here, once, in
                         # the parent; workers only ever attach
                         shared_set.publish(key, scenario.face_map)
+            if observing:
+                prebuild_metrics = obs_metrics.snapshot()
         try:
             if n_workers == 1:
                 nested = [_run_point(t) for t in tasks]
@@ -221,6 +228,7 @@ def parallel_sweep(
         records = [rec for group, _ in nested for rec in group]
         if observing:
             merged = obs_metrics.MetricsRegistry()
+            merged.merge(prebuild_metrics)
             for _, snap in nested:
                 merged.merge(snap)
             merged.counter("sweep.points").inc(len(tasks))

@@ -92,8 +92,21 @@ class TestPkNN:
         assert np.allclose(est.position, four_nodes.mean(axis=0))
 
     def test_k_clamped_to_node_count(self, four_nodes):
-        tracker = PkNNTracker(four_nodes[:3])
-        assert tracker.k_neighbors == 3
+        # below the node count: k == n would make every heard sensor a member
+        assert PkNNTracker(four_nodes[:3]).k_neighbors == 2
+        assert PkNNTracker(four_nodes).k_neighbors == 3
+        assert PkNNTracker(GRID16).k_neighbors == 4
+
+    def test_four_sensor_estimate_moves_with_target(self, four_nodes):
+        tracker = PkNNTracker(four_nodes)
+        plain = four_nodes.mean(axis=0)
+        estimates = []
+        for corner in four_nodes:
+            p = plain + 0.6 * (corner - plain)
+            est = tracker.localize_batch(batch_at(four_nodes, p)).position
+            assert np.hypot(*(est - p)) < np.hypot(*(plain - p))
+            estimates.append(est)
+        assert len({tuple(e) for e in estimates}) == 4
 
     def test_track(self, four_nodes, rng):
         tracker = PkNNTracker(four_nodes)

@@ -7,7 +7,11 @@ whether workers attach shared maps, unpickle, or rebuild — and no
 
 from __future__ import annotations
 
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -123,3 +127,25 @@ class TestReplicationScenarios:
             kind="uncertain",
         )
         assert scenario.face_map_key() == expected
+
+
+
+def test_pooled_campaign_counts_the_prebuild_misses(tmp_path):
+    """The parent builds the shared maps before the pool starts; a fresh
+    process (empty face-map cache) must report one miss per map built."""
+    from repro.faultlab.campaign import campaign_config
+
+    script = (
+        "from repro.faultlab.campaign import campaign_config, run_campaign\n"
+        "run_campaign(['dropout'], [0.0, 0.2], ['fttt'], config=campaign_config(quick=True),\n"
+        f"             n_reps=2, seed=3, n_workers=2, share_maps=True, out_dir={str(tmp_path)!r})\n"
+    )
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", script], check=True, env=env)
+    metrics = json.loads((tmp_path / "metrics.json").read_text())["metrics"]
+    scenarios = replication_scenarios(campaign_config(quick=True), n_reps=2, seed=3)
+    built = len({sc.face_map_key() for sc in scenarios})
+    assert built == 2
+    assert metrics["geometry.cache.misses"]["value"] == built
+    assert metrics["sweep.workers"]["value"] == 2
