@@ -29,7 +29,7 @@ def tie_rates(scenario, batches) -> dict[str, float]:
             # exhaustive matching for a clean tie count
             from repro.core.matching import ExhaustiveMatcher
 
-            tracker.matcher = ExhaustiveMatcher(scenario.face_map, soft=True)
+            tracker.matcher = ExhaustiveMatcher(scenario.face_map, soft=scenario.soft_signatures)
         ties = 0
         for batch in batches:
             est = tracker.localize_batch(batch)

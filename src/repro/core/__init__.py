@@ -14,7 +14,7 @@ from repro.core.vectors import (
 )
 from repro.core.matching import ExhaustiveMatcher, MatchResult
 from repro.core.heuristic import HeuristicMatcher
-from repro.core.extended import expected_extended_signatures, attach_soft_signatures
+from repro.core.extended import expected_extended_signatures
 from repro.core.tracker import DegradationPolicy, FTTTracker, TrackEstimate, Tracker, TrackResult
 from repro.core.trajectory import (
     smooth_result,
@@ -37,7 +37,6 @@ __all__ = [
     "ExhaustiveMatcher",
     "HeuristicMatcher",
     "expected_extended_signatures",
-    "attach_soft_signatures",
     "MatchResult",
     "DegradationPolicy",
     "FTTTracker",

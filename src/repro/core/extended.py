@@ -26,7 +26,7 @@ from scipy.special import ndtr
 from repro.geometry.faces import FaceMap
 from repro.geometry.primitives import enumerate_pairs, pairwise_distances
 
-__all__ = ["expected_extended_signatures", "attach_soft_signatures"]
+__all__ = ["expected_extended_signatures"]
 
 CHUNK_PAIRS = 128  # pairs per block: bounds the (cells, block) float64 temporaries
 
@@ -84,22 +84,3 @@ def expected_extended_signatures(
         out[:, start:stop] = (acc / counts[:, None]).astype(np.float32)
     return out
 
-
-def attach_soft_signatures(
-    face_map: FaceMap,
-    *,
-    path_loss_exponent: float,
-    noise_sigma_dbm: float,
-    resolution_dbm: float = 0.0,
-    sensing_range: float | None = None,
-) -> FaceMap:
-    """Compute and attach soft signatures to *face_map* (idempotent)."""
-    if face_map.soft_signatures is None:
-        face_map.soft_signatures = expected_extended_signatures(
-            face_map,
-            path_loss_exponent=path_loss_exponent,
-            noise_sigma_dbm=noise_sigma_dbm,
-            resolution_dbm=resolution_dbm,
-            sensing_range=sensing_range,
-        )
-    return face_map

@@ -16,16 +16,16 @@ the full masked distance (``FaceMap._sq_distances`` over the ring's face
 ids) rather than with a unit-step update.
 
 A face's ring depends on the map alone, so the map memoizes it, one table
-per ``hops``: every matcher on a map, and on any ``view()`` of it, shares
-that memo.  The first climb through a face builds the ring from Python
-sets, and every later one reuses that array, with the face itself in front
-so one kernel call scores the step's start too.  The memo keeps the set
+per ``hops``: every matcher on a map shares that memo.  The first climb
+through a face builds the ring from Python sets, and every later one
+reuses that array, with the face itself in front so one kernel call
+scores the step's start too.  The memo keeps the set
 iteration order a fresh build gives, so ties resolve as they would without
 it.  At n = 40 (1 m cells) a round builds or reuses about 2.4 rings of ~14
 faces, and reusing them makes the climb ~1.2x faster than rebuilding
 each (``benchmarks/test_perf_kernels.py``).  A map's memo outlives its
 trackers: in the ``perfbench`` faultlab-campaign world the 36 cells of a
-replication track on views of one map, and a campaign (seed 1, serial)
+replication track on one map, and a campaign (seed 1, serial)
 builds 843 rings where per-matcher memos built 11,225.
 
 Hill climbing can stall in a local optimum if the target jumped far or the
@@ -77,6 +77,8 @@ class HeuristicMatcher:
     Parameters
     ----------
     face_map : the divided monitor area.
+    soft : ``(F, P)`` float32 soft signatures (§6) to match against, or
+        None (default) for the map's qualitative ones.
     hops : search ring per climb step; 1 is Algorithm 2 verbatim, 2
         (default) also examines neighbors-of-neighbors, which escapes the
         single-face local optima noisy sampling vectors create while still
@@ -88,7 +90,7 @@ class HeuristicMatcher:
     ----------
     fallback_sq_distance : quality gate for the fallback, in squared
         vector-distance units: :func:`default_fallback_gate` for this map's
-        P and ``soft``.
+        P and for whether ``soft`` is given.
     last_face : face of the previous localization (Algorithm 2's f0), or
         None before the first match.
     """
@@ -97,7 +99,7 @@ class HeuristicMatcher:
         self,
         face_map: FaceMap,
         *,
-        soft: bool = False,
+        soft: "np.ndarray | None" = None,
         hops: int = 2,
         fallback: bool = True,
     ) -> None:
@@ -107,7 +109,7 @@ class HeuristicMatcher:
         self.soft = soft
         self.hops = hops
         self.fallback = fallback
-        self.fallback_sq_distance = default_fallback_gate(face_map.n_pairs, soft=soft)
+        self.fallback_sq_distance = default_fallback_gate(face_map.n_pairs, soft=soft is not None)
         self.last_face: int | None = None
         self._rings = face_map._rings.setdefault(hops, {})
 

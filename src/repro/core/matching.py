@@ -48,11 +48,12 @@ def _tied_result(
 class ExhaustiveMatcher:
     """Stateless full-scan matcher over a face map.
 
-    ``soft=True`` matches against the attached quantitative signatures
-    (extended FTTT, §6) instead of the qualitative {-1, 0, +1} ones.
+    *soft* is an ``(F, P)`` float32 matrix of quantitative signatures
+    (extended FTTT, §6) to match against instead of the map's qualitative
+    {-1, 0, +1} ones.
     """
 
-    def __init__(self, face_map: FaceMap, *, soft: bool = False) -> None:
+    def __init__(self, face_map: FaceMap, *, soft: "np.ndarray | None" = None) -> None:
         self.face_map = face_map
         self.soft = soft
 

@@ -230,6 +230,9 @@ class FTTTracker(Tracker):
     matcher : ``"heuristic"`` = Algorithm 2 neighbor-link hill climbing
         (the paper's tracking algorithm); ``"exhaustive"`` = full scan.
     comparator_eps : RSS comparator deadband in dB (ties count as flips).
+    soft_signatures : ``(F, P)`` float32 soft signatures to match against
+        (§6, :func:`~repro.core.extended.expected_extended_signatures`),
+        or ``None`` (default) for the map's qualitative ones.
     degradation : optional :class:`DegradationPolicy` enabling flip-rate
         pair suppression, the reporting quorum, and the extended
         tie-break.  ``None`` (default) reproduces the paper exactly.
@@ -242,7 +245,7 @@ class FTTTracker(Tracker):
         mode: Mode = "basic",
         matcher: MatcherKind = "heuristic",
         comparator_eps: float = 0.0,
-        soft_signatures: "bool | None" = None,
+        soft_signatures: "np.ndarray | None" = None,
         degradation: "DegradationPolicy | None" = None,
     ) -> None:
         if mode not in ("basic", "extended"):
@@ -254,22 +257,17 @@ class FTTTracker(Tracker):
         self.mode: Mode = mode
         self.comparator_eps = comparator_eps
         self._pairs = enumerate_pairs(face_map.n_nodes)
-        # extended mode matches against the quantitative (soft) signatures
-        # of §6 whenever they are attached to the face map
-        if soft_signatures is None:
-            soft_signatures = mode == "extended" and face_map.soft_signatures is not None
-        if soft_signatures and face_map.soft_signatures is None:
+        if soft_signatures is not None and soft_signatures.shape != face_map.signatures.shape:
             raise ValueError(
-                "soft_signatures requested but none attached; call "
-                "repro.core.extended.attach_soft_signatures(face_map, ...)"
+                f"soft signatures have shape {soft_signatures.shape}, "
+                f"expected {face_map.signatures.shape}"
             )
-        self.soft_signatures = bool(soft_signatures)
         if matcher == "heuristic":
             self.matcher: "HeuristicMatcher | ExhaustiveMatcher" = HeuristicMatcher(
-                face_map, soft=self.soft_signatures
+                face_map, soft=soft_signatures
             )
         else:
-            self.matcher = ExhaustiveMatcher(face_map, soft=self.soft_signatures)
+            self.matcher = ExhaustiveMatcher(face_map, soft=soft_signatures)
         self.degradation = degradation
         self._flip_ewma: "np.ndarray | None" = None
         self._flip_obs: "np.ndarray | None" = None
@@ -407,7 +405,7 @@ class FTTTracker(Tracker):
         stuck/drifted endpoints plateau near 0.5.
         """
         pol = self.degradation
-        sigs = self.face_map.signature_matrix()[match.face_ids].astype(np.float64)
+        sigs = self.face_map.signatures[match.face_ids].astype(np.float64)
         sig = sigs.mean(axis=0) if len(match.face_ids) > 1 else sigs[0]
         valid = ~np.isnan(raw_vector)
         residual = np.abs(raw_vector[valid] - sig[valid]) / 2.0
@@ -455,7 +453,7 @@ class FTTTracker(Tracker):
         signatures.
         """
         ext = extended_sampling_vector(rss, self._pairs, comparator_eps=self.comparator_eps)
-        sigs = self.face_map.signature_matrix()[match.face_ids].astype(np.float64)
+        sigs = self.face_map.signatures[match.face_ids].astype(np.float64)
         prod = sigs * ext[None, :]
         prod = np.where(np.isnan(prod), 0.0, prod)
         agreement = prod.sum(axis=1)

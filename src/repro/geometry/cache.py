@@ -26,11 +26,10 @@ Three tiers, looked up in this order:
   A file in any other layout than the current one is a miss: the map is
   rebuilt and the file overwritten.
 
-Every lookup returns a fresh :class:`~repro.geometry.faces.FaceMap`
-wrapper sharing the (never-mutated) geometry arrays but with its own
-``soft_signatures`` slot, so per-scenario soft attachments cannot leak
-between cache users.  Disable entirely with
-``configure_face_map_cache(enabled=False)``.
+A hit returns the cached :class:`~repro.geometry.faces.FaceMap` itself:
+a map is read-only once built, so every holder can share it.  Lookups
+are counted by the ``geometry.cache.*`` counters of :mod:`repro.obs`.
+Disable entirely with ``configure_face_map_cache(enabled=False)``.
 """
 
 from __future__ import annotations
@@ -129,35 +128,12 @@ class FaceMapCache:
         self.maxsize = maxsize
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
         self._entries: "OrderedDict[str, FaceMap]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.disk_hits = 0
-        self.shm_hits = 0
-        self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def stats(self) -> dict:
-        return {
-            "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "disk_hits": self.disk_hits,
-            "shm_hits": self.shm_hits,
-            "evictions": self.evictions,
-        }
-
     def clear(self) -> None:
         self._entries.clear()
-
-    # -- views -------------------------------------------------------------
-
-    @staticmethod
-    def _view(fm: FaceMap) -> FaceMap:
-        """Fresh FaceMap sharing arrays but owning its soft-signature slot."""
-        fm._sig_f32()  # materialize the shared float32 matrix once
-        return fm.view()
 
     # -- disk tier ---------------------------------------------------------
 
@@ -227,49 +203,52 @@ class FaceMapCache:
         fm = self._entries.get(key)
         if fm is not None:
             self._entries.move_to_end(key)
-            self.hits += 1
             if record:
                 obs.counter("geometry.cache.hits").inc()
-            return self._view(fm)
+            return fm
         # zero-copy tier: a map published into shared memory by the sweep
-        # parent (repro.geometry.shm); views attach instead of rebuilding
+        # parent (repro.geometry.shm); workers attach instead of rebuilding
         from repro.geometry.shm import shared_face_map
 
         shared = shared_face_map(key)
         if shared is not None:
-            self.shm_hits += 1
             if record:
                 obs.counter("geometry.cache.shm_hits").inc()
             return shared
         fm = self._disk_load(key)
-        if fm is not None:
-            self.disk_hits += 1
-            if record:
-                obs.counter("geometry.cache.disk_hits").inc()
-        else:
-            self.misses += 1
-            if record:
-                obs.counter("geometry.cache.misses").inc()
-            if kind == "uncertain":
-                fm = build_face_map(
-                    nodes,
-                    grid,
-                    c,
-                    sensing_range=sensing_range,
-                    split_components=split_components,
-                )
-            else:
-                fm = build_certain_face_map(nodes, grid, split_components=split_components)
+        if record:
+            obs.counter("geometry.cache." + ("misses" if fm is None else "disk_hits")).inc()
+        if fm is None:
+            fm = _build(nodes, grid, c, sensing_range, split_components, kind)
             self._disk_store(key, fm)
         if self.maxsize > 0:
             self._entries[key] = fm
             self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
-                self.evictions += 1
                 if record:
                     obs.counter("geometry.cache.evictions").inc()
-        return self._view(fm)
+        return fm
+
+
+def _build(
+    nodes: np.ndarray,
+    grid: Grid,
+    c: float,
+    sensing_range: "float | None",
+    split_components: bool,
+    kind: str,
+) -> FaceMap:
+    """Build the map of *kind*: :func:`build_face_map` for ``"uncertain"``,
+    :func:`build_certain_face_map` (no ``c`` / ``sensing_range``) for
+    ``"certain"``."""
+    if kind == "uncertain":
+        return build_face_map(
+            nodes, grid, c, sensing_range=sensing_range, split_components=split_components
+        )
+    if kind == "certain":
+        return build_certain_face_map(nodes, grid, split_components=split_components)
+    raise ValueError(f"unknown face-map kind {kind!r}")
 
 
 _default_cache: "FaceMapCache | None" = None
@@ -331,17 +310,7 @@ def get_face_map(
     *is* that call.
     """
     if not face_map_cache_enabled():
-        if kind == "uncertain":
-            return build_face_map(
-                nodes,
-                grid,
-                c,
-                sensing_range=sensing_range,
-                split_components=split_components,
-            )
-        if kind == "certain":
-            return build_certain_face_map(nodes, grid, split_components=split_components)
-        raise ValueError(f"unknown face-map kind {kind!r}")
+        return _build(nodes, grid, c, sensing_range, split_components, kind)
     return default_face_map_cache().get_or_build(
         nodes,
         grid,

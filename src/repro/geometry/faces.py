@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -61,12 +62,17 @@ class _Query(NamedTuple):
 
     v0: np.ndarray  # (B, P) float32, ``*`` components zeroed
     mask: "np.ndarray | None"  # (B, P) bool ``*`` components; None if there are none
-    soft: bool  # match against the soft signatures
+    sigs: np.ndarray  # (F, P) float32 signatures the vectors are scored against
     exact: bool  # qualitative signatures and every component a small integer
 
 
 class FaceMap:
     """The complete division of the field plus matching accelerators.
+
+    A map is a value: its arrays are read-only once built, so the face-map
+    cache and every tracker can share one instance.  Matching against the
+    soft signatures of §6 takes them as an argument (``soft=``); the map
+    holds the qualitative ones only.
 
     Attributes
     ----------
@@ -91,22 +97,16 @@ class FaceMap:
         cell_counts: np.ndarray,
         adj_indptr: np.ndarray,
         adj_indices: np.ndarray,
-        soft_signatures: np.ndarray | None = None,
     ) -> None:
-        self.nodes = nodes
+        self.nodes = _read_only(nodes)
         self.grid = grid
         self.c = c
-        self.signatures = signatures
-        self.centroids = centroids
-        self.cell_face = cell_face
-        self.cell_counts = cell_counts
-        self.adj_indptr = adj_indptr
-        self.adj_indices = adj_indices
-        self.soft_signatures = soft_signatures
-        self._signatures_f32: np.ndarray | None = None
-        self._qual_sq_rows: np.ndarray | None = None
-        self._qual_sq_t: np.ndarray | None = None
-        self._qual_sq_split: tuple[np.ndarray, np.ndarray] | None = None
+        self.signatures = _read_only(signatures)
+        self.centroids = _read_only(centroids)
+        self.cell_face = _read_only(cell_face)
+        self.cell_counts = _read_only(cell_counts)
+        self.adj_indptr = _read_only(adj_indptr)
+        self.adj_indices = _read_only(adj_indices)
         # Algorithm 2's climb rings by hops, then by face (repro.core.heuristic)
         self._rings: dict[int, dict[int, np.ndarray]] = {}
 
@@ -115,19 +115,6 @@ class FaceMap:
             f"FaceMap(n_nodes={self.n_nodes}, n_faces={self.n_faces}, "
             f"n_pairs={self.n_pairs}, c={self.c})"
         )
-
-    def view(self) -> "FaceMap":
-        """A shallow copy sharing every (never-mutated) array and the ring
-        memo (rings depend on the map alone) but owning its own
-        ``soft_signatures`` slot, so callers can attach soft signatures
-        without leaking them into other holders of the same map.
-
-        The memo lives as long as the map and every view of it; a map held
-        by the face-map cache keeps its rings until the cache drops it."""
-        clone = FaceMap.__new__(FaceMap)
-        clone.__dict__.update(self.__dict__)
-        clone.soft_signatures = None
-        return clone
 
     # -- basic queries ----------------------------------------------------
 
@@ -175,31 +162,21 @@ class FaceMap:
 
     # -- matching ---------------------------------------------------------
 
+    @cached_property
     def _sig_f32(self) -> np.ndarray:
-        if self._signatures_f32 is None:
-            self._signatures_f32 = self.signatures.astype(np.float32)
-        return self._signatures_f32
+        """(F, P) float32 qualitative signatures, the matching matrix."""
+        return _read_only(self.signatures.astype(np.float32))
 
-    def signature_matrix(self, *, soft: bool = False) -> np.ndarray:
-        """(F, P) float32 signatures — qualitative, or the soft/expected
-        quantitative variant when attached (see ``repro.core.extended``)."""
-        if soft:
-            if self.soft_signatures is None:
-                raise ValueError(
-                    "no soft signatures attached; call "
-                    "repro.core.extended.attach_soft_signatures first"
-                )
-            return self.soft_signatures
-        return self._sig_f32()
-
-    def _query(self, V: np.ndarray, soft: bool) -> _Query:
+    def _query(self, V: np.ndarray, soft: "np.ndarray | None" = None) -> _Query:
         """Prepare ``(B, P)`` float32 sampling vectors *V* for
-        :meth:`_sq_distances`; Algorithm 2 scores its rings and its fallback
-        scan with one."""
+        :meth:`_sq_distances` against the ``(F, P)`` *soft* signatures, or
+        the qualitative ones when *soft* is None; Algorithm 2 scores its
+        rings and its fallback scan with one."""
         mask = np.isnan(V)
         v0 = np.where(mask, np.float32(0.0), V)
-        exact = not soft and bool((v0 == np.rint(v0)).all() and (np.abs(v0) <= 8.0).all())
-        return _Query(v0, mask if mask.any() else None, soft, exact)
+        exact = soft is None and bool((v0 == np.rint(v0)).all() and (np.abs(v0) <= 8.0).all())
+        sigs = self._sig_f32 if soft is None else soft
+        return _Query(v0, mask if mask.any() else None, sigs, exact)
 
     def _sq_distances(self, q: _Query, face_ids: "np.ndarray | None" = None) -> np.ndarray:
         """The one squared-distance kernel: the vectors of *q* against every
@@ -219,7 +196,7 @@ class FaceMap:
         path instead, whose value for a face is the same whichever rows or
         faces share the call.
         """
-        sigs = self.signature_matrix(soft=q.soft)
+        sigs = q.sigs
         if face_ids is not None:
             sigs = sigs[face_ids]
         if not q.exact:
@@ -236,20 +213,18 @@ class FaceMap:
                 sq = np.square(sigs - v)
                 out[b] = sq.sum(axis=1) if q.mask is None else sq @ (~q.mask[b]).astype(np.float32)
             return out
-        sq_rows, sq_t, _ = self._qual_sq()
+        sq_rows, sq_t, _ = self._qual_sq
         return _expansion(q.v0, q.mask, sigs, sq_t, sq_rows)
 
+    @cached_property
     def _qual_sq(self) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        """Cached ``sum_p s^2`` per face and ``(s^2)^T`` for the GEMM expansion,
+        """``sum_p s^2`` per face and ``(s^2)^T`` for the GEMM expansion,
         and for :meth:`_pruned_ties` ``sum_p s^2`` per face before and after
         the first cut."""
-        if self._qual_sq_rows is None:
-            sq = np.square(self._sig_f32())
-            self._qual_sq_rows = sq.sum(axis=1)
-            head = sq[:, : self._prune_cuts()[0]].sum(axis=1)
-            self._qual_sq_split = (head, self._qual_sq_rows - head)
-            self._qual_sq_t = np.ascontiguousarray(sq.T)
-        return self._qual_sq_rows, self._qual_sq_t, self._qual_sq_split
+        sq = np.square(self._sig_f32)
+        rows = sq.sum(axis=1)
+        head = sq[:, : self._prune_cuts()[0]].sum(axis=1)
+        return rows, np.ascontiguousarray(sq.T), (head, rows - head)
 
     def _prune_cuts(self) -> list[int]:
         """Pair-column cuts of :meth:`_pruned_ties`, in the canonical column
@@ -283,8 +258,8 @@ class FaceMap:
         so the completed distances, the ties and the best distance are
         those of the full scan bit for bit.
         """
-        sigs = self._sig_f32()
-        _, sq_t, (head, tail) = self._qual_sq()
+        sigs = self._sig_f32
+        _, sq_t, (head, tail) = self._qual_sq
         cuts = self._prune_cuts()
         c0 = cuts[0]
         F, P = self.n_faces, self.n_pairs
@@ -365,7 +340,7 @@ class FaceMap:
         NaN components of *vector* are the ``*`` fault values of Eq. 7 and
         contribute zero difference.
         """
-        return self._sq_distances(self._query(self._as_row(vector), False))[0]
+        return self._sq_distances(self._query(self._as_row(vector)))[0]
 
     def distances_to_many(self, vectors: np.ndarray) -> np.ndarray:
         """Squared vector distance from each of ``(B, P)`` *vectors* to every
@@ -379,10 +354,10 @@ class FaceMap:
         V = self._as_rows(vectors)
         step = self._block_rows()
         if len(V) <= step:
-            return self._sq_distances(self._query(V, False))
+            return self._sq_distances(self._query(V))
         out = np.empty((len(V), self.n_faces), dtype=np.float32)
         for start in range(0, len(V), step):
-            block = self._query(V[start : start + step], False)
+            block = self._query(V[start : start + step])
             out[start : start + step] = self._sq_distances(block)
         return out
 
@@ -415,7 +390,9 @@ class FaceMap:
             bests.append(best)
         return ties, bests
 
-    def _match_rows(self, V: np.ndarray, soft: bool) -> tuple[list[np.ndarray], np.ndarray, int]:
+    def _match_rows(
+        self, V: np.ndarray, soft: "np.ndarray | None"
+    ) -> tuple[list[np.ndarray], np.ndarray, int]:
         """Tied faces, best squared distance per row of *V* and faces scored
         in full, one :meth:`_block_rows` block of distances live at a time."""
         step = self._block_rows()
@@ -438,17 +415,19 @@ class FaceMap:
         obs.counter("geometry.match.scored_faces").inc(scored)
 
     def match(
-        self, vector: "np.ndarray | _Query", *, soft: bool = False
+        self, vector: "np.ndarray | _Query", *, soft: "np.ndarray | None" = None
     ) -> tuple[np.ndarray, float]:
         """Exhaustive maximum-likelihood matching (paper §4.4-1).
 
         Returns ``(face_ids, sq_distance)`` — all faces tying at the minimum
         squared vector distance.  Similarity of Definition 7 is
-        ``1/sqrt(sq_distance)`` (infinite on exact match).
+        ``1/sqrt(sq_distance)`` (infinite on exact match).  *soft* is an
+        ``(F, P)`` float32 matrix of soft signatures (§6) to match against
+        instead of the qualitative ones.
 
         *vector* may also be a one-row query from :meth:`_query`, which
-        then carries its own *soft*: Algorithm 2's fallback scans with the
-        query its climb prepared.
+        then carries its own signatures: Algorithm 2's fallback scans with
+        the query its climb prepared.
 
         On maps of at least :data:`_PRUNE_MIN_ENTRIES` signature entries an
         exact query (qualitative signatures, small-integer vector) is
@@ -466,7 +445,7 @@ class FaceMap:
         return ties[0], float(bests[0])
 
     def match_many(
-        self, vectors: np.ndarray, *, soft: bool = False
+        self, vectors: np.ndarray, *, soft: "np.ndarray | None" = None
     ) -> tuple[list[np.ndarray], np.ndarray]:
         """Batched :meth:`match` over ``(B, P)`` *vectors*.
 
@@ -480,6 +459,14 @@ class FaceMap:
             self._record_matches(ties, scored)
             obs.counter("geometry.match.batched_rounds").inc(len(ties))
         return ties, bests
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of *a*: one write would change the map for every
+    holder."""
+    view = np.asarray(a).view()
+    view.flags.writeable = False
+    return view
 
 
 def _expansion(

@@ -186,14 +186,12 @@ class SharedFaceMap:
 
     def _array(self, name: str) -> np.ndarray:
         spec = self.manifest["layout"][name]
-        arr = np.ndarray(
+        return np.ndarray(
             tuple(spec["shape"]),
             dtype=np.dtype(spec["dtype"]),
             buffer=self.segment.buf,
             offset=spec["offset"],
         )
-        arr.flags.writeable = False
-        return arr
 
     def face_map(self) -> FaceMap:
         """A :class:`FaceMap` whose arrays are read-only views into the segment."""
@@ -257,8 +255,7 @@ class SharedFaceMapSet:
 #
 # Pool workers receive the manifest list once via the pool initializer and
 # resolve cache keys against it lazily: the first lookup attaches the
-# segment, builds one master FaceMap (with the float32 matching matrix
-# materialized), and every subsequent lookup hands out a fresh view.
+# segment and wraps it in one FaceMap, which every lookup returns.
 
 _installed_manifests: dict[str, dict] = {}
 _attached: dict[str, tuple[SharedFaceMap, FaceMap]] = {}
@@ -271,7 +268,7 @@ def install_shared_face_maps(manifests: list[dict]) -> None:
 
 
 def shared_face_map(key: str) -> FaceMap | None:
-    """A fresh view of the shared map published under *key*, or None."""
+    """The map attached from the segment published under *key*, or None."""
     manifest = _installed_manifests.get(key)
     if manifest is None:
         return None
@@ -279,16 +276,14 @@ def shared_face_map(key: str) -> FaceMap | None:
     if entry is None:
         try:
             handle = SharedFaceMap.attach(manifest)
-            master = handle.face_map()
-            master._sig_f32()  # materialize once; every view shares it
+            entry = (handle, handle.face_map())
         except (FileNotFoundError, ValueError, OSError):
             # creator already unlinked (or manifest is stale): fall back to
             # the normal cache/build path rather than failing the task
             _installed_manifests.pop(key, None)
             return None
-        entry = (handle, master)
         _attached[key] = entry
-    return entry[1].view()
+    return entry[1]
 
 
 def clear_shared_face_maps() -> None:

@@ -576,7 +576,7 @@ def _check_batched(
     batched_ties, batched_best = face_map.match_many(per_round_v)
     n_checks += 1
     # the pruned search of large maps, called directly on this small one
-    query = face_map._query(face_map._as_rows(per_round_v), False)
+    query = face_map._query(face_map._as_rows(per_round_v))
     pruned_ties, pruned_best, _ = face_map._pruned_ties(query) if query.exact else (None, None, 0)
     for r, v in enumerate(vectors):
         ties, best = face_map.match(v)

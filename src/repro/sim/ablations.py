@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.analysis.metrics import summarize_errors
 from repro.config import SimulationConfig
-from repro.core.extended import attach_soft_signatures
 from repro.core.tracker import FTTTracker
 from repro.rf.channel import RssChannel
 from repro.rf.shadowing import CommonModeNoise, TemporallyCorrelatedNoise
@@ -107,22 +106,13 @@ def ablate_soft_signatures(
     def run_one(scenario: Scenario, rng) -> dict:
         batches = generate_batches(scenario, rng)
         results = {}
-        hard = FTTTracker(
+        hard = FTTTracker(scenario.face_map, mode="extended", comparator_eps=config.resolution_dbm)
+        results["extended/hard-sig"] = hard.track(batches)
+        soft = FTTTracker(
             scenario.face_map,
             mode="extended",
             comparator_eps=config.resolution_dbm,
-            soft_signatures=False,
-        )
-        results["extended/hard-sig"] = hard.track(batches)
-        attach_soft_signatures(
-            scenario.face_map,
-            path_loss_exponent=config.path_loss_exponent,
-            noise_sigma_dbm=config.noise_sigma_dbm,
-            resolution_dbm=config.resolution_dbm,
-            sensing_range=config.sensing_range_m,
-        )
-        soft = FTTTracker(
-            scenario.face_map, mode="extended", comparator_eps=config.resolution_dbm
+            soft_signatures=scenario.soft_signatures,
         )
         results["extended/soft-sig"] = soft.track(batches)
         basic = scenario.make_tracker("fttt")

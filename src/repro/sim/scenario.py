@@ -124,6 +124,21 @@ class Scenario:
             )
         return self._certain_map
 
+    @cached_property
+    def soft_signatures(self) -> np.ndarray:
+        """Expected extended signatures (§6) of :attr:`face_map` under this
+        world's channel, the matrix ``fttt-extended`` matches against."""
+        from repro.core.extended import expected_extended_signatures
+
+        cfg = self.config
+        return expected_extended_signatures(
+            self.face_map,
+            path_loss_exponent=cfg.path_loss_exponent,
+            noise_sigma_dbm=cfg.noise_sigma_dbm,
+            resolution_dbm=cfg.resolution_dbm,
+            sensing_range=cfg.sensing_range_m,
+        )
+
     def make_tracker(self, name: str):
         """Build a tracker bound to this scenario's maps and configuration.
 
@@ -153,17 +168,12 @@ class Scenario:
 
             return ZeroFillFTTT(self.face_map, mode="basic", matcher="heuristic", comparator_eps=eps)
         if name == "fttt-extended":
-            from repro.core.extended import attach_soft_signatures
-
-            attach_soft_signatures(
-                self.face_map,
-                path_loss_exponent=self.config.path_loss_exponent,
-                noise_sigma_dbm=self.config.noise_sigma_dbm,
-                resolution_dbm=self.config.resolution_dbm,
-                sensing_range=self.config.sensing_range_m,
-            )
             return FTTTracker(
-                self.face_map, mode="extended", matcher="heuristic", comparator_eps=eps
+                self.face_map,
+                mode="extended",
+                matcher="heuristic",
+                comparator_eps=eps,
+                soft_signatures=self.soft_signatures,
             )
         if name == "fttt-exhaustive":
             return FTTTracker(self.face_map, mode="basic", matcher="exhaustive", comparator_eps=eps)

@@ -83,17 +83,18 @@ class OutdoorSystem:
         rng = ensure_rng(rng)
         period = self.k / self.sampling_rate_hz
         n_rounds = max(1, int(self.path.duration_s / period))
+        soft = None
         if mode == "extended":
-            from repro.core.extended import attach_soft_signatures
+            from repro.core.extended import expected_extended_signatures
 
             typical_d = self.field_size / 4.0
-            attach_soft_signatures(
+            soft = expected_extended_signatures(
                 self.face_map,
                 path_loss_exponent=self.channel.effective_pathloss_exponent(typical_d),
                 noise_sigma_dbm=self.channel.noise_sigma_db,
                 resolution_dbm=max(m.adc_step_db for m in self.motes),
             )
-        tracker = FTTTracker(self.face_map, mode=mode, matcher="heuristic")
+        tracker = FTTTracker(self.face_map, mode=mode, matcher="heuristic", soft_signatures=soft)
         batches = [self.sample_round(r * period, rng) for r in range(n_rounds)]
         return tracker.track(batches)
 

@@ -107,7 +107,7 @@ class TestBatchedDistances:
         rss[:, :, :silent] = np.nan
         face_ids = np.random.default_rng(4).permutation(fm.n_faces)[: fm.n_faces // 3]
         for v in sampling_vectors(rss, comparator_eps=1.0):
-            q = fm._query(v.astype(np.float32)[None], False)
+            q = fm._query(v.astype(np.float32)[None])
             assert q.exact  # the exact path
             assert (q.mask is not None) == (silent > 1)
             full = fm._sq_distances(q)[0]
@@ -129,21 +129,12 @@ class TestBatchedDistances:
         assert np.array_equal(loop, fm.distances_to_many(vectors))
 
     def test_soft_signatures_identical(self, world):
-        from repro.core.extended import attach_soft_signatures
-
         scenario, _, stack = world
-        fm = scenario.face_map
-        attach_soft_signatures(
-            fm,
-            path_loss_exponent=CFG.path_loss_exponent,
-            noise_sigma_dbm=CFG.noise_sigma_dbm,
-            resolution_dbm=CFG.resolution_dbm,
-            sensing_range=CFG.sensing_range_m,
-        )
+        fm, soft = scenario.face_map, scenario.soft_signatures
         vectors = extended_sampling_vectors(stack, comparator_eps=1.0)
-        ties, bests = fm.match_many(vectors, soft=True)
+        ties, bests = fm.match_many(vectors, soft=soft)
         for v, t, best in zip(vectors, ties, bests):
-            t_loop, best_loop = fm.match(v, soft=True)
+            t_loop, best_loop = fm.match(v, soft=soft)
             assert np.array_equal(t, t_loop)
             assert best == best_loop
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import extended
-from repro.core.extended import attach_soft_signatures, expected_extended_signatures
+from repro.core.extended import expected_extended_signatures
 from repro.core.tracker import FTTTracker
 
 
@@ -70,18 +70,21 @@ class TestExpectedSignatures:
 
 
 class TestAttach:
-    def test_attach_is_idempotent(self, face_map):
-        attach_soft_signatures(face_map, path_loss_exponent=4.0, noise_sigma_dbm=6.0)
-        first = face_map.soft_signatures
-        attach_soft_signatures(face_map, path_loss_exponent=4.0, noise_sigma_dbm=6.0)
-        assert face_map.soft_signatures is first
+    """Soft signatures are attached to the tracker that matches them."""
 
-    def test_enables_soft_tracker(self, face_map):
-        attach_soft_signatures(face_map, path_loss_exponent=4.0, noise_sigma_dbm=6.0)
-        tracker = FTTTracker(face_map, mode="extended")
-        assert tracker.soft_signatures
+    def test_attach_is_idempotent(self, face_map, soft):
+        signatures = face_map.signatures.copy()
+        again = expected_extended_signatures(
+            face_map, path_loss_exponent=4.0, noise_sigma_dbm=6.0, resolution_dbm=1.0
+        )
+        assert np.array_equal(again, soft)
+        assert np.array_equal(face_map.signatures, signatures)
 
-    def test_basic_mode_ignores_soft(self, face_map):
-        attach_soft_signatures(face_map, path_loss_exponent=4.0, noise_sigma_dbm=6.0)
+    def test_enables_soft_tracker(self, face_map, soft):
+        tracker = FTTTracker(face_map, mode="extended", soft_signatures=soft)
+        assert tracker.matcher.soft is soft
+
+    def test_basic_mode_ignores_soft(self, face_map, soft):
+        FTTTracker(face_map, mode="extended", soft_signatures=soft)
         tracker = FTTTracker(face_map, mode="basic")
-        assert not tracker.soft_signatures
+        assert tracker.matcher.soft is None

@@ -165,9 +165,10 @@ class TestFallbackGate:
         assert hard.fallback_sq_distance == bare.fallback_sq_distance
         assert hard.fallback_sq_distance == pytest.approx(0.1 * fm.n_pairs)
         soft = scenario.make_tracker("fttt-extended").matcher
-        assert soft.soft
+        assert soft.soft is scenario.soft_signatures
         assert soft.fallback_sq_distance == pytest.approx(2.0 * hard.fallback_sq_distance)
-        assert HeuristicMatcher(fm, soft=True).fallback_sq_distance == soft.fallback_sq_distance
+        bare_soft = HeuristicMatcher(fm, soft=scenario.soft_signatures)
+        assert bare_soft.fallback_sq_distance == soft.fallback_sq_distance
 
 
 class TestRingCache:
@@ -193,7 +194,8 @@ class TestRingCache:
         for v in trace(40):
             warm.match(v, start_face=int(rng.integers(face_map.n_faces)))
         filled = set(face_map._rings[hops])
-        # a view would share the warm memo, so the fresh matcher gets its own map
+        # a matcher on the same map would share the warm memo, so the fresh
+        # matcher gets its own map
         fresh_map = build_face_map(four_nodes, small_grid, c=1.5)
         fresh = HeuristicMatcher(fresh_map, hops=hops, fallback=fallback)
         assert not fresh_map._rings[hops]
@@ -224,14 +226,9 @@ class TestRingCache:
 
     @pytest.mark.parametrize("hops", [1, 2])
     def test_matchers_on_one_map_share_its_memo(self, face_map, four_nodes, small_grid, hops):
-        """Two matchers on one map and one on its ``view()`` share one ring
-        memo per ``hops``, and every round they return what a matcher on a
-        freshly built map returns."""
-        sharing = [
-            HeuristicMatcher(face_map, hops=hops),
-            HeuristicMatcher(face_map, hops=hops),
-            HeuristicMatcher(face_map.view(), hops=hops),
-        ]
+        """Matchers on one map share one ring memo per ``hops``, and every
+        round they return what a matcher on a freshly built map returns."""
+        sharing = [HeuristicMatcher(face_map, hops=hops) for _ in range(3)]
         assert all(m._rings is face_map._rings[hops] for m in sharing)
         assert HeuristicMatcher(face_map, hops=3 - hops)._rings is not face_map._rings[hops]
         fresh_map = build_face_map(four_nodes, small_grid, c=1.5)

@@ -77,7 +77,8 @@ def test_known_duplicate_pair_pinned(split_map):
 
 
 def _toy_soft_map() -> FaceMap:
-    """Minimal hand-built map: two nodes, three faces, soft signatures."""
+    """Minimal hand-built map: two nodes, three faces (faces 0 and 1 share a
+    qualitative signature)."""
     grid = Grid.square(3.0, 1.0)
     cell_face = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2], dtype=np.int64)
     centers = grid.cell_centers
@@ -95,9 +96,6 @@ def _toy_soft_map() -> FaceMap:
         adj_indptr=np.array([0, 1, 3, 4]),
         adj_indices=np.array([1, 0, 2, 1]),
     )
-    fm.soft_signatures = np.array(
-        [[1.0], [1.0 - 1e-4], [-1.0]], dtype=np.float32
-    )
     return fm
 
 
@@ -109,15 +107,16 @@ def test_soft_near_zero_face_does_not_tie_with_exact_match():
     with face 0's exact (infinite-similarity) match.
     """
     fm = _toy_soft_map()
-    ties, best = fm.match(np.array([1.0]), soft=True)
+    soft = np.array([[1.0], [1.0 - 1e-4], [-1.0]], dtype=np.float32)
+    ties, best = fm.match(np.array([1.0]), soft=soft)
     assert best == 0.0
     assert ties.tolist() == [0]
 
 
 def test_soft_bit_equal_faces_still_tie():
     fm = _toy_soft_map()
-    fm.soft_signatures = np.array([[1.0], [1.0], [-1.0]], dtype=np.float32)
-    ties, best = fm.match(np.array([1.0]), soft=True)
+    soft = np.array([[1.0], [1.0], [-1.0]], dtype=np.float32)
+    ties, best = fm.match(np.array([1.0]), soft=soft)
     assert best == 0.0
     assert ties.tolist() == [0, 1]
 

@@ -75,8 +75,11 @@ class TestModesAndMatchers:
             FTTTracker(face_map, matcher="bogus")
 
     def test_soft_without_attachment_rejected(self, face_map):
-        with pytest.raises(ValueError, match="soft"):
-            FTTTracker(face_map, soft_signatures=True)
+        """A soft matrix must have one row per face and one column per pair."""
+        F, P = face_map.signatures.shape
+        for shape in ((F, P + 1), (F - 1, P), (P, F)):
+            with pytest.raises(ValueError, match="soft"):
+                FTTTracker(face_map, soft_signatures=np.zeros(shape, np.float32))
 
     def test_extended_mode_builds_extended_vectors(self, face_map):
         tracker = FTTTracker(face_map, mode="extended")

@@ -1,8 +1,9 @@
 """Tests for repro.geometry.cache — the content-addressed face-map cache.
 
 The cache's contract is strict: a cached (or disk-loaded) face map must
-be *bit-identical* to a fresh build, and handing it out must never let
-one user's soft-signature attachment leak into another's.
+be *bit-identical* to a fresh build, and the one map a hit hands to every
+user must carry no state one user could change for another.  Lookups are
+counted by the ``geometry.cache.*`` obs counters.
 """
 
 from __future__ import annotations
@@ -20,15 +21,25 @@ from repro.geometry.cache import (
 )
 from repro.geometry.faces import build_certain_face_map, build_face_map
 from repro.geometry.grid import Grid
+from repro.obs import metrics as obs
 
 
 @pytest.fixture(autouse=True)
 def _fresh_default_cache():
-    """Isolate the process-global cache per test."""
+    """Isolate the process-global cache and the cache counters per test."""
     configure_face_map_cache(maxsize=64, disk_dir=None, enabled=None)
     default_face_map_cache().clear()
+    obs.reset()
+    obs.set_enabled(True)
     yield
+    obs.set_enabled(None)
+    obs.reset()
     configure_face_map_cache(maxsize=64, disk_dir=None, enabled=None)
+
+
+def _count(name: str) -> int:
+    """The ``geometry.cache.<name>`` counter."""
+    return obs.counter("geometry.cache." + name).value
 
 
 def _assert_identical(a, b):
@@ -91,10 +102,23 @@ class TestMemoryTier:
         cold = cache.get_or_build(four_nodes, small_grid, 1.5)
         warm = cache.get_or_build(four_nodes, small_grid, 1.5)
         _assert_identical(cold, warm)
-        assert cache.stats()["hits"] == 1
-        assert cache.stats()["misses"] == 1
-        # warm hit shares the underlying arrays (no rebuild, no copy)
-        assert warm.signatures is cold.signatures
+        assert _count("hits") == 1
+        assert _count("misses") == 1
+        assert warm is cold  # the cached map itself: no rebuild, no copy
+
+    def test_cached_map_arrays_are_read_only(self, four_nodes, small_grid):
+        fm = FaceMapCache(maxsize=4).get_or_build(four_nodes, small_grid, 1.5)
+        for name in (
+            "nodes",
+            "signatures",
+            "centroids",
+            "cell_face",
+            "cell_counts",
+            "adj_indptr",
+            "adj_indices",
+        ):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(fm, name)[0] = 0
 
     def test_matches_direct_build(self, four_nodes, small_grid):
         cache = FaceMapCache(maxsize=4)
@@ -117,28 +141,19 @@ class TestMemoryTier:
         cache.get_or_build(four_nodes, small_grid, 1.5)
         cache.get_or_build(four_nodes, small_grid, 1.6)  # evicts the first
         cache.get_or_build(four_nodes, small_grid, 1.5)  # rebuild
-        assert cache.stats() == {
-            "entries": 1,
-            "hits": 0,
-            "misses": 3,
-            "disk_hits": 0,
-            "shm_hits": 0,
-            "evictions": 2,
-        }
+        assert len(cache) == 1
+        assert _count("hits") == 0
+        assert _count("misses") == 3
+        assert _count("disk_hits") == 0
+        assert _count("shm_hits") == 0
+        assert _count("evictions") == 2
 
     def test_zero_maxsize_disables_memory_tier(self, four_nodes, small_grid):
         cache = FaceMapCache(maxsize=0)
         cache.get_or_build(four_nodes, small_grid, 1.5)
         cache.get_or_build(four_nodes, small_grid, 1.5)
-        assert cache.stats()["misses"] == 2
+        assert _count("misses") == 2
         assert len(cache) == 0
-
-    def test_soft_signatures_do_not_leak_between_users(self, four_nodes, small_grid):
-        cache = FaceMapCache(maxsize=4)
-        first = cache.get_or_build(four_nodes, small_grid, 1.5)
-        first.soft_signatures = np.zeros((first.n_faces, first.n_pairs), dtype=np.float32)
-        second = cache.get_or_build(four_nodes, small_grid, 1.5)
-        assert second.soft_signatures is None
 
 
 class TestDiskTier:
@@ -148,8 +163,8 @@ class TestDiskTier:
         reader = FaceMapCache(maxsize=0, disk_dir=tmp_path / "store")
         warm = reader.get_or_build(four_nodes, small_grid, 1.5, sensing_range=40.0)
         _assert_identical(cold, warm)
-        assert reader.stats()["disk_hits"] == 1
-        assert reader.stats()["misses"] == 0
+        assert _count("disk_hits") == 1
+        assert _count("misses") == 1  # the writer's build
 
     def test_matching_results_identical_after_disk_roundtrip(
         self, four_nodes, small_grid, tmp_path
@@ -173,7 +188,7 @@ class TestDiskTier:
         rebuilt = cache.get_or_build(four_nodes, small_grid, 1.5)
         direct = build_face_map(four_nodes, small_grid, 1.5)
         _assert_identical(rebuilt, direct)
-        assert cache.stats()["misses"] == 2
+        assert _count("misses") == 2
 
 
 class TestGlobalCache:
@@ -185,13 +200,23 @@ class TestGlobalCache:
     def test_kill_switch_and_default(self, four_nodes, small_grid):
         configure_face_map_cache(enabled=False)
         assert not face_map_cache_enabled()
-        before = default_face_map_cache().stats()["misses"]
         get_face_map(four_nodes, small_grid, 1.5)
-        assert default_face_map_cache().stats()["misses"] == before  # bypassed
+        assert _count("misses") == 0  # bypassed
         configure_face_map_cache(enabled=None)  # the default: on (a fresh cache)
         assert face_map_cache_enabled()
         get_face_map(four_nodes, small_grid, 1.5)
-        assert default_face_map_cache().stats()["misses"] == 1
+        assert _count("misses") == 1
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_unknown_kind_rejected_cache_on_and_off(self, four_nodes, small_grid, enabled):
+        configure_face_map_cache(enabled=enabled)
+        with pytest.raises(ValueError, match="kind"):
+            get_face_map(four_nodes, small_grid, 1.5, kind="exotic")
+
+    def test_hit_is_the_cached_object(self, four_nodes, small_grid):
+        assert get_face_map(four_nodes, small_grid, 1.5) is get_face_map(
+            four_nodes, small_grid, 1.5
+        )
 
     def test_scenario_reuses_cache_across_instances(self, four_nodes):
         from repro.config import GridConfig, SimulationConfig
@@ -200,7 +225,41 @@ class TestGlobalCache:
         cfg = SimulationConfig(n_sensors=4, grid=GridConfig(cell_size_m=4.0))
         a = make_scenario(cfg, nodes=four_nodes, seed=0)
         b = make_scenario(cfg, nodes=four_nodes, seed=1)
-        assert a.face_map.signatures is b.face_map.signatures  # shared arrays
-        assert a.certain_map.signatures is b.certain_map.signatures
-        stats = default_face_map_cache().stats()
-        assert stats["hits"] >= 2
+        assert a.face_map is b.face_map  # one shared map
+        assert a.certain_map is b.certain_map
+        assert _count("hits") >= 2
+
+    def test_soft_tracker_leaves_shared_map_unchanged(self):
+        """Running ``fttt-extended`` on one scenario changes nothing that a
+        second scenario of the same world reads from the shared map: its
+        ``fttt`` and ``fttt-exhaustive`` estimates are bit-identical to a
+        run on a map of its own."""
+        from repro.config import GridConfig, SimulationConfig
+        from repro.network.faults import IndependentDropout
+        from repro.sim.runner import generate_batches
+        from repro.sim.scenario import make_scenario
+
+        cfg = SimulationConfig(n_sensors=8, duration_s=10.0, grid=GridConfig(cell_size_m=4.0))
+
+        def run(scenario) -> dict:
+            batches = generate_batches(
+                scenario, 9, faults=IndependentDropout(p=0.2), n_rounds=12
+            )
+            return {
+                name: scenario.make_tracker(name).track(batches)
+                for name in ("fttt", "fttt-exhaustive", "fttt-extended")
+            }
+
+        configure_face_map_cache(enabled=False)
+        alone = run(make_scenario(cfg, seed=2))
+        configure_face_map_cache(enabled=None)
+        first = make_scenario(cfg, seed=2)
+        run(first)
+        second = make_scenario(cfg, seed=2)
+        assert second.face_map is first.face_map
+        shared = run(second)
+        for name in ("fttt", "fttt-exhaustive"):
+            assert np.array_equal(alone[name].positions, shared[name].positions)
+            for x, y in zip(alone[name].estimates, shared[name].estimates):
+                assert x.face_ids.tolist() == y.face_ids.tolist()
+                assert x.sq_distance == y.sq_distance

@@ -15,6 +15,7 @@ import pytest
 
 from repro.geometry import cache as geometry_cache
 from repro.geometry.cache import FaceMapCache, face_map_cache_key
+from repro.obs import metrics as obs
 
 V1_FIELDS = ("nodes", "centroids", "cell_face", "cell_counts", "adj_indptr", "adj_indices")
 CURRENT_FIELDS = ("signatures", *V1_FIELDS)
@@ -58,6 +59,20 @@ def disk_cache(tmp_path):
     return FaceMapCache(maxsize=4, disk_dir=tmp_path)
 
 
+@pytest.fixture(autouse=True)
+def _cache_counters():
+    """Count this test's lookups on the ``geometry.cache.*`` obs counters."""
+    obs.reset()
+    obs.set_enabled(True)
+    yield
+    obs.set_enabled(None)
+    obs.reset()
+
+
+def _count(name: str) -> int:
+    return obs.counter("geometry.cache." + name).value
+
+
 def _assert_identical(a, b):
     assert np.array_equal(a.signatures, b.signatures)
     assert a.signatures.dtype == b.signatures.dtype
@@ -84,8 +99,8 @@ class TestV1Migration:
 
         loaded = disk_cache.get_or_build(four_nodes, small_grid, 1.5)
         _assert_identical(face_map, loaded)
-        assert disk_cache.stats()["misses"] == 1
-        assert disk_cache.stats()["disk_hits"] == 0
+        assert _count("misses") == 1
+        assert _count("disk_hits") == 0
 
     def test_v1_entry_is_rewritten_as_v2(
         self, four_nodes, small_grid, face_map, disk_cache, tmp_path
@@ -102,8 +117,8 @@ class TestV1Migration:
         # the rewritten file round-trips bit-identically through a cold cache
         cold = FaceMapCache(maxsize=4, disk_dir=tmp_path)
         _assert_identical(face_map, cold.get_or_build(four_nodes, small_grid, 1.5))
-        assert cold.stats()["disk_hits"] == 1
-        assert cold.stats()["misses"] == 0
+        assert _count("disk_hits") == 1
+        assert _count("misses") == 1  # the first cache's, not the cold one's
 
 
 class TestDiskFormat:
@@ -120,16 +135,16 @@ class TestDiskFormat:
         write(path, face_map)
 
         rebuilt = disk_cache.get_or_build(four_nodes, small_grid, 1.5)
-        assert disk_cache.stats()["misses"] == 1
-        assert disk_cache.stats()["disk_hits"] == 0
+        assert _count("misses") == 1
+        assert _count("disk_hits") == 0
         _assert_identical(face_map, rebuilt)
         _assert_current_layout(path, face_map)
 
         # the overwritten file is a disk hit for a cold cache
         cold = FaceMapCache(maxsize=4, disk_dir=tmp_path)
         _assert_identical(face_map, cold.get_or_build(four_nodes, small_grid, 1.5))
-        assert cold.stats()["disk_hits"] == 1
-        assert cold.stats()["misses"] == 0
+        assert _count("disk_hits") == 1
+        assert _count("misses") == 1  # the first cache's, not the cold one's
 
     def test_fresh_writes_use_current_layout(self, four_nodes, small_grid, face_map, disk_cache, tmp_path):
         disk_cache.get_or_build(four_nodes, small_grid, 1.5)

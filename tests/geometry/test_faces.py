@@ -130,8 +130,12 @@ class TestMatching:
         assert np.allclose(pos, face_map.centroids[ties].mean(axis=0))
 
     def test_soft_matching_requires_attachment(self, face_map):
-        with pytest.raises(ValueError, match="soft"):
-            face_map.match(face_map.signatures[0].astype(float), soft=True)
+        """Soft matching takes its matrix; the map alone matches qualitatively."""
+        v = face_map.signatures[0].astype(float)
+        assert face_map.match(v)[1] == 0.0
+        ties, best = face_map.match(v, soft=np.zeros(face_map.signatures.shape, np.float32))
+        assert len(ties) == face_map.n_faces  # every all-zero row ties
+        assert best == float(np.count_nonzero(v))
 
 
 class TestCertainVsUncertain:
@@ -178,6 +182,7 @@ class TestTieTolerance:
 
     @staticmethod
     def _synthetic_map(soft_signatures: np.ndarray) -> "FaceMap":
+        """A map with one face per row of *soft_signatures*."""
         from repro.geometry.faces import FaceMap
 
         n_faces, n_pairs = soft_signatures.shape
@@ -195,7 +200,6 @@ class TestTieTolerance:
             cell_counts=np.full(n_faces, grid.n_cells // n_faces, dtype=np.int64),
             adj_indptr=np.arange(n_faces + 1, dtype=np.int64),
             adj_indices=np.arange(n_faces, dtype=np.int64) ^ 1,
-            soft_signatures=soft_signatures,
         )
 
     def test_large_n_float32_drift_still_ties(self):
@@ -203,14 +207,15 @@ class TestTieTolerance:
         rng = np.random.default_rng(3)
         x = rng.random(n_pairs).astype(np.float32) * 2 - 1
         permuted = x[rng.permutation(n_pairs)]
-        fm = self._synthetic_map(np.stack([x, permuted]))
+        soft = np.stack([x, permuted])
+        fm = self._synthetic_map(soft)
         # the two rows hold the same multiset of values, so both squared
         # distances to the zero vector are mathematically identical; the
         # float32 sums differ by accumulation order
-        d2 = fm._sq_distances(fm._query(np.zeros((1, n_pairs), np.float32), True))[0]
+        d2 = fm._sq_distances(fm._query(np.zeros((1, n_pairs), np.float32), soft))[0]
         drift = abs(float(d2[0]) - float(d2[1]))
         assert drift <= fm.tie_tolerance(float(d2.min()))
-        ties, best = fm.match(np.zeros(n_pairs), soft=True)
+        ties, best = fm.match(np.zeros(n_pairs), soft=soft)
         assert len(ties) == 2  # the absolute 1e-6 threshold split these
         assert fm.tie_tolerance(best) > 1e-6
 

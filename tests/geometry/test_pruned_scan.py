@@ -61,13 +61,13 @@ def dup_map(world):
 
 
 def _full(fm: FaceMap, V: np.ndarray):
-    return fm._ties(fm._sq_distances(fm._query(V, False)))
+    return fm._ties(fm._sq_distances(fm._query(V)))
 
 
 def _assert_pruned_is_full(fm: FaceMap, V: np.ndarray) -> list[int]:
     """Compare the pruned search with the full scan, as one block and row by
     row; returns the faces scored in full in each row."""
-    q = fm._query(V, False)
+    q = fm._query(V)
     assert q.exact
     ties, bests, scored = fm._pruned_ties(q)
     want_ties, want_bests = _full(fm, V)
@@ -77,7 +77,7 @@ def _assert_pruned_is_full(fm: FaceMap, V: np.ndarray) -> list[int]:
         assert np.array_equal(got, want)
     per_row = []
     for r in range(len(V)):
-        one_ties, one_bests, one_scored = fm._pruned_ties(fm._query(V[r : r + 1], False))
+        one_ties, one_bests, one_scored = fm._pruned_ties(fm._query(V[r : r + 1]))
         assert one_bests == [want_bests[r]]
         assert np.array_equal(one_ties[0], want_ties[r])
         per_row.append(one_scored)
@@ -100,7 +100,7 @@ class TestPrunedTies:
         block is finished by a GEMM over all faces."""
         fm, V = world
         monkeypatch.setattr(FaceMap, "tie_tolerance", lambda self, best: float("inf"))
-        ties, bests, scored = fm._pruned_ties(fm._query(V, False))
+        ties, bests, scored = fm._pruned_ties(fm._query(V))
         assert scored == len(V) * fm.n_faces
         assert all(len(t) == fm.n_faces for t in ties)
         assert bests == _full(fm, V)[1]
@@ -116,7 +116,7 @@ class TestPrunedTies:
         block = V[:5].copy()
         block[2] = np.nan
         _assert_pruned_is_full(fm, block)
-        ties, bests, _ = fm._pruned_ties(fm._query(block[2:3], False))
+        ties, bests, _ = fm._pruned_ties(fm._query(block[2:3]))
         assert bests == [0.0]
         assert np.array_equal(ties[0], np.arange(fm.n_faces))
 
@@ -125,11 +125,11 @@ class TestPrunedTies:
         faces_hit = [0, 5, 17, fm.n_faces - 1]
         V = fm.signatures[faces_hit].astype(np.float32)
         _assert_pruned_is_full(fm, V)
-        ties, bests, _ = fm._pruned_ties(fm._query(V, False))
+        ties, bests, _ = fm._pruned_ties(fm._query(V))
         assert bests == [0.0] * len(faces_hit)
         assert [t.tolist() for t in ties] == [[f] for f in faces_hit]
         # on the map with repeated signatures an exact hit ties its copy
-        ties, bests, _ = dup_map._pruned_ties(dup_map._query(V, False))
+        ties, bests, _ = dup_map._pruned_ties(dup_map._query(V))
         assert bests == [0.0] * len(faces_hit)
         assert ties[0].tolist() == [0, fm.n_faces]
         _assert_pruned_is_full(dup_map, V)
@@ -137,7 +137,7 @@ class TestPrunedTies:
     def test_duplicate_signatures_tie(self, world, dup_map):
         _, V = world
         _assert_pruned_is_full(dup_map, V)
-        ties, _, _ = dup_map._pruned_ties(dup_map._query(V, False))
+        ties, _, _ = dup_map._pruned_ties(dup_map._query(V))
         assert any(len(t) > 1 for t in ties)
 
     def test_wider_tie_tolerance_keeps_every_tie(self, world, monkeypatch):
@@ -149,8 +149,8 @@ class TestPrunedTies:
             FaceMap, "tie_tolerance", lambda self, best: 0.0 if best == 0.0 else 2.5
         )
         _assert_pruned_is_full(fm, V)
-        d2 = fm._sq_distances(fm._query(V, False))
-        ties, bests, _ = fm._pruned_ties(fm._query(V, False))
+        d2 = fm._sq_distances(fm._query(V))
+        ties, bests, _ = fm._pruned_ties(fm._query(V))
         assert any(d2[r, t].max() > bests[r] for r, t in enumerate(ties))
 
     def test_block_split(self, world, monkeypatch):

@@ -139,15 +139,26 @@ class TestSharedFaceMapSet:
 
 
 class TestWorkerRegistry:
-    def test_lookup_returns_fresh_views(self, face_map):
+    def test_lookups_share_one_attached_map(self, face_map):
+        """Every lookup returns the one map attached from the segment, and
+        a soft tracker on it leaves the next holder's matching unchanged."""
+        from repro.core.extended import expected_extended_signatures
+        from repro.core.tracker import FTTTracker
+
         with SharedFaceMapSet() as shared:
             shared.publish("k1", face_map)
             install_shared_face_maps(shared.manifests())
             a = shared_face_map("k1")
-            b = shared_face_map("k1")
-            assert a is not None and b is not None
-            assert a is not b  # fresh view per lookup (soft-sig isolation)
-            assert np.array_equal(a.signatures, face_map.signatures)
+            assert a is not None and a is shared_face_map("k1")
+            soft = expected_extended_signatures(a, path_loss_exponent=4.0, noise_sigma_dbm=6.0)
+            v = face_map.signatures[3].astype(float)
+            FTTTracker(a, mode="extended", matcher="exhaustive", soft_signatures=soft).localize(
+                np.array([[-50.0, -60.0, -55.0, -70.0]] * 3)
+            )
+            ties, best = shared_face_map("k1").match(v)
+            want_ties, want_best = face_map.match(v)
+            assert ties.tolist() == want_ties.tolist()
+            assert best == want_best
             clear_shared_face_maps()
 
     def test_unknown_key_returns_none(self):

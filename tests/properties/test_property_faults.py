@@ -92,7 +92,7 @@ def test_masked_components_never_influence_distance(fmv):
     """distances_to == manual sum over unmasked components only."""
     fm, v = fmv
     keep = ~np.isnan(v)
-    sigs = fm.signature_matrix()
+    sigs = fm.signatures.astype(np.float32)
     diff = sigs[:, keep] - v[keep].astype(np.float32)
     manual = np.einsum("fp,fp->f", diff, diff)
     got = fm.distances_to(v)
@@ -105,7 +105,7 @@ def test_masked_components_never_influence_distance(fmv):
 def test_masked_components_never_influence_chosen_face(fmv):
     fm, v = fmv
     keep = ~np.isnan(v)
-    sigs = fm.signature_matrix()
+    sigs = fm.signatures.astype(np.float32)
     diff = sigs[:, keep] - v[keep].astype(np.float32)
     manual = np.einsum("fp,fp->f", diff, diff)
     ties, d2 = fm.match(v)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.config import GridConfig, SimulationConfig
+from repro import obs
 from repro.geometry.cache import configure_face_map_cache, default_face_map_cache
 from repro.sim.io import records_to_csv
 from repro.sim.parallel import parallel_sweep
@@ -101,8 +102,9 @@ class TestCacheEquivalence:
         cold = trace(TINY.with_(n_sensors=8))
         configure_face_map_cache(enabled=None)
         warm = trace(TINY.with_(n_sensors=8))  # builds + caches
-        warm2 = trace(TINY.with_(n_sensors=8))  # pure cache hit
-        assert default_face_map_cache().stats()["hits"] >= 1
+        with obs.observe() as registry:
+            warm2 = trace(TINY.with_(n_sensors=8))  # pure cache hit
+        assert registry.counter("geometry.cache.hits").value >= 1
         for res in (warm, warm2):
             assert np.array_equal(cold.positions, res.positions)
             for x, y in zip(cold.estimates, res.estimates):

@@ -78,8 +78,9 @@ class TestMakeTracker:
     def test_extended_gets_soft_signatures(self, cfg):
         s = make_scenario(cfg, seed=4)
         tracker = s.make_tracker("fttt-extended")
-        assert tracker.soft_signatures
-        assert s.face_map.soft_signatures is not None
+        assert tracker.matcher.soft is s.soft_signatures
+        assert s.soft_signatures.shape == s.face_map.signatures.shape
+        assert s.make_tracker("fttt-extended").matcher.soft is tracker.matcher.soft
 
     def test_pm_inherits_vmax(self, cfg):
         s = make_scenario(cfg, seed=4)
